@@ -59,11 +59,27 @@ def _parse_complex_vector(raw, what: str) -> np.ndarray:
     return np.array([complex(re, im) for re, im in pairs])
 
 
+def _parse_dimension(raw, what: str) -> int:
+    # JSON integers only: int() would truncate 2.7 to 2 and accept true as 1
+    if isinstance(raw, bool) or not isinstance(raw, int):
+        raise ParseError(f"{what} must be an integer, got {raw!r}")
+    return raw
+
+
+def _parse_rows(raw, what: str) -> list[np.ndarray]:
+    if not isinstance(raw, list):
+        raise ParseError(f"{what} must be a list of rows")
+    rows = [_parse_complex_vector(row, f"{what} row") for row in raw]
+    if any(r.size != rows[0].size for r in rows):
+        raise ParseError(f"{what} rows must have equal length")
+    return rows
+
+
 def _load_document(path, expected_fields: tuple[str, ...]) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as handle:
             doc = json.load(handle)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ParseError(f"{path}: not a valid document ({exc})") from exc
     if not isinstance(doc, dict):
         raise ParseError(f"{path}: top level must be an object")
@@ -85,12 +101,12 @@ def write_ensemble(path, ensemble: Ensemble) -> None:
 
 def read_ensemble(path) -> Ensemble:
     doc = _load_document(path, ("dim", "weights", "states"))
+    dim = _parse_dimension(doc["dim"], f"{path}: dim")
     try:
-        dim = int(doc["dim"])
         weights = [float(w) for w in doc["weights"]]
     except (TypeError, ValueError) as exc:
-        raise ParseError(f"{path}: dim must be an integer and weights reals") from exc
-    states = [_parse_complex_vector(raw, f"{path}: state") for raw in doc["states"]]
+        raise ParseError(f"{path}: weights must be reals") from exc
+    states = _parse_rows(doc["states"], f"{path}: states")
     return Ensemble(dim, np.array(weights), np.array(states))
 
 
@@ -105,10 +121,7 @@ def write_density_matrix(path, rho: DensityMatrix) -> None:
 
 def read_density_matrix(path) -> DensityMatrix:
     doc = _load_document(path, ("dim", "entries"))
-    try:
-        dim = int(doc["dim"])
-    except (TypeError, ValueError) as exc:
-        raise ParseError(f"{path}: dim must be an integer") from exc
+    dim = _parse_dimension(doc["dim"], f"{path}: dim")
     entries = _parse_complex_vector(doc["entries"], f"{path}: entries")
     if entries.size != dim * dim:
         raise ParseError(f"{path}: expected {dim * dim} entries, got {entries.size}")
@@ -127,11 +140,8 @@ def write_bipartite_state(path, psi: BipartiteState) -> None:
 
 def read_bipartite_state(path) -> BipartiteState:
     doc = _load_document(path, ("dim_s", "dim_k", "amplitudes"))
-    try:
-        dim_s = int(doc["dim_s"])
-        dim_k = int(doc["dim_k"])
-    except (TypeError, ValueError) as exc:
-        raise ParseError(f"{path}: dim_s and dim_k must be integers") from exc
+    dim_s = _parse_dimension(doc["dim_s"], f"{path}: dim_s")
+    dim_k = _parse_dimension(doc["dim_k"], f"{path}: dim_k")
     amplitudes = _parse_complex_vector(doc["amplitudes"], f"{path}: amplitudes")
     return BipartiteState(dim_s, dim_k, amplitudes)
 
@@ -151,8 +161,8 @@ def read_plan(path) -> SteeringPlan:
     doc = _load_document(path, ("coeffs", "isometry", "unitary", "basis"))
     matrices = {}
     for name in ("coeffs", "isometry", "unitary", "basis"):
-        rows = [_parse_complex_vector(raw, f"{path}: {name} row") for raw in doc[name]]
-        if not rows or any(r.size != rows[0].size for r in rows):
-            raise ParseError(f"{path}: {name} rows must be non-empty and equal length")
+        rows = _parse_rows(doc[name], f"{path}: {name}")
+        if not rows:
+            raise ParseError(f"{path}: {name} must have at least one row")
         matrices[name] = np.array(rows)
     return SteeringPlan(**matrices)

@@ -126,35 +126,44 @@ def gram_schmidt_complete(rows, target_dim: int) -> np.ndarray:
 
     The given rows are kept verbatim as the leading rows of the output.
     Candidate directions are the standard basis vectors swept in index
-    order; a candidate is skipped when its component orthogonal to the
-    rows collected so far is shorter than ``TOL.completion_floor``.
+    order; each is projected off the rows collected so far as one block
+    (a matrix-vector step), and the projection is applied twice, which
+    is enough for orthogonality to working precision (Giraud, Langou and
+    Rozloznik, 2005). A candidate is skipped when its remaining component
+    is shorter than ``TOL.completion_floor``. The result is deterministic.
     """
-    stack = [np.asarray(row, dtype=complex) for row in rows]
-    if len(stack) > target_dim:
-        raise TooManyRows(f"{len(stack)} rows cannot fit in dimension {target_dim}")
-    for row in stack:
+    given = [np.asarray(row, dtype=complex) for row in rows]
+    if len(given) > target_dim:
+        raise TooManyRows(f"{len(given)} rows cannot fit in dimension {target_dim}")
+    for row in given:
         if row.shape != (target_dim,):
             raise DimensionMismatch(f"every row must have length {target_dim}")
-    if stack:
-        given = np.array(stack)
-        if max_abs(given @ dag(given) - np.eye(len(stack))) > TOL.orthonormality:
+    out = np.zeros((target_dim, target_dim), dtype=complex)
+    filled = len(given)
+    if given:
+        out[:filled] = given
+        block = out[:filled]
+        if max_abs(block @ dag(block) - np.eye(filled)) > TOL.orthonormality:
             raise NotOrthonormal(
                 f"input rows are not pairwise orthonormal within {TOL.orthonormality}"
             )
     for index in range(target_dim):
-        if len(stack) == target_dim:
+        if filled == target_dim:
             break
         candidate = basis_state(target_dim, index)
-        for _ in range(2):  # second sweep keeps fp drift below the unitarity check
-            for row in stack:
-                candidate = candidate - row * np.vdot(row, candidate)
+        block = out[:filled]
+        for _ in range(2):
+            # <row|candidate> for every row at once, without copying the block
+            overlaps = np.conj(block @ np.conj(candidate))
+            candidate -= overlaps @ block
         length = float(np.linalg.norm(candidate))
         if length <= TOL.completion_floor:
             continue
-        stack.append(candidate / length)
-    if len(stack) != target_dim:
+        out[filled] = candidate / length
+        filled += 1
+    if filled != target_dim:
         raise RuntimeError("standard-basis sweep failed to complete the unitary")
-    return np.array(stack)
+    return out
 
 
 def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:

@@ -61,8 +61,8 @@ class BipartiteState:
 
     def reduced_system(self) -> np.ndarray:
         """Density matrix of S after tracing out the reference."""
-        projector = np.outer(self.amplitudes, self.amplitudes.conj())
-        return numerics.partial_trace_k(projector, self.dim_s, self.dim_k)
+        grid = self.as_grid()
+        return grid @ grid.conj().T
 
 
 @dataclass
@@ -90,6 +90,7 @@ class SteeringPlan:
         residual = numerics.max_abs(
             self.isometry @ numerics.dag(self.isometry) - np.eye(rows)
         )
+        self._isometry_residual = residual
         if residual > ISOMETRY_TOL:
             raise ContractViolation(
                 f"isometry rows deviate from orthonormality by {residual} "
@@ -119,8 +120,8 @@ class SteeringPlan:
 
     @property
     def isometry_residual(self) -> float:
-        rows = self.isometry.shape[0]
-        return numerics.max_abs(self.isometry @ numerics.dag(self.isometry) - np.eye(rows))
+        """Largest deviation of isometry @ isometry^H from the identity, as validated."""
+        return self._isometry_residual
 
 
 @dataclass
@@ -317,9 +318,9 @@ def prepare_ensemble(
         overlap = numerics.state_fidelity(posts[j], target.states[j])
         infidelity = max(infidelity, 1.0 - overlap)
 
-    rebuilt = np.zeros(psi.amplitudes.size, dtype=complex)
-    for j in range(target.size):
-        rebuilt += np.sqrt(target.weights[j]) * np.kron(target.states[j], plan.basis[j])
+    # sum_j sqrt(p_j) tau_j (x) B_j, as a (dim_s, dim_k) grid flattened row-major
+    weighted = target.states.T * np.sqrt(target.weights)
+    rebuilt = (weighted @ plan.basis[: target.size]).reshape(-1)
     reconstruction = numerics.max_abs(psi.amplitudes - rebuilt)
 
     report = PreparationReport(

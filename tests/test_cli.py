@@ -161,6 +161,20 @@ def test_invalid_ensemble_file_exits_1(files, capsys):
     assert "weights" in err  # the message names the violated invariant
 
 
+def test_malformed_files_exit_1_without_traceback(files, capsys):
+    malformed = {
+        "scalar.ens": b'{"dim": 2, "weights": [1.0], "states": 5}',
+        "latin1.ens": '{"dim": 2, "\u00e9": 1}'.encode("latin-1"),
+        "fractional.ens": b'{"dim": 2.7, "weights": [1.0], "states": [[[1, 0], [0, 0]]]}',
+    }
+    for name, content in malformed.items():
+        (files / name).write_bytes(content)
+        status = main(["equiv", str(files / name), str(files / "mix01.ens")])
+        err = capsys.readouterr().err
+        assert status == 1, name
+        assert err.startswith("error: ") and "Traceback" not in err, err
+
+
 def test_main_parses_argv_and_dispatches(files, capsys):
     status = main(["equiv", str(files / "mix01.ens"), str(files / "mixpm.ens")])
     assert status == 0

@@ -138,3 +138,43 @@ def test_round_trip_preserves_physics(tmp_path):
         numerics.max_abs(density_matrix(loaded).matrix - density_matrix(ens).matrix)
         == 0.0
     )
+
+
+def test_read_rejects_states_that_are_not_a_list(tmp_path):
+    path = tmp_path / "scalar.ens"
+    path.write_text('{"dim": 2, "weights": [1.0], "states": 5}')
+    with pytest.raises(ParseError):
+        fileio.read_ensemble(path)
+
+
+def test_read_rejects_ragged_states(tmp_path):
+    path = tmp_path / "ragged.ens"
+    path.write_text(
+        '{"dim": 2, "weights": [0.5, 0.5], "states": [[[1.0, 0.0], [0.0, 0.0]], [[1.0, 0.0]]]}'
+    )
+    with pytest.raises(ParseError):
+        fileio.read_ensemble(path)
+
+
+def test_read_rejects_text_that_is_not_utf8(tmp_path):
+    path = tmp_path / "latin1.ens"
+    path.write_bytes('{"dim": 2, "weights": [1.0], "états": []}'.encode("latin-1"))
+    with pytest.raises(ParseError):
+        fileio.read_ensemble(path)
+
+
+@pytest.mark.parametrize(
+    "reader, text",
+    [
+        (fileio.read_ensemble, '{"dim": 2.7, "weights": [1.0], "states": [[[1, 0], [0, 0]]]}'),
+        (fileio.read_density_matrix, '{"dim": 1.5, "entries": [[1, 0]]}'),
+        (fileio.read_bipartite_state, '{"dim_s": 1.5, "dim_k": 1, "amplitudes": [[1, 0]]}'),
+        (fileio.read_bipartite_state, '{"dim_s": 1, "dim_k": 1.5, "amplitudes": [[1, 0]]}'),
+        (fileio.read_ensemble, '{"dim": true, "weights": [1.0], "states": [[[1, 0]]]}'),
+    ],
+)
+def test_read_rejects_non_integer_dimensions(tmp_path, reader, text):
+    path = tmp_path / "fractional.doc"
+    path.write_text(text)
+    with pytest.raises(ParseError):
+        reader(path)

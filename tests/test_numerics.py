@@ -41,6 +41,47 @@ def partial_trace_loop(m, dim_s, dim_k):
     return out
 
 
+def gram_schmidt_complete_loop(rows, target_dim):
+    """Row-by-row completion: the former implementation, kept as the reference."""
+    stack = [np.asarray(row, dtype=complex) for row in rows]
+    if len(stack) > target_dim:
+        raise TooManyRows(f"{len(stack)} rows cannot fit in dimension {target_dim}")
+    for row in stack:
+        if row.shape != (target_dim,):
+            raise DimensionMismatch(f"every row must have length {target_dim}")
+    if stack:
+        given = np.array(stack)
+        tol = numerics.TOL.orthonormality
+        if numerics.max_abs(given @ numerics.dag(given) - np.eye(len(stack))) > tol:
+            raise NotOrthonormal(f"input rows are not pairwise orthonormal within {tol}")
+    for index in range(target_dim):
+        if len(stack) == target_dim:
+            break
+        candidate = numerics.basis_state(target_dim, index)
+        for _ in range(2):  # second sweep keeps fp drift below the unitarity check
+            for row in stack:
+                candidate = candidate - row * np.vdot(row, candidate)
+        length = float(np.linalg.norm(candidate))
+        if length <= numerics.TOL.completion_floor:
+            continue
+        stack.append(candidate / length)
+    if len(stack) != target_dim:
+        raise RuntimeError("standard-basis sweep failed to complete the unitary")
+    return np.array(stack)
+
+
+def padded_isometry_rows(dim, n_rows, support, rng):
+    """Rows of a Haar unitary on a random column subset, zero elsewhere.
+
+    This is the shape the steering isometry hands to the completion:
+    orthonormal rows that vanish outside the columns the target uses.
+    """
+    columns = np.sort(rng.choice(dim, size=support, replace=False))
+    rows = np.zeros((n_rows, dim), dtype=complex)
+    rows[:, columns] = numerics.haar_unitary(support, rng)[:n_rows]
+    return rows
+
+
 def random_hermitian(dim, rng):
     z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     return (z + z.conj().T) / 2
@@ -252,3 +293,31 @@ def test_completion_rejects_too_many_rows():
 def test_completion_rejects_non_orthonormal_rows():
     with pytest.raises(NotOrthonormal):
         numerics.gram_schmidt_complete([np.array([1.0, 1.0])], 2)
+
+
+def assert_matches_row_loop_oracle(rows, dim):
+    got = numerics.gram_schmidt_complete(rows, dim)
+    assert numerics.max_abs(got - gram_schmidt_complete_loop(rows, dim)) <= 1e-12
+    np.testing.assert_array_equal(got[: len(rows)], rows)
+    assert numerics.max_abs(got @ numerics.dag(got) - np.eye(dim)) <= 1e-10
+
+
+@given(
+    dim=st.integers(1, 32),
+    data=st.data(),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=60, deadline=None)
+def test_completion_matches_row_loop_oracle(dim, data, seed):
+    support = data.draw(st.integers(1, dim), label="support")
+    n_rows = data.draw(st.integers(0, support), label="n_rows")
+    rows = padded_isometry_rows(dim, n_rows, support, np.random.default_rng(seed))
+    assert_matches_row_loop_oracle(rows, dim)
+
+
+def test_completion_matches_row_loop_oracle_at_steering_size():
+    # 32 rows supported on the first 64 of 128 columns, as when rank-32
+    # spectral states steer into 64 target states with a 128-dim reference
+    rows = np.zeros((32, 128), dtype=complex)
+    rows[:, :64] = numerics.haar_unitary(64, np.random.default_rng(128))[:32]
+    assert_matches_row_loop_oracle(rows, 128)

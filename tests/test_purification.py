@@ -101,6 +101,23 @@ def test_purify_partial_trace_identity(dim, count, extra, seed):
     assert numerics.max_abs(psi.reduced_system() - rho.matrix) <= 1e-10
 
 
+@given(dim_s=st.integers(1, 6), rank=st.integers(1, 6), extra=st.integers(0, 4),
+       seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_reduced_system_matches_partial_trace_of_projector(dim_s, rank, extra, seed):
+    # amplitudes vanish on the padded reference columns beyond the rank
+    rng = np.random.default_rng(seed)
+    dim_k = rank + extra
+    grid = np.zeros((dim_s, dim_k), dtype=complex)
+    grid[:, :rank] = rng.standard_normal((dim_s, rank)) + 1j * rng.standard_normal(
+        (dim_s, rank)
+    )
+    psi = BipartiteState(dim_s, dim_k, grid.reshape(-1) / np.linalg.norm(grid))
+    projector = np.outer(psi.amplitudes, psi.amplitudes.conj())
+    expected = numerics.partial_trace_k(projector, dim_s, dim_k)
+    assert numerics.max_abs(psi.reduced_system() - expected) <= 1e-14
+
+
 # ---------------------------------------------------------------------------
 # steering coefficients / isometry
 
@@ -296,3 +313,25 @@ def test_preparation_report_renders_tolerance_labels():
     text = report.render()
     assert "(tol" in text
     assert text.count("PASS") == 4
+
+
+def test_reconstruction_residual_matches_kron_loop_oracle():
+    rng = np.random.default_rng(31)
+    rho = random_density_matrix(5, 3, rng)
+    spec = spectral_ensemble(rho)
+    target = random_equivalent_ensemble(rho, 6, seed=31)
+    plan, _, report = prepare_ensemble(spec, target, dim_k=9)
+    psi = purify(spec, plan.dim_k)
+    rebuilt = np.zeros(psi.amplitudes.size, dtype=complex)
+    for j in range(target.size):
+        rebuilt += np.sqrt(target.weights[j]) * np.kron(target.states[j], plan.basis[j])
+    expected = numerics.max_abs(psi.amplitudes - rebuilt)
+    assert abs(report.reconstruction_residual - expected) <= 1e-14
+
+
+def test_isometry_residual_is_the_validated_value():
+    rng = np.random.default_rng(32)
+    rho = random_density_matrix(4, 2, rng)
+    plan = steering_isometry(spectral_ensemble(rho), random_equivalent_ensemble(rho, 3, seed=32))
+    gram = plan.isometry @ numerics.dag(plan.isometry)
+    assert plan.isometry_residual == numerics.max_abs(gram - np.eye(gram.shape[0]))
