@@ -17,7 +17,12 @@ from dataclasses import dataclass, field
 
 from . import fileio, numerics
 from .dynamics import EvolutionParams, build_model, verification_report
-from .ensembles import density_matrix, random_equivalent_ensemble, spectral_ensemble
+from .ensembles import (
+    density_deviation,
+    density_matrix,
+    random_equivalent_ensemble,
+    spectral_ensemble,
+)
 from .errors import (
     ContractViolation,
     NotEquivalent,
@@ -29,11 +34,10 @@ from .errors import (
     TargetOutsideSupport,
     TooManyRows,
 )
-from .purification import PARTIAL_TRACE_TOL, prepare_ensemble, purify
+from .numerics import TOL
+from .purification import prepare_ensemble, purify
 from .qubit_gates import qubit_demo
-from .reports import check_line
-
-DEFAULT_TOL = 1e-9
+from .reports import Check
 
 
 @dataclass
@@ -43,7 +47,7 @@ class RunConfig:
     command: str
     inputs: tuple[str, ...] = ()
     output: str | None = None
-    tol: float = DEFAULT_TOL
+    tol: float = TOL.equivalence
     seed: int = 0
     dim_k: int | None = None
     omega: float = 1.0
@@ -54,7 +58,7 @@ class RunConfig:
     stdout: object = field(default=None, repr=False)
 
     def __post_init__(self):
-        if self.tol <= 0:
+        if not self.tol > 0:
             raise PurifyKitError(f"tolerance must be positive, got {self.tol}")
 
     def emit(self, text: str) -> None:
@@ -64,7 +68,7 @@ class RunConfig:
 def default_tolerance() -> float:
     raw = os.environ.get("PURIFYKIT_TOL")
     if raw is None:
-        return DEFAULT_TOL
+        return TOL.equivalence
     try:
         return float(raw)
     except ValueError as exc:
@@ -74,11 +78,7 @@ def default_tolerance() -> float:
 def _cmd_equiv(config: RunConfig) -> int:
     first = fileio.read_ensemble(config.inputs[0])
     second = fileio.read_ensemble(config.inputs[1])
-    if first.dim != second.dim:
-        raise PurifyKitError(f"dimensions differ: {first.dim} vs {second.dim}")
-    deviation = numerics.max_abs(
-        density_matrix(first).matrix - density_matrix(second).matrix
-    )
+    deviation = density_deviation(first, second)
     equivalent = deviation <= config.tol
     verdict = "equivalent" if equivalent else "not equivalent"
     config.emit(
@@ -94,8 +94,9 @@ def _cmd_purify(config: RunConfig) -> int:
     residual = numerics.max_abs(psi.reduced_system() - rho.matrix)
     if config.output:
         fileio.write_bipartite_state(config.output, psi)
-    config.emit(check_line("partial-trace residual", residual, PARTIAL_TRACE_TOL))
-    return 0 if residual <= PARTIAL_TRACE_TOL else 2
+    check = Check("partial-trace residual", residual, TOL.partial_trace)
+    config.emit(check.line)
+    return 0 if check.passed else 2
 
 
 def _cmd_steer(config: RunConfig) -> int:
@@ -137,8 +138,9 @@ def _cmd_random_equiv(config: RunConfig) -> int:
     if config.output:
         fileio.write_ensemble(config.output, ensemble)
     deviation = numerics.max_abs(density_matrix(ensemble).matrix - rho.matrix)
-    config.emit(check_line("density-matrix deviation", deviation, config.tol))
-    return 0 if deviation <= config.tol else 2
+    check = Check("density-matrix deviation", deviation, config.tol)
+    config.emit(check.line)
+    return 0 if check.passed else 2
 
 
 _COMMANDS = {

@@ -18,15 +18,9 @@ import numpy as np
 from . import numerics
 from .ensembles import SpectralEnsemble
 from .errors import ContractViolation, IndexOutOfRange, NotOrthonormal, ReferenceTooSmall
+from .numerics import TOL
 from .purification import BipartiteState
-from .reports import check_line
-
-TERM_HERMITICITY_TOL = 1e-12
-COMMUTATOR_TOL = 1e-12
-POWER_TOL = 1e-12
-CLOSED_FORM_TOL = 1e-10
-CORRELATION_TOL = 1e-10
-TRIG_TOL = 1e-12
+from .reports import Check, Report
 
 
 @dataclass
@@ -45,17 +39,17 @@ class EvolutionParams:
     def phase(self) -> float:
         return self.omega * self.duration
 
-    def is_correlating(self, tol: float = TRIG_TOL) -> bool:
+    def is_correlating(self) -> bool:
         return (
-            abs(math.cos(self.phase())) <= tol
-            and abs(math.sin(self.phase()) - 1.0) <= tol
+            abs(math.cos(self.phase())) <= TOL.quarter_turn
+            and abs(math.sin(self.phase()) - 1.0) <= TOL.quarter_turn
         )
 
-    def require_correlating(self, tol: float = TRIG_TOL) -> None:
-        if not self.is_correlating(tol):
+    def require_correlating(self) -> None:
+        if not self.is_correlating():
             raise ContractViolation(
                 f"omega*T = {self.phase()} is not a quarter turn "
-                f"(cos must vanish and sin must equal 1 within {tol})"
+                f"(cos must vanish and sin must equal 1 within {TOL.quarter_turn})"
             )
 
     @classmethod
@@ -90,7 +84,8 @@ class HamiltonianModel:
     """The term family H_j and their sum on S (x) K.
 
     Constructing the model checks the algebra the closed form relies on:
-    each term Hermitian, all pairs commuting, and cross-products zero.
+    each term Hermitian, all pairs commuting, and cross-products zero. The
+    two pairwise maxima are kept as validated, for the verification report.
     """
 
     dim_s: int
@@ -98,21 +93,25 @@ class HamiltonianModel:
     phi: np.ndarray
     terms: list[np.ndarray] = field(repr=False)
     total: np.ndarray = field(repr=False)
+    cross_product_maximum: float = field(init=False)
+    commutator_maximum: float = field(init=False)
 
     def __post_init__(self):
         self.phi = np.asarray(self.phi, dtype=complex)
         for j, term in enumerate(self.terms):
             residual = numerics.max_abs(term - numerics.dag(term))
-            if residual > TERM_HERMITICITY_TOL:
+            if residual > TOL.term_hermiticity:
                 raise ContractViolation(
                     f"term {j} deviates from Hermiticity by {residual}"
                 )
-        cross = cross_product_max(self.terms)
-        if cross > COMMUTATOR_TOL:
-            raise ContractViolation(f"nonzero cross-product between terms: {cross}")
-        comm = commutator_max(self.terms)
-        if comm > COMMUTATOR_TOL:
-            raise ContractViolation(f"terms do not commute: {comm}")
+        self.cross_product_maximum = cross_product_max(self.terms)
+        if self.cross_product_maximum > TOL.commutator:
+            raise ContractViolation(
+                f"nonzero cross-product between terms: {self.cross_product_maximum}"
+            )
+        self.commutator_maximum = commutator_max(self.terms)
+        if self.commutator_maximum > TOL.commutator:
+            raise ContractViolation(f"terms do not commute: {self.commutator_maximum}")
 
 
 def commutator_max(terms) -> float:
@@ -151,7 +150,7 @@ def build_model(phi, dim_k: int | None = None) -> HamiltonianModel:
             f"reference dimension {dim_k} cannot host {count} correlated directions"
         )
     gram = phi @ numerics.dag(phi)
-    if numerics.max_abs(gram - np.eye(count)) > numerics.TOL.orthonormality:
+    if numerics.max_abs(gram - np.eye(count)) > TOL.orthonormality:
         raise NotOrthonormal("phi rows must be pairwise orthonormal")
     terms = [build_term(j, phi, dim_k) for j in range(count)]
     total = np.sum(terms, axis=0)
@@ -161,31 +160,19 @@ def build_model(phi, dim_k: int | None = None) -> HamiltonianModel:
 
 
 @dataclass
-class PowerIdentityReport:
+class PowerIdentityReport(Report):
     """Residuals of H^3 = H and of H^2 against its projector form."""
 
     reference_index: int
     odd_residual: float
     even_residual: float
 
-    def passed(self, tol: float = POWER_TOL) -> bool:
-        return self.odd_residual <= tol and self.even_residual <= tol
-
-    def render(self) -> str:
-        return "\n".join(
-            [
-                check_line(
-                    f"term {self.reference_index}: cube-equals-self residual",
-                    self.odd_residual,
-                    POWER_TOL,
-                ),
-                check_line(
-                    f"term {self.reference_index}: square-projector residual",
-                    self.even_residual,
-                    POWER_TOL,
-                ),
-            ]
-        )
+    def checks(self) -> list[Check]:
+        term = f"term {self.reference_index}"
+        return [
+            Check(f"{term}: cube-equals-self residual", self.odd_residual, TOL.power),
+            Check(f"{term}: square-projector residual", self.even_residual, TOL.power),
+        ]
 
 
 def power_identities_check(term, phi_j, dim_k: int) -> PowerIdentityReport:
@@ -239,7 +226,7 @@ def evolution_numeric(model: HamiltonianModel, params: EvolutionParams) -> np.nd
 
 
 @dataclass
-class CorrelationReport:
+class CorrelationReport(Report):
     """Per-state fidelities of phi_j (x) e_0 -> phi_j (x) e_j under the evolution."""
 
     fidelities: np.ndarray
@@ -248,15 +235,11 @@ class CorrelationReport:
     def min_fidelity(self) -> float:
         return float(np.min(self.fidelities))
 
-    def passed(self, tol: float = CORRELATION_TOL) -> bool:
-        return 1.0 - self.min_fidelity <= tol
-
-    def render(self) -> str:
-        lines = [
-            check_line(f"correlation infidelity, state {j}", 1.0 - f, CORRELATION_TOL)
+    def checks(self) -> list[Check]:
+        return [
+            Check(f"correlation infidelity, state {j}", 1.0 - f, TOL.correlation)
             for j, f in enumerate(self.fidelities)
         ]
-        return "\n".join(lines)
 
 
 def verify_correlating_evolution(
@@ -292,7 +275,7 @@ def purify_via_dynamics(
 
 
 @dataclass
-class DynamicsReport:
+class DynamicsReport(Report):
     """Full verification sweep for one Hamiltonian model."""
 
     correlation: CorrelationReport
@@ -301,26 +284,14 @@ class DynamicsReport:
     cross_product_maximum: float
     closed_vs_numeric: float
 
-    def passed(self) -> bool:
-        return (
-            self.correlation.passed()
-            and all(r.passed() for r in self.power_reports)
-            and self.commutator_maximum <= COMMUTATOR_TOL
-            and self.cross_product_maximum <= COMMUTATOR_TOL
-            and self.closed_vs_numeric <= CLOSED_FORM_TOL
-        )
-
-    def render(self) -> str:
-        chunks = [self.correlation.render()]
-        chunks.extend(r.render() for r in self.power_reports)
-        chunks.append(check_line("commutator maximum", self.commutator_maximum, COMMUTATOR_TOL))
-        chunks.append(
-            check_line("cross-product maximum", self.cross_product_maximum, COMMUTATOR_TOL)
-        )
-        chunks.append(
-            check_line("closed form vs numeric propagator", self.closed_vs_numeric, CLOSED_FORM_TOL)
-        )
-        return "\n".join(chunks)
+    def checks(self) -> list[Check]:
+        return [
+            *self.correlation.checks(),
+            *(check for report in self.power_reports for check in report.checks()),
+            Check("commutator maximum", self.commutator_maximum, TOL.commutator),
+            Check("cross-product maximum", self.cross_product_maximum, TOL.commutator),
+            Check("closed form vs numeric propagator", self.closed_vs_numeric, TOL.closed_form),
+        ]
 
 
 def verification_report(model: HamiltonianModel, params: EvolutionParams) -> DynamicsReport:
@@ -335,7 +306,7 @@ def verification_report(model: HamiltonianModel, params: EvolutionParams) -> Dyn
     return DynamicsReport(
         correlation=verify_correlating_evolution(model, params),
         power_reports=power,
-        commutator_maximum=commutator_max(model.terms),
-        cross_product_maximum=cross_product_max(model.terms),
+        commutator_maximum=model.commutator_maximum,
+        cross_product_maximum=model.cross_product_maximum,
         closed_vs_numeric=numerics.max_abs(closed - numeric),
     )

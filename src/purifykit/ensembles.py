@@ -20,15 +20,7 @@ from .errors import (
     InvalidEnsemble,
     NotADensityMatrix,
 )
-
-WEIGHT_SUM_TOL = 1e-10
-STATE_NORM_TOL = 1e-12
-HERMITICITY_TOL = 1e-10
-TRACE_TOL = 1e-10
-EIGENVALUE_FLOOR = -1e-10
-ORTHONORMALITY_TOL = 1e-10
-DEFAULT_EQUIV_TOL = 1e-9
-DEFAULT_CUTOFF = 1e-10
+from .numerics import TOL
 
 
 @dataclass
@@ -62,15 +54,15 @@ class Ensemble:
         if np.any(self.weights <= 0.0):
             raise InvalidEnsemble("weights must be strictly positive")
         total = float(self.weights.sum())
-        if abs(total - 1.0) > WEIGHT_SUM_TOL:
+        if abs(total - 1.0) > TOL.weight_sum:
             raise InvalidEnsemble(
-                f"weights sum to {total}, must equal 1 within {WEIGHT_SUM_TOL}"
+                f"weights sum to {total}, must equal 1 within {TOL.weight_sum}"
             )
         norms = np.linalg.norm(self.states, axis=1)
         worst = float(np.max(np.abs(norms - 1.0)))
-        if worst > STATE_NORM_TOL:
+        if worst > TOL.norm:
             raise InvalidEnsemble(
-                f"every state must be unit norm within {STATE_NORM_TOL} "
+                f"every state must be unit norm within {TOL.norm} "
                 f"(worst deviation {worst})"
             )
 
@@ -94,17 +86,15 @@ class DensityMatrix:
             )
         if not np.all(np.isfinite(self.matrix)):
             raise NotADensityMatrix("matrix entries must be finite")
-        if numerics.max_abs(self.matrix - numerics.dag(self.matrix)) > HERMITICITY_TOL:
-            raise NotADensityMatrix(
-                f"matrix is not Hermitian within {HERMITICITY_TOL}"
-            )
+        if numerics.max_abs(self.matrix - numerics.dag(self.matrix)) > TOL.hermiticity:
+            raise NotADensityMatrix(f"matrix is not Hermitian within {TOL.hermiticity}")
         trace = complex(np.trace(self.matrix))
-        if abs(trace - 1.0) > TRACE_TOL:
-            raise NotADensityMatrix(f"trace {trace} differs from 1 beyond {TRACE_TOL}")
+        if abs(trace - 1.0) > TOL.density_trace:
+            raise NotADensityMatrix(f"trace {trace} differs from 1 beyond {TOL.density_trace}")
         smallest = float(np.min(np.linalg.eigvalsh(self.matrix)))
-        if smallest < EIGENVALUE_FLOOR:
+        if smallest < TOL.eigenvalue_floor:
             raise NotADensityMatrix(
-                f"smallest eigenvalue {smallest} is below {EIGENVALUE_FLOOR}"
+                f"smallest eigenvalue {smallest} is below {TOL.eigenvalue_floor}"
             )
 
 
@@ -131,9 +121,9 @@ class SpectralEnsemble:
             raise InvalidEnsemble("weights must be sorted in non-increasing order")
         gram = self.base.states @ numerics.dag(self.base.states)
         residual = numerics.max_abs(gram - np.eye(self.rank))
-        if residual > ORTHONORMALITY_TOL:
+        if residual > TOL.orthonormality:
             raise InvalidEnsemble(
-                f"states must be pairwise orthonormal within {ORTHONORMALITY_TOL} "
+                f"states must be pairwise orthonormal within {TOL.orthonormality} "
                 f"(residual {residual})"
             )
 
@@ -162,18 +152,17 @@ def density_matrix(ensemble: Ensemble) -> DensityMatrix:
     return DensityMatrix(ensemble.dim, rho)
 
 
-def spectral_ensemble(rho: DensityMatrix, cutoff: float = DEFAULT_CUTOFF) -> SpectralEnsemble:
+def spectral_ensemble(rho: DensityMatrix) -> SpectralEnsemble:
     """Eigendecompose a density matrix into its canonical ensemble.
 
-    Eigenvalues at or below ``cutoff`` are discarded, which keeps every
-    retained weight safely away from zero for later weight ratios.
+    Eigenvalues at or below ``TOL.spectral_cutoff`` are discarded, which
+    keeps every retained weight safely away from zero for later weight
+    ratios.
     """
-    if cutoff < 0:
-        raise ValueError("cutoff must be non-negative")
     if not isinstance(rho, DensityMatrix):
         raise NotADensityMatrix("expected a DensityMatrix")
     values, vectors = numerics.hermitian_eig(rho.matrix)
-    keep = values > cutoff
+    keep = values > TOL.spectral_cutoff
     if not np.any(keep):
         raise NotADensityMatrix("no eigenvalue above the cutoff")
     weights = values[keep]
@@ -182,12 +171,16 @@ def spectral_ensemble(rho: DensityMatrix, cutoff: float = DEFAULT_CUTOFF) -> Spe
     return SpectralEnsemble(base, rank=int(weights.size))
 
 
-def are_equivalent(e1: Ensemble, e2: Ensemble, tol: float = DEFAULT_EQUIV_TOL) -> bool:
-    """True when the two ensembles share one density matrix within tol."""
+def density_deviation(e1: Ensemble, e2: Ensemble) -> float:
+    """Largest entry of the difference between the two density matrices."""
     if e1.dim != e2.dim:
         raise DimensionMismatch(f"dimensions differ: {e1.dim} vs {e2.dim}")
-    delta = density_matrix(e1).matrix - density_matrix(e2).matrix
-    return numerics.max_abs(delta) <= tol
+    return numerics.max_abs(density_matrix(e1).matrix - density_matrix(e2).matrix)
+
+
+def are_equivalent(e1: Ensemble, e2: Ensemble, tol: float = TOL.equivalence) -> bool:
+    """True when the two ensembles share one density matrix within tol."""
+    return density_deviation(e1, e2) <= tol
 
 
 def random_equivalent_ensemble(rho: DensityMatrix, count: int, seed: int) -> Ensemble:

@@ -9,6 +9,10 @@ class PurifyKitError(ValueError):
     """Base class for all library errors."""
 
 
+class NotFinite(PurifyKitError):
+    """Matrix entries or state amplitudes must be finite numbers."""
+
+
 class NotSquare(PurifyKitError):
     """A square matrix was required."""
 

@@ -13,6 +13,7 @@ import numpy as np
 
 from .errors import (
     DimensionMismatch,
+    NotFinite,
     NotHermitian,
     NotNormalized,
     NotOrthonormal,
@@ -23,15 +24,40 @@ from .errors import (
 
 @dataclass(frozen=True)
 class Tolerances:
-    """Default tolerances for the numeric contracts, one knob per check."""
+    """Every fixed tolerance of the package, one field per numeric check.
 
+    The user tolerance of the steering commands (``--tol``,
+    ``PURIFYKIT_TOL``, the ``tol=`` arguments) defaults to ``equivalence``.
+    """
+
+    # operators and states
     hermiticity: float = 1e-10
     orthonormality: float = 1e-10
-    unitarity: float = 1e-10
-    reconstruction: float = 1e-9
     norm: float = 1e-12
-    trace: float = 1e-12
     completion_floor: float = 1e-8
+    # ensembles and density matrices
+    equivalence: float = 1e-9
+    weight_sum: float = 1e-10
+    density_trace: float = 1e-10
+    eigenvalue_floor: float = -1e-10
+    spectral_cutoff: float = 1e-10
+    # purification and steering
+    isometry: float = 1e-9
+    plan_unitarity: float = 1e-9
+    partial_trace: float = 1e-10
+    outcome_floor: float = 1e-12
+    probability_slack: float = 1e-12
+    # Hamiltonian dynamics
+    term_hermiticity: float = 1e-12
+    commutator: float = 1e-12
+    power: float = 1e-12
+    closed_form: float = 1e-10
+    correlation: float = 1e-10
+    quarter_turn: float = 1e-12
+    # qubit circuit
+    gate_unitarity: float = 1e-12
+    recovery: float = 1e-10
+    circuit_vs_hamiltonian: float = 1e-10
 
 
 TOL = Tolerances()
@@ -54,21 +80,20 @@ def as_matrix(m) -> np.ndarray:
     if mat.ndim != 2:
         raise DimensionMismatch(f"expected a 2-D matrix, got shape {mat.shape}")
     if not np.all(np.isfinite(mat)):
-        raise ValueError("matrix entries must be finite")
+        raise NotFinite("matrix entries must be finite")
     return mat
 
 
-def as_state(v, tol: float | None = None) -> np.ndarray:
+def as_state(v) -> np.ndarray:
     """Coerce to a finite 1-D complex array of unit Euclidean norm."""
     vec = np.asarray(v, dtype=complex)
     if vec.ndim != 1 or vec.size == 0:
         raise DimensionMismatch(f"expected a 1-D state vector, got shape {vec.shape}")
     if not np.all(np.isfinite(vec)):
-        raise ValueError("state amplitudes must be finite")
-    tol = TOL.norm if tol is None else tol
+        raise NotFinite("state amplitudes must be finite")
     norm = float(np.linalg.norm(vec))
-    if abs(norm - 1.0) > tol:
-        raise NotNormalized(f"state norm {norm} differs from 1 by more than {tol}")
+    if abs(norm - 1.0) > TOL.norm:
+        raise NotNormalized(f"state norm {norm} differs from 1 by more than {TOL.norm}")
     return vec
 
 
@@ -84,7 +109,7 @@ def state_fidelity(a, b) -> float:
     return float(abs(np.vdot(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))))
 
 
-def hermitian_eig(m, tol: float | None = None) -> tuple[np.ndarray, np.ndarray]:
+def hermitian_eig(m) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of a Hermitian matrix.
 
     Returns the real eigenvalues in descending order together with the
@@ -93,9 +118,8 @@ def hermitian_eig(m, tol: float | None = None) -> tuple[np.ndarray, np.ndarray]:
     mat = as_matrix(m)
     if mat.shape[0] != mat.shape[1]:
         raise NotSquare(f"matrix is {mat.shape[0]}x{mat.shape[1]}, must be square")
-    tol = TOL.hermiticity if tol is None else tol
-    if max_abs(mat - dag(mat)) > tol:
-        raise NotHermitian(f"matrix deviates from its adjoint by more than {tol}")
+    if max_abs(mat - dag(mat)) > TOL.hermiticity:
+        raise NotHermitian(f"matrix deviates from its adjoint by more than {TOL.hermiticity}")
     values, vectors = np.linalg.eigh(mat)
     return values[::-1].copy(), np.ascontiguousarray(vectors[:, ::-1])
 

@@ -29,14 +29,8 @@ from .errors import (
     ReferenceTooSmall,
     TargetOutsideSupport,
 )
-from .reports import check_line
-
-ISOMETRY_TOL = 1e-9
-UNITARITY_TOL = 1e-9
-BASIS_TOL = 1e-10
-PARTIAL_TRACE_TOL = 1e-10
-OUTCOME_FLOOR = 1e-12
-DEFAULT_TOL = 1e-9
+from .numerics import TOL
+from .reports import Check, Report
 
 
 @dataclass
@@ -91,27 +85,27 @@ class SteeringPlan:
             self.isometry @ numerics.dag(self.isometry) - np.eye(rows)
         )
         self._isometry_residual = residual
-        if residual > ISOMETRY_TOL:
+        if residual > TOL.isometry:
             raise ContractViolation(
                 f"isometry rows deviate from orthonormality by {residual} "
-                f"(tol {ISOMETRY_TOL})"
+                f"(tol {TOL.isometry})"
             )
         side = self.unitary.shape[0]
         u_residual = numerics.max_abs(
             self.unitary @ numerics.dag(self.unitary) - np.eye(side)
         )
-        if u_residual > UNITARITY_TOL:
+        if u_residual > TOL.plan_unitarity:
             raise ContractViolation(
                 f"completed matrix deviates from unitarity by {u_residual} "
-                f"(tol {UNITARITY_TOL})"
+                f"(tol {TOL.plan_unitarity})"
             )
         b_residual = numerics.max_abs(
             self.basis @ numerics.dag(self.basis) - np.eye(self.basis.shape[0])
         )
-        if b_residual > BASIS_TOL:
+        if b_residual > TOL.orthonormality:
             raise ContractViolation(
                 f"measurement basis deviates from orthonormality by {b_residual} "
-                f"(tol {BASIS_TOL})"
+                f"(tol {TOL.orthonormality})"
             )
 
     @property
@@ -134,40 +128,27 @@ class MeasurementOutcome:
 
     def __post_init__(self):
         self.post_state = numerics.as_state(self.post_state)
-        if not -1e-12 <= self.probability <= 1.0 + 1e-12:
+        if not -TOL.probability_slack <= self.probability <= 1.0 + TOL.probability_slack:
             raise ValueError(f"probability {self.probability} outside [0, 1]")
 
 
 @dataclass
-class PreparationReport:
+class PreparationReport(Report):
     """Maximum deviations of a steered preparation from its target."""
 
     weight_deviation: float
     state_infidelity: float
     isometry_residual: float
     reconstruction_residual: float
-    tol: float = DEFAULT_TOL
+    tol: float = TOL.equivalence
 
-    def passed(self) -> bool:
-        return (
-            self.weight_deviation <= self.tol
-            and self.state_infidelity <= self.tol
-            and self.isometry_residual <= ISOMETRY_TOL
-            and self.reconstruction_residual <= self.tol
-        )
-
-    def render(self) -> str:
-        lines = [
-            check_line("max weight deviation", self.weight_deviation, self.tol),
-            check_line("max state infidelity", self.state_infidelity, self.tol),
-            check_line("isometry residual", self.isometry_residual, ISOMETRY_TOL),
-            check_line(
-                "purified-state reconstruction residual",
-                self.reconstruction_residual,
-                self.tol,
-            ),
+    def checks(self) -> list[Check]:
+        return [
+            Check("max weight deviation", self.weight_deviation, self.tol),
+            Check("max state infidelity", self.state_infidelity, self.tol),
+            Check("isometry residual", self.isometry_residual, TOL.isometry),
+            Check("purified-state reconstruction residual", self.reconstruction_residual, self.tol),
         ]
-        return "\n".join(lines)
 
 
 def purify(spectral: SpectralEnsemble, dim_k: int | None = None) -> BipartiteState:
@@ -188,7 +169,7 @@ def purify(spectral: SpectralEnsemble, dim_k: int | None = None) -> BipartiteSta
 
 
 def steering_coefficients(
-    spectral: SpectralEnsemble, target: Ensemble, tol: float = DEFAULT_TOL
+    spectral: SpectralEnsemble, target: Ensemble, tol: float = TOL.equivalence
 ) -> np.ndarray:
     """Expand each target state over the orthonormal spectral states.
 
@@ -216,7 +197,7 @@ def steering_coefficients(
 def steering_isometry(
     spectral: SpectralEnsemble,
     target: Ensemble,
-    tol: float = DEFAULT_TOL,
+    tol: float = TOL.equivalence,
     dim_k: int | None = None,
 ) -> SteeringPlan:
     """Build the full steering plan for an equivalent target ensemble.
@@ -264,15 +245,15 @@ def measure_reference(psi: BipartiteState, basis) -> list[MeasurementOutcome]:
             f"basis has {rows.shape[0]} vectors, the reference needs {psi.dim_k}"
         )
     gram = rows @ numerics.dag(rows)
-    if numerics.max_abs(gram - np.eye(psi.dim_k)) > BASIS_TOL:
+    if numerics.max_abs(gram - np.eye(psi.dim_k)) > TOL.orthonormality:
         raise BasisNotOrthonormal(
-            f"basis vectors are not pairwise orthonormal within {BASIS_TOL}"
+            f"basis vectors are not pairwise orthonormal within {TOL.orthonormality}"
         )
     unnormalized = psi.as_grid() @ rows.conj().T  # column j = (I (x) <b_j|) psi
     probs = np.sum(np.abs(unnormalized) ** 2, axis=0)
     outcomes = []
     for j, prob in enumerate(probs):
-        if prob < OUTCOME_FLOOR:
+        if prob < TOL.outcome_floor:
             continue
         post = unnormalized[:, j] / np.sqrt(prob)
         outcomes.append(MeasurementOutcome(index=j, probability=float(prob), post_state=post))
@@ -291,7 +272,7 @@ def prepare_ensemble(
     spectral: SpectralEnsemble,
     target: Ensemble,
     dim_k: int | None = None,
-    tol: float = DEFAULT_TOL,
+    tol: float = TOL.equivalence,
 ) -> tuple[SteeringPlan, list[MeasurementOutcome], PreparationReport]:
     """Purify, steer, and measure so the target ensemble is recovered.
 

@@ -21,7 +21,8 @@ from .ensembles import (
     random_equivalent_ensemble,
     spectral_ensemble,
 )
-from .errors import ArityMismatch, NotUnitary, PurifyKitError
+from .errors import ArityMismatch, NotFinite, NotUnitary, PurifyKitError
+from .numerics import TOL
 from .purification import (
     BipartiteState,
     MeasurementOutcome,
@@ -29,11 +30,7 @@ from .purification import (
     measure_reference,
     prepare_ensemble,
 )
-from .reports import check_line, format_matrix
-
-GATE_UNITARITY_TOL = 1e-12
-CIRCUIT_MAP_TOL = 1e-12
-CROSSCHECK_TOL = 1e-10
+from .reports import Check, Report, format_matrix
 
 
 @dataclass
@@ -55,7 +52,7 @@ class Gate:
         residual = numerics.max_abs(
             self.matrix @ numerics.dag(self.matrix) - np.eye(side)
         )
-        if residual > GATE_UNITARITY_TOL:
+        if residual > TOL.gate_unitarity:
             raise NotUnitary(f"gate deviates from unitarity by {residual}")
 
 
@@ -75,6 +72,8 @@ def cnot() -> Gate:
 
 def rotation(theta: float, phase: float = 0.0) -> Gate:
     """Single-qubit rotation whose columns are the mixture basis x+/x-."""
+    if not (np.isfinite(theta) and np.isfinite(phase)):
+        raise NotFinite(f"rotation angles must be finite, got theta={theta}, phase={phase}")
     c = np.cos(theta)
     s = np.sin(theta)
     matrix = np.array(
@@ -105,7 +104,7 @@ def purification_circuit(r: Gate) -> Gate:
 
 
 @dataclass
-class QubitDemoReport:
+class QubitDemoReport(Report):
     """End-to-end record of one circuit purification + steering run."""
 
     q: float
@@ -121,15 +120,18 @@ class QubitDemoReport:
     steering_report: PreparationReport
     dynamics_fidelities: np.ndarray
 
-    def passed(self) -> bool:
-        return (
-            self.recovered_weight_deviation <= 1e-10
-            and self.recovered_state_infidelity <= 1e-10
-            and self.steering_report.passed()
-            and 1.0 - float(np.min(self.dynamics_fidelities)) <= CROSSCHECK_TOL
-        )
+    def checks(self) -> list[Check]:
+        worst = 1.0 - float(np.min(self.dynamics_fidelities))
+        return [
+            Check("recovered weight deviation", self.recovered_weight_deviation, TOL.recovery),
+            Check("recovered state infidelity", self.recovered_state_infidelity, TOL.recovery),
+            *self.steering_report.checks(),
+            Check("circuit vs Hamiltonian evolution", worst, TOL.circuit_vs_hamiltonian),
+        ]
 
     def render(self) -> str:
+        """The check lines, interleaved with the inputs, the circuit and the outcomes."""
+        recovery_weight, recovery_state, *steering, crosscheck = self.checks()
         lines = [
             f"inputs: q = {self.q:g}, theta = {self.theta:g}, phase = {self.phase:g}",
             "circuit matrix:",
@@ -138,25 +140,15 @@ class QubitDemoReport:
         ]
         for w, state in zip(self.recovered.weights, self.recovered.states):
             lines.append(f"  weight {w:.12f}  state {format_matrix(state)}")
-        lines.append(
-            check_line(
-                "recovered weight deviation", self.recovered_weight_deviation, 1e-10
-            )
-        )
-        lines.append(
-            check_line(
-                "recovered state infidelity", self.recovered_state_infidelity, 1e-10
-            )
-        )
+        lines += [recovery_weight.line, recovery_state.line]
         lines.append(f"steered equivalent mixture ({self.steering_target.size} states):")
         for outcome in self.steering_outcomes:
             lines.append(
                 f"  outcome {outcome.index}: probability {outcome.probability:.12f}  "
                 f"state {format_matrix(outcome.post_state)}"
             )
-        lines.append(self.steering_report.render())
-        worst = 1.0 - float(np.min(self.dynamics_fidelities))
-        lines.append(check_line("circuit vs Hamiltonian evolution", worst, CROSSCHECK_TOL))
+        lines += [check.line for check in steering]
+        lines.append(crosscheck.line)
         return "\n".join(lines)
 
 

@@ -175,6 +175,26 @@ def test_malformed_files_exit_1_without_traceback(files, capsys):
         assert err.startswith("error: ") and "Traceback" not in err, err
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("flag", ["--theta", "--phase"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_non_finite_qubit_demo_input_exits_1_without_traceback(flag, value, capsys):
+    status = main(["qubit-demo", f"{flag}={value}"])
+    err = capsys.readouterr().err
+    assert status == 1
+    assert err.startswith("error: ") and "Traceback" not in err, err
+
+
+def test_nan_tolerance_is_rejected(files, monkeypatch, capsys):
+    pair = [str(files / "mix01.ens"), str(files / "mixpm.ens")]
+    monkeypatch.delenv("PURIFYKIT_TOL", raising=False)
+    assert main(["equiv", *pair, "--tol", "nan"]) == 1
+    monkeypatch.setenv("PURIFYKIT_TOL", "nan")
+    assert main(["equiv", *pair]) == 1
+    err = capsys.readouterr().err
+    assert err.count("error: tolerance must be positive, got nan") == 2, err
+
+
 def test_main_parses_argv_and_dispatches(files, capsys):
     status = main(["equiv", str(files / "mix01.ens"), str(files / "mixpm.ens")])
     assert status == 0

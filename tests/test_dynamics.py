@@ -263,6 +263,14 @@ def test_dynamic_purification_matches_static_on_random_mixtures(dim, count, seed
     assert numerics.state_fidelity(dynamic.amplitudes, static.amplitudes) >= 1 - 1e-9
 
 
+def test_verification_report_reads_the_validated_maxima():
+    rng = np.random.default_rng(5)
+    model = build_model(orthonormal_family(4, 3, rng), 4)
+    report = verification_report(model, EvolutionParams.canonical())
+    assert report.commutator_maximum == commutator_max(model.terms)
+    assert report.cross_product_maximum == cross_product_max(model.terms)
+
+
 def test_verification_report_covers_all_checks():
     rng = np.random.default_rng(2)
     phi = orthonormal_family(3, 3, rng)

@@ -11,6 +11,7 @@ from purifykit.ensembles import (
     Ensemble,
     SpectralEnsemble,
     are_equivalent,
+    density_deviation,
     density_matrix,
     random_density_matrix,
     random_ensemble,
@@ -181,6 +182,17 @@ def test_permuting_an_ensemble_preserves_equivalence():
 def test_equivalence_requires_matching_dimensions():
     with pytest.raises(DimensionMismatch):
         are_equivalent(mix((1.0, KET0)), Ensemble(3, [1.0], [[1, 0, 0]]))
+
+
+def test_density_deviation_is_the_largest_density_matrix_entry_difference():
+    balanced = mix((0.5, KET0), (0.5, KET1))
+    biased = mix((0.6, KET0), (0.4, KET1))
+    assert density_deviation(balanced, biased) == pytest.approx(0.1, abs=1e-15)
+    assert density_deviation(balanced, mix((0.5, PLUS), (0.5, MINUS))) <= 1e-15
+    assert not are_equivalent(balanced, biased, 0.099)
+    assert are_equivalent(balanced, biased, 0.101)
+    with pytest.raises(DimensionMismatch):
+        density_deviation(balanced, Ensemble(3, [1.0], [[1, 0, 0]]))
 
 
 @given(seed=st.integers(0, 2**32 - 1))

@@ -1,5 +1,8 @@
 """Unit and property tests for the dense linear-algebra primitives."""
 
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,6 +11,7 @@ from hypothesis import strategies as st
 from purifykit import numerics
 from purifykit.errors import (
     DimensionMismatch,
+    NotFinite,
     NotHermitian,
     NotOrthonormal,
     NotSquare,
@@ -135,6 +139,14 @@ def test_eig_rejects_non_square():
 def test_eig_rejects_non_hermitian():
     with pytest.raises(NotHermitian):
         numerics.hermitian_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_entries_raise_a_library_error(bad):
+    with pytest.raises(NotFinite):
+        numerics.as_matrix([[1.0, 0.0], [0.0, bad]])
+    with pytest.raises(NotFinite):
+        numerics.as_state([bad, 0.0])
 
 
 # ---------------------------------------------------------------------------
@@ -321,3 +333,20 @@ def test_completion_matches_row_loop_oracle_at_steering_size():
     rows = np.zeros((32, 128), dtype=complex)
     rows[:, :64] = numerics.haar_unitary(64, np.random.default_rng(128))[:32]
     assert_matches_row_loop_oracle(rows, 128)
+
+
+# ---------------------------------------------------------------------------
+# the tolerance table
+
+
+def test_small_float_literals_live_only_in_the_tolerance_table():
+    package = Path(numerics.__file__).parent
+    strays = []
+    for path in sorted(package.glob("*.py")):
+        if path.name == "numerics.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Constant) and isinstance(node.value, float):
+                if 0 < abs(node.value) < 1e-6:
+                    strays.append(f"{path.name}:{node.lineno}: {node.value!r}")
+    assert not strays, "tolerance literals outside numerics.TOL:\n" + "\n".join(strays)

@@ -10,6 +10,7 @@ import math
 import numpy as np
 import pytest
 
+from purifykit import reports
 from purifykit.dynamics import CorrelationReport, DynamicsReport, PowerIdentityReport
 from purifykit.ensembles import Ensemble
 from purifykit.purification import BipartiteState, MeasurementOutcome, PreparationReport
@@ -225,3 +226,27 @@ def test_verdict_agrees_with_rendered_lines(name):
     report = CASES[name]
     assert report.passed() == ("FAIL" not in report.render())
     assert report.passed() == name.endswith("-pass")
+
+
+@pytest.mark.parametrize(
+    "value, tol, line",
+    [
+        (1e-13, 1e-9, "residual: 1.000e-13 (tol 1.0e-09): PASS"),
+        (1e-9, 1e-9, "residual: 1.000e-09 (tol 1.0e-09): PASS"),
+        (2e-9, 1e-9, "residual: 2.000e-09 (tol 1.0e-09): FAIL"),
+        (NAN, 1e-9, "residual: nan (tol 1.0e-09): FAIL"),
+    ],
+)
+def test_check_verdict_and_line(value, tol, line):
+    check = reports.Check("residual", value, tol)
+    assert check.line == line
+    assert check.passed == line.endswith("PASS")
+
+
+@pytest.mark.parametrize(
+    "cls",
+    [PreparationReport, PowerIdentityReport, CorrelationReport, DynamicsReport, QubitDemoReport],
+)
+def test_reports_derive_their_verdict_from_the_shared_base(cls):
+    assert issubclass(cls, reports.Report)
+    assert "passed" not in vars(cls)
