@@ -60,6 +60,8 @@ class RunConfig:
     def __post_init__(self):
         if not self.tol > 0:
             raise PurifyKitError(f"tolerance must be positive, got {self.tol}")
+        if self.seed < 0:
+            raise PurifyKitError(f"seed must be non-negative, got {self.seed}")
 
     def emit(self, text: str) -> None:
         print(text, file=self.stdout or sys.stdout)
@@ -111,6 +113,8 @@ def _cmd_steer(config: RunConfig) -> int:
 
 
 def _cmd_dynamics(config: RunConfig) -> int:
+    if not math.isfinite(config.omega):
+        raise PurifyKitError(f"omega must be finite, got {config.omega}")
     if config.omega == 0:
         raise PurifyKitError("omega must be nonzero")
     ensemble = fileio.read_ensemble(config.inputs[0])
@@ -179,8 +183,20 @@ def run(config: RunConfig) -> int:
         return 1
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse with usage errors mapped to exit 1, the parse-error status.
+
+    argparse exits 2 by default, which here means a failed numerical check.
+    Subparsers inherit this class.
+    """
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="purifykit",
         description="Purify finite quantum ensembles and steer them into "
         "equivalent ensembles.",
@@ -231,6 +247,7 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
     config = RunConfig(
         command=args.command,
         tol=default_tolerance() if tol is None else tol,
+        seed=getattr(args, "seed", 0),
     )
     if args.command == "equiv":
         config.inputs = (args.first, args.second)
@@ -249,11 +266,9 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
         config.q = args.q
         config.theta = args.theta
         config.phase = args.phase
-        config.seed = args.seed
     elif args.command == "random-equiv":
         config.inputs = (args.rho,)
         config.count = args.count
-        config.seed = args.seed
         config.output = args.out
     return config
 

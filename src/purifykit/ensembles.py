@@ -9,7 +9,7 @@ equivalent exactly when their density matrices coincide.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -73,10 +73,18 @@ class Ensemble:
 
 @dataclass
 class DensityMatrix:
-    """Hermitian, positive-semidefinite, trace-one operator."""
+    """Hermitian, positive-semidefinite, trace-one operator.
+
+    Validation decomposes the matrix once and keeps the result:
+    ``eigenvalues`` in descending order with the matching orthonormal
+    ``eigenvectors`` as columns, ordered as :func:`numerics.hermitian_eig`
+    orders them.
+    """
 
     dim: int
     matrix: np.ndarray
+    eigenvalues: np.ndarray = field(init=False, repr=False)
+    eigenvectors: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         self.matrix = np.asarray(self.matrix, dtype=complex)
@@ -91,11 +99,14 @@ class DensityMatrix:
         trace = complex(np.trace(self.matrix))
         if abs(trace - 1.0) > TOL.density_trace:
             raise NotADensityMatrix(f"trace {trace} differs from 1 beyond {TOL.density_trace}")
-        smallest = float(np.min(np.linalg.eigvalsh(self.matrix)))
+        values, vectors = np.linalg.eigh(self.matrix)
+        smallest = float(values[0])
         if smallest < TOL.eigenvalue_floor:
             raise NotADensityMatrix(
                 f"smallest eigenvalue {smallest} is below {TOL.eigenvalue_floor}"
             )
+        self.eigenvalues = values[::-1].copy()
+        self.eigenvectors = np.ascontiguousarray(vectors[:, ::-1])
 
 
 @dataclass
@@ -140,16 +151,19 @@ class SpectralEnsemble:
         return self.base.states
 
 
+def _weighted_projector_sum(ensemble: Ensemble) -> np.ndarray:
+    return np.einsum(
+        "i,ij,ik->jk", ensemble.weights, ensemble.states, ensemble.states.conj()
+    )
+
+
 def density_matrix(ensemble: Ensemble) -> DensityMatrix:
     """Sum of weighted projectors onto the ensemble states.
 
     Invalid ensembles cannot be constructed, so the ``InvalidEnsemble``
     failure mode surfaces at :class:`Ensemble` creation time.
     """
-    rho = np.einsum(
-        "i,ij,ik->jk", ensemble.weights, ensemble.states, ensemble.states.conj()
-    )
-    return DensityMatrix(ensemble.dim, rho)
+    return DensityMatrix(ensemble.dim, _weighted_projector_sum(ensemble))
 
 
 def spectral_ensemble(rho: DensityMatrix) -> SpectralEnsemble:
@@ -157,25 +171,28 @@ def spectral_ensemble(rho: DensityMatrix) -> SpectralEnsemble:
 
     Eigenvalues at or below ``TOL.spectral_cutoff`` are discarded, which
     keeps every retained weight safely away from zero for later weight
-    ratios.
+    ratios. The decomposition is the one :class:`DensityMatrix` stored
+    when it validated ``rho``.
     """
     if not isinstance(rho, DensityMatrix):
         raise NotADensityMatrix("expected a DensityMatrix")
-    values, vectors = numerics.hermitian_eig(rho.matrix)
-    keep = values > TOL.spectral_cutoff
+    keep = rho.eigenvalues > TOL.spectral_cutoff
     if not np.any(keep):
         raise NotADensityMatrix("no eigenvalue above the cutoff")
-    weights = values[keep]
-    states = vectors[:, keep].T
+    weights = rho.eigenvalues[keep]
+    states = rho.eigenvectors[:, keep].T
     base = Ensemble(rho.dim, weights, states)
     return SpectralEnsemble(base, rank=int(weights.size))
 
 
 def density_deviation(e1: Ensemble, e2: Ensemble) -> float:
-    """Largest entry of the difference between the two density matrices."""
+    """Largest entry of the difference between the two density matrices.
+
+    The ensembles are already valid, so no :class:`DensityMatrix` is built.
+    """
     if e1.dim != e2.dim:
         raise DimensionMismatch(f"dimensions differ: {e1.dim} vs {e2.dim}")
-    return numerics.max_abs(density_matrix(e1).matrix - density_matrix(e2).matrix)
+    return numerics.max_abs(_weighted_projector_sum(e1) - _weighted_projector_sum(e2))
 
 
 def are_equivalent(e1: Ensemble, e2: Ensemble, tol: float = TOL.equivalence) -> bool:

@@ -46,7 +46,6 @@ class Tolerances:
     plan_unitarity: float = 1e-9
     partial_trace: float = 1e-10
     outcome_floor: float = 1e-12
-    probability_slack: float = 1e-12
     # Hamiltonian dynamics
     term_hermiticity: float = 1e-12
     commutator: float = 1e-12
@@ -85,15 +84,21 @@ def as_matrix(m) -> np.ndarray:
 
 
 def as_state(v) -> np.ndarray:
-    """Coerce to a finite 1-D complex array of unit Euclidean norm."""
+    """Coerce to a finite 1-D complex array of unit Euclidean norm.
+
+    The squared norm is a total probability, so it may differ from 1 by
+    ``TOL.weight_sum``, the slack an ensemble's weights are allowed.
+    """
     vec = np.asarray(v, dtype=complex)
     if vec.ndim != 1 or vec.size == 0:
         raise DimensionMismatch(f"expected a 1-D state vector, got shape {vec.shape}")
     if not np.all(np.isfinite(vec)):
         raise NotFinite("state amplitudes must be finite")
-    norm = float(np.linalg.norm(vec))
-    if abs(norm - 1.0) > TOL.norm:
-        raise NotNormalized(f"state norm {norm} differs from 1 by more than {TOL.norm}")
+    total = float(np.vdot(vec, vec).real)
+    if abs(total - 1.0) > TOL.weight_sum:
+        raise NotNormalized(
+            f"squared state norm {total} differs from 1 by more than {TOL.weight_sum}"
+        )
     return vec
 
 

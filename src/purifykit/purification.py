@@ -68,6 +68,8 @@ class SteeringPlan:
     weight-ratio matrix built from it; ``unitary`` embeds the isometry as
     its leading rows; ``basis`` holds the measurement directions B_j of K
     as rows, B_j being the conjugated j-th column of the unitary.
+    Validation checks the isometry rows, the unitarity of ``unitary``, and
+    that ``basis`` equals its conjugate transpose entrywise.
     """
 
     coeffs: np.ndarray
@@ -99,13 +101,17 @@ class SteeringPlan:
                 f"completed matrix deviates from unitarity by {u_residual} "
                 f"(tol {TOL.plan_unitarity})"
             )
-        b_residual = numerics.max_abs(
-            self.basis @ numerics.dag(self.basis) - np.eye(self.basis.shape[0])
-        )
+        adjoint = numerics.dag(self.unitary)
+        if self.basis.shape != adjoint.shape:
+            raise ContractViolation(
+                f"measurement basis has shape {self.basis.shape}, the conjugate "
+                f"transpose of the unitary has shape {adjoint.shape}"
+            )
+        b_residual = numerics.max_abs(self.basis - adjoint)
         if b_residual > TOL.orthonormality:
             raise ContractViolation(
-                f"measurement basis deviates from orthonormality by {b_residual} "
-                f"(tol {TOL.orthonormality})"
+                f"measurement basis deviates from the conjugate transpose of the "
+                f"unitary by {b_residual} (tol {TOL.orthonormality})"
             )
 
     @property
@@ -120,16 +126,17 @@ class SteeringPlan:
 
 @dataclass
 class MeasurementOutcome:
-    """One projective outcome on the reference: index, probability, post-state of S."""
+    """One projective outcome on the reference: index, probability, post-state of S.
+
+    A plain record; :func:`measure_reference` validates what it is built from.
+    """
 
     index: int
     probability: float
     post_state: np.ndarray
 
     def __post_init__(self):
-        self.post_state = numerics.as_state(self.post_state)
-        if not -TOL.probability_slack <= self.probability <= 1.0 + TOL.probability_slack:
-            raise ValueError(f"probability {self.probability} outside [0, 1]")
+        self.post_state = np.asarray(self.post_state, dtype=complex)
 
 
 @dataclass
@@ -177,8 +184,6 @@ def steering_coefficients(
     state must lie in the span of the spectral states up to ``tol``,
     which equivalence guarantees mathematically.
     """
-    if spectral.dim != target.dim:
-        raise DimensionMismatch(f"dimensions differ: {spectral.dim} vs {target.dim}")
     if not are_equivalent(spectral.base, target, tol):
         raise NotEquivalent(
             f"target ensemble does not match the spectral density matrix within {tol}"

@@ -1,11 +1,16 @@
 """Exit-code, artifact, and determinism tests for the command-line surface."""
 
+import contextlib
+import io
+import math
 import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from purifykit import fileio
 from purifykit.cli import RunConfig, default_tolerance, main, run
@@ -254,3 +259,113 @@ def test_perturbed_weight_flips_equivalence_and_steer_exits_3(files):
     fileio.write_ensemble(tgt, perturbed)
     status = run(RunConfig("steer", inputs=(str(src), str(tgt)), tol=1e-6))
     assert status == 3
+
+
+def test_weights_within_the_sum_slack_purify_and_steer(files):
+    # the weights sum to 1 + 3e-11, so the purified state's norm is
+    # 1 + 1.5e-11: inside the ensemble slack, far outside 1e-12
+    slack = files / "slack.ens"
+    fileio.write_ensemble(slack, Ensemble(2, [0.50000000003, 0.5], [KET0, KET1]))
+    assert main(["equiv", str(slack), str(files / "mix01.ens")]) == 0
+    assert main(["purify", str(slack)]) == 0
+    assert main(["steer", str(slack), str(slack)]) == 0
+
+
+@pytest.mark.parametrize("command", [["qubit-demo"], ["random-equiv", "rho.dm", "--count", "3"]])
+def test_negative_seed_exits_1(files, command, capsys):
+    argv = [str(files / arg) if arg.endswith(".dm") else arg for arg in command]
+    assert main([*argv, "--seed", "-1"]) == 1
+    assert capsys.readouterr().err == "error: seed must be non-negative, got -1\n"
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_dynamics_rejects_non_finite_omega(files, value, capsys):
+    assert main(["dynamics", str(files / "biased.ens"), f"--omega={value}"]) == 1
+    assert capsys.readouterr().err == f"error: omega must be finite, got {value}\n"
+
+
+def test_usage_errors_exit_1_with_the_argparse_message(capsys):
+    with pytest.raises(SystemExit) as missing:
+        main(["equiv", "onlyone"])
+    assert missing.value.code == 1
+    assert capsys.readouterr().err == (
+        "usage: purifykit equiv [-h] [--tol TOL] first second\n"
+        "purifykit equiv: error: the following arguments are required: second\n"
+    )
+    with pytest.raises(SystemExit) as not_an_int:
+        main(["qubit-demo", "--seed", "abc"])
+    assert not_an_int.value.code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage: purifykit qubit-demo ")
+    assert err.endswith("purifykit qubit-demo: error: argument --seed: invalid int value: 'abc'\n")
+    with pytest.raises(SystemExit) as helped:
+        main(["qubit-demo", "--help"])
+    assert helped.value.code == 0
+
+
+# ---------------------------------------------------------------------------
+# exit-code fuzzing: every argv ends in a status of the taxonomy
+
+FUZZ_POSITIONALS = {
+    "equiv": ("ensemble", "ensemble"),
+    "purify": ("ensemble",),
+    "steer": ("ensemble", "ensemble"),
+    "dynamics": ("ensemble",),
+    "qubit-demo": (),
+    "random-equiv": ("rho",),
+}
+FUZZ_FLAGS = {
+    "equiv": ("--tol",),
+    "purify": ("--kdim", "--out"),
+    "steer": ("--tol", "--out"),
+    "dynamics": ("--omega", "--out"),
+    "qubit-demo": ("--q", "--theta", "--phase", "--seed"),
+    "random-equiv": ("--count", "--seed", "--tol", "--out"),
+}
+# --count and --kdim stay at 8 or below, so no draw allocates much
+fuzz_numbers = st.one_of(
+    st.integers(-3, 8),
+    st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0, -1.5]),
+    st.floats(allow_nan=True, allow_infinity=True),
+).map(str)
+
+
+@pytest.fixture(scope="module")
+def fuzz_files(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz")
+    paths = {
+        "mix01.ens": Ensemble(2, [0.5, 0.5], [KET0, KET1]),
+        "biased.ens": Ensemble(2, [0.6, 0.4], [KET0, KET1]),
+        "pure.ens": Ensemble(2, [1.0], [PLUS]),
+    }
+    for name, ensemble in paths.items():
+        fileio.write_ensemble(root / name, ensemble)
+    fileio.write_density_matrix(root / "rho.dm", DensityMatrix(2, np.diag([0.7, 0.3])))
+    fileio.write_density_matrix(root / "pure.dm", DensityMatrix(2, np.diag([1.0, 0.0])))
+    (root / "junk.ens").write_text("not a document")
+    return root
+
+
+@given(data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_fuzzed_argv_exits_with_a_taxonomy_status(fuzz_files, data):
+    command = data.draw(st.sampled_from(sorted(FUZZ_POSITIONALS)), label="command")
+    choices = {
+        "ensemble": ["mix01.ens", "biased.ens", "pure.ens", "junk.ens", "absent.ens"],
+        "rho": ["rho.dm", "pure.dm", "junk.ens", "absent.dm"],
+    }
+    positionals = [
+        str(fuzz_files / data.draw(st.sampled_from(choices[kind]), label=kind))
+        for kind in FUZZ_POSITIONALS[command]
+    ]
+    kept = data.draw(st.integers(0, len(positionals)), label="positionals kept")
+    argv = [command, *positionals[:kept]]
+    for flag in data.draw(st.lists(st.sampled_from(FUZZ_FLAGS[command]), unique=True)):
+        value = str(fuzz_files / "out.txt") if flag == "--out" else data.draw(fuzz_numbers)
+        argv.append(f"{flag}={value}")
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            status = main(argv)
+        except SystemExit as exc:
+            status = exc.code
+    assert status in {0, 1, 2, 3}, argv

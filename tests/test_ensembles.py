@@ -130,6 +130,33 @@ def test_spectral_of_degenerate_density():
     assert numerics.max_abs(gram - np.eye(2)) <= 1e-12
 
 
+def test_density_matrix_keeps_the_decomposition_hermitian_eig_returns():
+    rho = random_density_matrix(5, 3, np.random.default_rng(5))
+    values, vectors = numerics.hermitian_eig(rho.matrix)
+    np.testing.assert_array_equal(rho.eigenvalues, values)
+    np.testing.assert_array_equal(rho.eigenvectors, vectors)
+
+
+def test_spectral_ensemble_reuses_the_stored_decomposition(monkeypatch):
+    rho = random_density_matrix(6, 4, np.random.default_rng(6))
+    calls = []
+
+    def recording(name):
+        original = getattr(np.linalg, name)
+
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+
+        return wrapper
+
+    for name in ("eigh", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name, recording(name))
+    spec = spectral_ensemble(rho)
+    assert calls == []
+    assert spec.rank == 4
+
+
 def test_spectral_discards_null_eigenvalues():
     spec = spectral_ensemble(density_matrix(mix((1.0, PLUS))))
     assert spec.rank == 1
@@ -193,6 +220,15 @@ def test_density_deviation_is_the_largest_density_matrix_entry_difference():
     assert are_equivalent(balanced, biased, 0.101)
     with pytest.raises(DimensionMismatch):
         density_deviation(balanced, Ensemble(3, [1.0], [[1, 0, 0]]))
+
+
+def test_equivalence_of_valid_ensembles_ignores_the_density_trace_check():
+    # weights 1e-10 over 1 in sum and states 1e-12 over unit norm are each
+    # within the ensemble slack, but the summed trace is 1 + 1.01e-10
+    loose = Ensemble(1, [0.5 + 0.495e-10, 0.5 + 0.495e-10], [[1 + 0.99e-12], [1 + 0.99e-12]])
+    assert are_equivalent(loose, loose)
+    with pytest.raises(NotADensityMatrix):
+        density_matrix(loose)
 
 
 @given(seed=st.integers(0, 2**32 - 1))

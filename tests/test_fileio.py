@@ -12,7 +12,7 @@ from purifykit.ensembles import (
     random_equivalent_ensemble,
     spectral_ensemble,
 )
-from purifykit.errors import InvalidEnsemble, ParseError
+from purifykit.errors import ContractViolation, InvalidEnsemble, NotNormalized, ParseError
 from purifykit.purification import purify, steering_isometry
 
 
@@ -79,6 +79,25 @@ def test_plan_round_trip(tmp_path):
     np.testing.assert_array_equal(loaded.unitary, plan.unitary)
     np.testing.assert_array_equal(loaded.basis, plan.basis)
     np.testing.assert_array_equal(loaded.coeffs, plan.coeffs)
+
+
+@pytest.mark.parametrize("edit", ["permuted", "truncated"])
+def test_read_plan_requires_basis_to_be_the_unitary_adjoint(tmp_path, edit):
+    # both edits leave the basis rows orthonormal
+    rho = random_density_matrix(3, 2, np.random.default_rng(12))
+    plan = steering_isometry(spectral_ensemble(rho), random_equivalent_ensemble(rho, 4, seed=2))
+    plan.basis = plan.basis[::-1] if edit == "permuted" else plan.basis[:-1]
+    path = tmp_path / "plan.plan"
+    fileio.write_plan(path, plan)
+    with pytest.raises(ContractViolation):
+        fileio.read_plan(path)
+
+
+def test_read_bipartite_state_rejects_norm_off_one(tmp_path):
+    path = tmp_path / "psi.state"
+    path.write_text('{"dim_s": 1, "dim_k": 2, "amplitudes": [[1.001, 0], [0, 0]]}')
+    with pytest.raises(NotNormalized):
+        fileio.read_bipartite_state(path)
 
 
 def test_documents_are_valid_json_with_17_digit_numbers(tmp_path):

@@ -1,5 +1,7 @@
 """Tests for purification, steering plans, and reference measurements."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -335,3 +337,33 @@ def test_isometry_residual_is_the_validated_value():
     plan = steering_isometry(spectral_ensemble(rho), random_equivalent_ensemble(rho, 3, seed=32))
     gram = plan.isometry @ numerics.dag(plan.isometry)
     assert plan.isometry_residual == numerics.max_abs(gram - np.eye(gram.shape[0]))
+
+
+def test_measure_accepts_probability_just_above_one():
+    # the basis passes the orthonormality check, so its outcome is a record
+    outcomes = measure_reference(BipartiteState(1, 2, [1, 0]), [[1 + 4e-11, 0], [0, 1]])
+    assert [o.index for o in outcomes] == [0]
+    assert outcomes[0].probability == pytest.approx(1.0, abs=1e-10)
+
+
+def test_prepare_ensemble_builds_no_density_matrix_and_no_eigendecomposition(monkeypatch):
+    rho = random_density_matrix(6, 4, np.random.default_rng(6))
+    spec = spectral_ensemble(rho)
+    target = random_equivalent_ensemble(rho, 7, seed=6)
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(
+        DensityMatrix, "__post_init__", counted("DensityMatrix", DensityMatrix.__post_init__)
+    )
+    monkeypatch.setattr(np.linalg, "eigh", counted("eigh", np.linalg.eigh))
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted("eigvalsh", np.linalg.eigvalsh))
+    _, _, report = prepare_ensemble(spec, target)
+    assert report.passed()
+    assert calls == Counter()
