@@ -32,7 +32,6 @@ from .ensembles import (
     random_density_matrix,
     random_ensemble,
     random_equivalent_ensemble,
-    random_state,
     spectral_ensemble,
 )
 from .numerics import (
@@ -105,7 +104,6 @@ __all__ = [
     "random_density_matrix",
     "random_ensemble",
     "random_equivalent_ensemble",
-    "random_state",
     "rotation",
     "spectral_ensemble",
     "state_fidelity",

@@ -2,18 +2,22 @@
 
 Exit codes: 0 success, 1 parse/validation error, 2 a numerical
 post-condition residual above tolerance, 3 a semantic negative
-(the inputs are not equivalent). The default tolerance is 1e-9 and can
-be overridden by the PURIFYKIT_TOL environment variable when no --tol
-flag is given.
+(the inputs are not equivalent). A library error exits with the
+``exit_status`` of its class. The default tolerance is 1e-9 and can be
+overridden by the PURIFYKIT_TOL environment variable when no --tol flag
+is given. ``COMMANDS`` defines every subcommand; the parser and the
+:class:`RunConfig` are both built from it.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import math
 import os
 import sys
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 from . import fileio, numerics
 from .dynamics import EvolutionParams, build_model, verification_report
@@ -23,17 +27,7 @@ from .ensembles import (
     random_equivalent_ensemble,
     spectral_ensemble,
 )
-from .errors import (
-    ContractViolation,
-    NotEquivalent,
-    NotHermitian,
-    NotOrthonormal,
-    NotSquare,
-    NotUnitary,
-    PurifyKitError,
-    TargetOutsideSupport,
-    TooManyRows,
-)
+from .errors import PurifyKitError
 from .numerics import TOL
 from .purification import prepare_ensemble, purify
 from .qubit_gates import qubit_demo
@@ -71,10 +65,9 @@ def default_tolerance() -> float:
     raw = os.environ.get("PURIFYKIT_TOL")
     if raw is None:
         return TOL.equivalence
-    try:
+    with contextlib.suppress(ValueError):
         return float(raw)
-    except ValueError as exc:
-        raise PurifyKitError(f"PURIFYKIT_TOL is not a number: {raw!r}") from exc
+    raise PurifyKitError(f"PURIFYKIT_TOL is not a number: {raw!r}")
 
 
 def _cmd_equiv(config: RunConfig) -> int:
@@ -147,40 +140,80 @@ def _cmd_random_equiv(config: RunConfig) -> int:
     return 0 if check.passed else 2
 
 
-_COMMANDS = {
-    "equiv": _cmd_equiv,
-    "purify": _cmd_purify,
-    "steer": _cmd_steer,
-    "dynamics": _cmd_dynamics,
-    "qubit-demo": _cmd_qubit_demo,
-    "random-equiv": _cmd_random_equiv,
+class Command(NamedTuple):
+    """One subcommand: the handler it runs and how its arguments parse."""
+
+    handler: Callable[[RunConfig], int]
+    help: str
+    positionals: tuple[str, ...]
+    options: tuple[str, ...]
+
+
+# argparse settings per flag. Each dest is a RunConfig field. A flag left
+# out of the argv leaves its field at the RunConfig default, except --tol,
+# whose default comes from default_tolerance().
+_OPTIONS = {
+    "--tol": {"type": float},
+    "--kdim": {"type": int, "dest": "dim_k", "metavar": "KDIM"},
+    "--out": {"dest": "output", "metavar": "OUT"},
+    "--omega": {"type": float},
+    "--q": {"type": float},
+    "--theta": {"type": float},
+    "--phase": {"type": float},
+    "--seed": {"type": int},
+    "--count": {"type": int, "required": True},
 }
+
+COMMANDS = {
+    "equiv": Command(
+        _cmd_equiv, "test two ensemble files for equivalence", ("first", "second"), ("--tol",)
+    ),
+    "purify": Command(
+        _cmd_purify, "purify an ensemble file", ("ensemble",), ("--kdim", "--out")
+    ),
+    "steer": Command(
+        _cmd_steer,
+        "steer a source ensemble into a target",
+        ("source", "target"),
+        ("--tol", "--out"),
+    ),
+    "dynamics": Command(
+        _cmd_dynamics, "verify the correlating Hamiltonian", ("ensemble",), ("--omega", "--out")
+    ),
+    "qubit-demo": Command(
+        _cmd_qubit_demo,
+        "run the three-gate qubit demo",
+        (),
+        ("--q", "--theta", "--phase", "--seed"),
+    ),
+    "random-equiv": Command(
+        _cmd_random_equiv,
+        "draw a random ensemble equivalent to a density matrix",
+        ("rho",),
+        ("--count", "--seed", "--tol", "--out"),
+    ),
+}
+
+_PREFIXES = {1: "error", 2: "numerical contract failure", 3: "not equivalent"}
+
+
+def _exit_status(make_config: Callable[[], RunConfig]) -> int:
+    """Build a config and run its command; a library or OS error becomes its status."""
+    try:
+        config = make_config()
+        command = COMMANDS.get(config.command)
+        if command is None:
+            raise PurifyKitError(f"unknown command {config.command!r}")
+        return command.handler(config)
+    except (PurifyKitError, OSError) as exc:
+        status = getattr(exc, "exit_status", 1)
+        print(f"{_PREFIXES[status]}: {exc}", file=sys.stderr)
+        return status
 
 
 def run(config: RunConfig) -> int:
     """Dispatch one command; returns the process exit status."""
-    handler = _COMMANDS.get(config.command)
-    if handler is None:
-        print(f"error: unknown command {config.command!r}", file=sys.stderr)
-        return 1
-    try:
-        return handler(config)
-    except (NotEquivalent, TargetOutsideSupport) as exc:
-        print(f"not equivalent: {exc}", file=sys.stderr)
-        return 3
-    except (
-        ContractViolation,
-        NotOrthonormal,
-        NotHermitian,
-        NotUnitary,
-        NotSquare,
-        TooManyRows,
-    ) as exc:
-        print(f"numerical contract failure: {exc}", file=sys.stderr)
-        return 2
-    except (PurifyKitError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    return _exit_status(lambda: config)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -202,86 +235,26 @@ def build_parser() -> argparse.ArgumentParser:
         "equivalent ensembles.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    equiv = sub.add_parser("equiv", help="test two ensemble files for equivalence")
-    equiv.add_argument("first")
-    equiv.add_argument("second")
-    equiv.add_argument("--tol", type=float, default=None)
-
-    pur = sub.add_parser("purify", help="purify an ensemble file")
-    pur.add_argument("ensemble")
-    pur.add_argument("--kdim", type=int, default=None)
-    pur.add_argument("--out", default=None)
-
-    steer = sub.add_parser("steer", help="steer a source ensemble into a target")
-    steer.add_argument("source")
-    steer.add_argument("target")
-    steer.add_argument("--tol", type=float, default=None)
-    steer.add_argument("--out", default=None)
-
-    dyn = sub.add_parser("dynamics", help="verify the correlating Hamiltonian")
-    dyn.add_argument("ensemble")
-    dyn.add_argument("--omega", type=float, default=1.0)
-    dyn.add_argument("--out", default=None)
-
-    demo = sub.add_parser("qubit-demo", help="run the three-gate qubit demo")
-    demo.add_argument("--q", type=float, default=0.5)
-    demo.add_argument("--theta", type=float, default=math.pi / 4)
-    demo.add_argument("--phase", type=float, default=0.0)
-    demo.add_argument("--seed", type=int, default=0)
-
-    rand = sub.add_parser(
-        "random-equiv", help="draw a random ensemble equivalent to a density matrix"
-    )
-    rand.add_argument("rho")
-    rand.add_argument("--count", type=int, required=True)
-    rand.add_argument("--seed", type=int, default=0)
-    rand.add_argument("--tol", type=float, default=None)
-    rand.add_argument("--out", default=None)
-
+    for name, command in COMMANDS.items():
+        parsed = sub.add_parser(name, help=command.help, argument_default=argparse.SUPPRESS)
+        for positional in command.positionals:
+            parsed.add_argument(positional)
+        for flag in command.options:
+            parsed.add_argument(flag, **_OPTIONS[flag])
     return parser
 
 
 def config_from_args(args: argparse.Namespace) -> RunConfig:
-    tol = getattr(args, "tol", None)
-    config = RunConfig(
-        command=args.command,
-        tol=default_tolerance() if tol is None else tol,
-        seed=getattr(args, "seed", 0),
-    )
-    if args.command == "equiv":
-        config.inputs = (args.first, args.second)
-    elif args.command == "purify":
-        config.inputs = (args.ensemble,)
-        config.dim_k = args.kdim
-        config.output = args.out
-    elif args.command == "steer":
-        config.inputs = (args.source, args.target)
-        config.output = args.out
-    elif args.command == "dynamics":
-        config.inputs = (args.ensemble,)
-        config.omega = args.omega
-        config.output = args.out
-    elif args.command == "qubit-demo":
-        config.q = args.q
-        config.theta = args.theta
-        config.phase = args.phase
-    elif args.command == "random-equiv":
-        config.inputs = (args.rho,)
-        config.count = args.count
-        config.output = args.out
-    return config
+    fields = dict(vars(args))
+    fields["inputs"] = tuple(fields.pop(name) for name in COMMANDS[args.command].positionals)
+    if "tol" not in fields:
+        fields["tol"] = default_tolerance()
+    return RunConfig(**fields)
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    try:
-        config = config_from_args(args)
-    except PurifyKitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    return run(config)
+    args = build_parser().parse_args(argv)
+    return _exit_status(lambda: config_from_args(args))
 
 
 if __name__ == "__main__":

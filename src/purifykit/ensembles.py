@@ -15,6 +15,7 @@ import numpy as np
 
 from . import numerics
 from .errors import (
+    ContractViolation,
     CountTooSmall,
     DimensionMismatch,
     InvalidEnsemble,
@@ -206,7 +207,8 @@ def random_equivalent_ensemble(rho: DensityMatrix, count: int, seed: int) -> Ens
     Mixes the spectral components through a seeded Haar-random unitary:
     the j-th unnormalized state is sum_i sqrt(d_i) U_ij phi_i, and its
     squared norm becomes the j-th weight. Redraws (deterministically from
-    the same stream) while any weight falls below 1e-6.
+    the same stream) while any weight falls below 1e-6, and raises
+    ``ContractViolation`` after 64 draws.
     """
     spectral = spectral_ensemble(rho)
     if count < spectral.rank:
@@ -222,26 +224,28 @@ def random_equivalent_ensemble(rho: DensityMatrix, count: int, seed: int) -> Ens
         if float(probs.min()) >= 1e-6:
             break
     else:
-        raise RuntimeError("could not draw well-conditioned weights")
+        raise ContractViolation("64 draws gave no ensemble whose weights are all at least 1e-6")
     states = unnormalized / np.sqrt(probs)[:, None]
     return Ensemble(rho.dim, probs, states)
 
 
-def random_state(dim: int, rng: np.random.Generator) -> np.ndarray:
-    """Normalized complex Gaussian vector."""
-    vec = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    return vec / np.linalg.norm(vec)
+def _floored_weights(count: int, floor: float, rng: np.random.Generator) -> np.ndarray:
+    """``count`` random weights summing to 1, each at least ``floor``: one Dirichlet draw."""
+    if count * floor >= 1.0:
+        raise InvalidEnsemble(f"{count} weights of at least {floor} cannot sum to 1")
+    return floor + (1.0 - count * floor) * rng.dirichlet(np.ones(count))
 
 
 def random_ensemble(
     dim: int, count: int, rng: np.random.Generator, min_weight: float = 1e-6
 ) -> Ensemble:
-    """Random mixture of ``count`` independent states with Dirichlet weights."""
-    while True:
-        weights = rng.dirichlet(np.ones(count))
-        if float(weights.min()) >= min_weight:
-            break
-    states = np.array([random_state(dim, rng) for _ in range(count)])
+    """Random mixture of ``count`` normalized complex Gaussian states.
+
+    The weights are Dirichlet distributed above the floor ``min_weight``.
+    """
+    weights = _floored_weights(count, min_weight, rng)
+    draws = rng.standard_normal((count, 2, dim))  # real then imaginary part, state by state
+    states = np.array([v / np.linalg.norm(v) for v in draws[:, 0] + 1j * draws[:, 1]])
     return Ensemble(dim, weights, states)
 
 
@@ -251,10 +255,7 @@ def random_density_matrix(
     """Random rank-constrained density matrix with eigenvalues >= min_weight."""
     if not 1 <= rank <= dim:
         raise DimensionMismatch(f"rank must lie in [1, {dim}], got {rank}")
-    while True:
-        weights = rng.dirichlet(np.ones(rank))
-        if float(weights.min()) >= min_weight:
-            break
+    weights = _floored_weights(rank, min_weight, rng)
     vectors = numerics.haar_unitary(dim, rng)[:, :rank]
     rho = (vectors * weights) @ numerics.dag(vectors)
     return DensityMatrix(dim, rho)

@@ -2,11 +2,15 @@
 
 Everything derives from :class:`PurifyKitError`, itself a ``ValueError``,
 so callers that do not care about the precise failure can catch one class.
+Each class carries the process exit status of the command-line surface:
+1 for invalid input, 2 for a failed numerical contract, 3 for inputs that
+are not equivalent.
 """
 
 
 class PurifyKitError(ValueError):
     """Base class for all library errors."""
+    exit_status = 1
 
 
 class NotFinite(PurifyKitError):
@@ -15,14 +19,17 @@ class NotFinite(PurifyKitError):
 
 class NotSquare(PurifyKitError):
     """A square matrix was required."""
+    exit_status = 2
 
 
 class NotHermitian(PurifyKitError):
     """A Hermitian matrix was required."""
+    exit_status = 2
 
 
 class NotUnitary(PurifyKitError):
     """A unitary matrix was required."""
+    exit_status = 2
 
 
 class DimensionMismatch(PurifyKitError):
@@ -31,10 +38,12 @@ class DimensionMismatch(PurifyKitError):
 
 class NotOrthonormal(PurifyKitError):
     """A pairwise-orthonormal vector family was required."""
+    exit_status = 2
 
 
 class TooManyRows(PurifyKitError):
     """More orthonormal rows were supplied than the target dimension holds."""
+    exit_status = 2
 
 
 class NotNormalized(PurifyKitError):
@@ -59,10 +68,12 @@ class ReferenceTooSmall(PurifyKitError):
 
 class NotEquivalent(PurifyKitError):
     """The two ensembles do not share a density matrix at the given tolerance."""
+    exit_status = 3
 
 
 class TargetOutsideSupport(PurifyKitError):
     """A target state has a component outside the support of the density matrix."""
+    exit_status = 3
 
 
 class BasisNotComplete(PurifyKitError):
@@ -87,3 +98,4 @@ class ParseError(PurifyKitError):
 
 class ContractViolation(PurifyKitError):
     """A numerical post-condition residual exceeded its tolerance."""
+    exit_status = 2

@@ -8,6 +8,7 @@ stored as [re, im] pairs.
 
 from __future__ import annotations
 
+import itertools
 import json
 
 import numpy as np
@@ -51,35 +52,48 @@ def _matrix_pairs(matrix: np.ndarray) -> list:
     return [_complex_pairs(row) for row in np.asarray(matrix, complex)]
 
 
-def _parse_complex_vector(raw, what: str) -> np.ndarray:
+_FORMS = {
+    1: "a list of numbers",
+    2: "a list of [re, im] pairs",
+    3: "a list of equal-length rows of [re, im] pairs",
+}
+
+
+def _parse_numbers(raw, ndim: int, what: str) -> np.ndarray:
+    """JSON numbers nested ``ndim`` lists deep, as a float or complex array.
+
+    Above one level the innermost lists are [re, im] pairs and the result
+    is complex with one axis fewer. numpy reads a string as text and a
+    boolean beside numbers as 0 or 1; neither is a JSON number, so both
+    are refused, as are integers too large for a machine word.
+    """
     try:
-        pairs = [(float(re), float(im)) for re, im in raw]
-    except (TypeError, ValueError) as exc:
-        raise ParseError(f"{what} must be a list of [re, im] pairs") from exc
-    return np.array([complex(re, im) for re, im in pairs])
+        values = np.array(raw)
+    except ValueError:  # ragged, or nested deeper than numpy allows
+        values = np.array(None)
+    shaped = values.ndim == ndim and (ndim == 1 or values.shape[-1] == 2)
+    if shaped and values.dtype.kind in "iuf":
+        leaves = raw
+        for _ in range(ndim - 1):
+            leaves = itertools.chain.from_iterable(leaves)
+        if not any(isinstance(x, bool) for x in leaves):
+            values = np.ascontiguousarray(values, dtype=float)
+            return values if ndim == 1 else values.view(complex)[..., 0]
+    raise ParseError(f"{what} must be {_FORMS[ndim]}")
 
 
 def _parse_dimension(raw, what: str) -> int:
     # JSON integers only: int() would truncate 2.7 to 2 and accept true as 1
-    if isinstance(raw, bool) or not isinstance(raw, int):
-        raise ParseError(f"{what} must be an integer, got {raw!r}")
+    if isinstance(raw, bool) or not isinstance(raw, int) or raw < 1:
+        raise ParseError(f"{what} must be a positive integer, got {raw!r}")
     return raw
-
-
-def _parse_rows(raw, what: str) -> list[np.ndarray]:
-    if not isinstance(raw, list):
-        raise ParseError(f"{what} must be a list of rows")
-    rows = [_parse_complex_vector(row, f"{what} row") for row in raw]
-    if any(r.size != rows[0].size for r in rows):
-        raise ParseError(f"{what} rows must have equal length")
-    return rows
 
 
 def _load_document(path, expected_fields: tuple[str, ...]) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as handle:
             doc = json.load(handle)
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:  # bad JSON or UTF-8, long integers, deep nesting
         raise ParseError(f"{path}: not a valid document ({exc})") from exc
     if not isinstance(doc, dict):
         raise ParseError(f"{path}: top level must be an object")
@@ -102,12 +116,9 @@ def write_ensemble(path, ensemble: Ensemble) -> None:
 def read_ensemble(path) -> Ensemble:
     doc = _load_document(path, ("dim", "weights", "states"))
     dim = _parse_dimension(doc["dim"], f"{path}: dim")
-    try:
-        weights = [float(w) for w in doc["weights"]]
-    except (TypeError, ValueError) as exc:
-        raise ParseError(f"{path}: weights must be reals") from exc
-    states = _parse_rows(doc["states"], f"{path}: states")
-    return Ensemble(dim, np.array(weights), np.array(states))
+    weights = _parse_numbers(doc["weights"], 1, f"{path}: weights")
+    states = _parse_numbers(doc["states"], 3, f"{path}: states")
+    return Ensemble(dim, weights, states)
 
 
 def write_density_matrix(path, rho: DensityMatrix) -> None:
@@ -122,7 +133,7 @@ def write_density_matrix(path, rho: DensityMatrix) -> None:
 def read_density_matrix(path) -> DensityMatrix:
     doc = _load_document(path, ("dim", "entries"))
     dim = _parse_dimension(doc["dim"], f"{path}: dim")
-    entries = _parse_complex_vector(doc["entries"], f"{path}: entries")
+    entries = _parse_numbers(doc["entries"], 2, f"{path}: entries")
     if entries.size != dim * dim:
         raise ParseError(f"{path}: expected {dim * dim} entries, got {entries.size}")
     return DensityMatrix(dim, entries.reshape(dim, dim))
@@ -142,7 +153,7 @@ def read_bipartite_state(path) -> BipartiteState:
     doc = _load_document(path, ("dim_s", "dim_k", "amplitudes"))
     dim_s = _parse_dimension(doc["dim_s"], f"{path}: dim_s")
     dim_k = _parse_dimension(doc["dim_k"], f"{path}: dim_k")
-    amplitudes = _parse_complex_vector(doc["amplitudes"], f"{path}: amplitudes")
+    amplitudes = _parse_numbers(doc["amplitudes"], 2, f"{path}: amplitudes")
     return BipartiteState(dim_s, dim_k, amplitudes)
 
 
@@ -158,11 +169,7 @@ def write_plan(path, plan: SteeringPlan) -> None:
 
 
 def read_plan(path) -> SteeringPlan:
-    doc = _load_document(path, ("coeffs", "isometry", "unitary", "basis"))
-    matrices = {}
-    for name in ("coeffs", "isometry", "unitary", "basis"):
-        rows = _parse_rows(doc[name], f"{path}: {name}")
-        if not rows:
-            raise ParseError(f"{path}: {name} must have at least one row")
-        matrices[name] = np.array(rows)
+    fields = ("coeffs", "isometry", "unitary", "basis")
+    doc = _load_document(path, fields)
+    matrices = {name: _parse_numbers(doc[name], 3, f"{path}: {name}") for name in fields}
     return SteeringPlan(**matrices)

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    ContractViolation,
     DimensionMismatch,
     NotFinite,
     NotHermitian,
@@ -159,7 +160,9 @@ def gram_schmidt_complete(rows, target_dim: int) -> np.ndarray:
     (a matrix-vector step), and the projection is applied twice, which
     is enough for orthogonality to working precision (Giraud, Langou and
     Rozloznik, 2005). A candidate is skipped when its remaining component
-    is shorter than ``TOL.completion_floor``. The result is deterministic.
+    is shorter than ``TOL.completion_floor``; if the sweep ends short of
+    ``target_dim`` rows, ``ContractViolation`` is raised. The result is
+    deterministic.
     """
     given = [np.asarray(row, dtype=complex) for row in rows]
     if len(given) > target_dim:
@@ -191,7 +194,7 @@ def gram_schmidt_complete(rows, target_dim: int) -> np.ndarray:
         out[filled] = candidate / length
         filled += 1
     if filled != target_dim:
-        raise RuntimeError("standard-basis sweep failed to complete the unitary")
+        raise ContractViolation(f"standard-basis sweep completed {filled} of {target_dim} rows")
     return out
 
 

@@ -26,6 +26,7 @@ from .errors import (
     ContractViolation,
     DimensionMismatch,
     NotEquivalent,
+    NotSquare,
     ReferenceTooSmall,
     TargetOutsideSupport,
 )
@@ -68,8 +69,8 @@ class SteeringPlan:
     weight-ratio matrix built from it; ``unitary`` embeds the isometry as
     its leading rows; ``basis`` holds the measurement directions B_j of K
     as rows, B_j being the conjugated j-th column of the unitary.
-    Validation checks the isometry rows, the unitarity of ``unitary``, and
-    that ``basis`` equals its conjugate transpose entrywise.
+    Validation checks the isometry rows, that ``unitary`` is square and
+    unitary, and that ``basis`` equals its conjugate transpose entrywise.
     """
 
     coeffs: np.ndarray
@@ -92,7 +93,9 @@ class SteeringPlan:
                 f"isometry rows deviate from orthonormality by {residual} "
                 f"(tol {TOL.isometry})"
             )
-        side = self.unitary.shape[0]
+        side, width = self.unitary.shape
+        if side != width:
+            raise NotSquare(f"completed matrix is {side}x{width}, must be square")
         u_residual = numerics.max_abs(
             self.unitary @ numerics.dag(self.unitary) - np.eye(side)
         )

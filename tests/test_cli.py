@@ -1,6 +1,8 @@
 """Exit-code, artifact, and determinism tests for the command-line surface."""
 
+import ast
 import contextlib
+import inspect
 import io
 import math
 import os
@@ -12,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from purifykit import fileio
+from purifykit import cli, errors, fileio, numerics
 from purifykit.cli import RunConfig, default_tolerance, main, run
 from purifykit.ensembles import (
     DensityMatrix,
@@ -369,3 +371,106 @@ def test_fuzzed_argv_exits_with_a_taxonomy_status(fuzz_files, data):
         except SystemExit as exc:
             status = exc.code
     assert status in {0, 1, 2, 3}, argv
+
+
+# ---------------------------------------------------------------------------
+# the exit taxonomy lives on the error classes
+
+
+def test_every_error_class_carries_a_taxonomy_status():
+    classes = [
+        c for c in vars(errors).values() if isinstance(c, type) and c.__module__ == errors.__name__
+    ]
+    assert errors.PurifyKitError in classes
+    for cls in classes:
+        assert issubclass(cls, errors.PurifyKitError), cls
+        assert cls.exit_status in {1, 2, 3}, cls
+    numerical = {
+        errors.ContractViolation,
+        errors.NotOrthonormal,
+        errors.NotHermitian,
+        errors.NotUnitary,
+        errors.NotSquare,
+        errors.TooManyRows,
+    }
+    semantic = {errors.NotEquivalent, errors.TargetOutsideSupport}
+    assert {c for c in classes if c.exit_status == 2} == numerical
+    assert {c for c in classes if c.exit_status == 3} == semantic
+
+
+def test_cli_maps_errors_in_one_clause_naming_only_the_base_class():
+    tree = ast.parse(inspect.getsource(cli))
+    handlers = [node for node in ast.walk(tree) if isinstance(node, ast.ExceptHandler)]
+    assert len(handlers) == 1
+    named = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    error_names = {name for name in vars(errors) if isinstance(getattr(errors, name), type)}
+    assert named & error_names == {"PurifyKitError"}
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (["equiv", "a", "b", "--tol", "0.5"], RunConfig("equiv", inputs=("a", "b"), tol=0.5)),
+        (
+            ["purify", "e", "--kdim", "4", "--out", "o"],
+            RunConfig("purify", inputs=("e",), dim_k=4, output="o"),
+        ),
+        (
+            ["steer", "s", "t", "--tol", "0.25", "--out", "p"],
+            RunConfig("steer", inputs=("s", "t"), tol=0.25, output="p"),
+        ),
+        (
+            ["dynamics", "e", "--omega", "2", "--out", "r"],
+            RunConfig("dynamics", inputs=("e",), omega=2.0, output="r"),
+        ),
+        (
+            ["qubit-demo", "--q", "0.3", "--theta", "0.1", "--phase", "0.2", "--seed", "5"],
+            RunConfig("qubit-demo", q=0.3, theta=0.1, phase=0.2, seed=5),
+        ),
+        (
+            ["random-equiv", "r", "--count", "3", "--seed", "2", "--tol", "0.1", "--out", "d"],
+            RunConfig("random-equiv", inputs=("r",), count=3, seed=2, tol=0.1, output="d"),
+        ),
+        (["qubit-demo"], RunConfig("qubit-demo")),
+    ],
+)
+def test_every_flag_sets_its_run_config_field(argv, expected, monkeypatch):
+    monkeypatch.delenv("PURIFYKIT_TOL", raising=False)
+    assert cli.config_from_args(cli.build_parser().parse_args(argv)) == expected
+
+
+def test_run_reports_an_unknown_command(capsys):
+    assert run(RunConfig("bogus")) == 1
+    assert capsys.readouterr().err == "error: unknown command 'bogus'\n"
+
+
+def test_negative_dimension_exits_1_without_traceback(files, capsys):
+    bad = files / "negative.dm"
+    bad.write_text('{"dim": -2, "entries": [[0.5, 0], [0, 0], [0, 0], [0.5, 0]]}')
+    assert main(["random-equiv", str(bad), "--count", "2"]) == 1
+    assert capsys.readouterr().err == f"error: {bad}: dim must be a positive integer, got -2\n"
+
+
+def test_random_equiv_give_up_is_a_contract_failure(files, monkeypatch, capsys):
+    # an identity mixer gives the states past the rank zero weight in every draw
+    monkeypatch.setattr(numerics, "haar_unitary", lambda dim, rng: np.eye(dim, dtype=complex))
+    assert main(["random-equiv", str(files / "rho.dm"), "--count", "3"]) == 2
+    assert capsys.readouterr().err == (
+        "numerical contract failure: "
+        "64 draws gave no ensemble whose weights are all at least 1e-6\n"
+    )
+
+
+def test_steering_showcase_script_runs(tmp_path):
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.path.join(root, "src") + os.pathsep + env.get("PYTHONPATH", "")
+    result = subprocess.run(
+        [sys.executable, os.path.join(root, "scripts", "steering_showcase.py"), "--dim", "3"],
+        capture_output=True,
+        text=True,
+        env=env,
+        cwd=tmp_path,
+    )
+    assert result.returncode == 0, result.stderr
+    assert "FAIL" not in result.stdout and "PASS" in result.stdout

@@ -19,6 +19,7 @@ from purifykit.ensembles import (
     spectral_ensemble,
 )
 from purifykit.errors import (
+    ContractViolation,
     CountTooSmall,
     DimensionMismatch,
     InvalidEnsemble,
@@ -303,3 +304,44 @@ def test_many_ensembles_one_density_matrix(dim, count, seed):
     assert numerics.max_abs(density_matrix(ens).matrix - rho.matrix) <= 1e-9
     spectral = spectral_ensemble(rho)
     assert are_equivalent(ens, spectral.base, 1e-9)
+
+
+def test_random_equivalent_gives_up_with_a_contract_violation(monkeypatch):
+    # an identity mixer leaves the states past the rank with zero weight
+    monkeypatch.setattr(numerics, "haar_unitary", lambda dim, rng: np.eye(dim, dtype=complex))
+    rho = DensityMatrix(2, np.diag([0.7, 0.3]))
+    with pytest.raises(ContractViolation, match="64 draws"):
+        random_equivalent_ensemble(rho, 3, seed=0)
+
+
+# ---------------------------------------------------------------------------
+# random generators
+
+
+def test_random_generators_refuse_a_floor_the_weights_cannot_clear():
+    rng = np.random.default_rng(0)
+    with pytest.raises(InvalidEnsemble):
+        random_density_matrix(1000, 1000, rng)  # 1000 eigenvalues of at least 1e-3
+    with pytest.raises(InvalidEnsemble):
+        random_ensemble(2, 10, rng, min_weight=0.1)
+    # nothing was drawn before the refusal
+    assert rng.random() == np.random.default_rng(0).random()
+
+
+def test_random_ensemble_lifts_one_dirichlet_draw_above_the_floor():
+    floor, count, dim = 0.01, 50, 3
+    ens = random_ensemble(dim, count, np.random.default_rng(21), min_weight=floor)
+    reference = np.random.default_rng(21)
+    dirichlet = reference.dirichlet(np.ones(count))
+    np.testing.assert_array_equal(ens.weights, floor + (1 - count * floor) * dirichlet)
+    assert ens.weights.min() >= floor
+    # the states follow in the order of one complex Gaussian vector per state
+    for state in ens.states:
+        vec = reference.standard_normal(dim) + 1j * reference.standard_normal(dim)
+        np.testing.assert_array_equal(state, vec / np.linalg.norm(vec))
+
+
+def test_random_density_matrix_keeps_every_eigenvalue_above_the_floor():
+    # at rank 60 most plain Dirichlet draws have a weight below 1e-3
+    rho = random_density_matrix(60, 60, np.random.default_rng(4))
+    assert rho.eigenvalues.min() >= 1e-3 - 1e-12

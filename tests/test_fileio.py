@@ -1,7 +1,11 @@
 """Round-trip and parse-failure tests for the structured text files."""
 
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from purifykit import fileio, numerics
 from purifykit.ensembles import (
@@ -12,8 +16,15 @@ from purifykit.ensembles import (
     random_equivalent_ensemble,
     spectral_ensemble,
 )
-from purifykit.errors import ContractViolation, InvalidEnsemble, NotNormalized, ParseError
-from purifykit.purification import purify, steering_isometry
+from purifykit.errors import (
+    ContractViolation,
+    InvalidEnsemble,
+    NotNormalized,
+    NotSquare,
+    ParseError,
+    PurifyKitError,
+)
+from purifykit.purification import SteeringPlan, purify, steering_isometry
 
 
 def awkward_ensemble():
@@ -197,3 +208,140 @@ def test_read_rejects_non_integer_dimensions(tmp_path, reader, text):
     path.write_text(text)
     with pytest.raises(ParseError):
         reader(path)
+
+
+def test_read_plan_rejects_a_non_square_unitary(tmp_path):
+    # orthonormal rows, and basis is the conjugate transpose, but 2x3 completes nothing
+    plan = {
+        "coeffs": np.eye(2),
+        "isometry": np.eye(2),
+        "unitary": np.eye(3)[:2],
+        "basis": np.eye(3)[:, :2],
+    }
+    path = tmp_path / "wide.plan"
+    path.write_text(
+        json.dumps({name: [[[x, 0.0] for x in row] for row in m] for name, m in plan.items()})
+    )
+    with pytest.raises(NotSquare):
+        fileio.read_plan(path)
+    with pytest.raises(NotSquare):
+        SteeringPlan(**plan)
+
+
+@pytest.mark.parametrize(
+    "reader, text",
+    [
+        (fileio.read_density_matrix, '{"dim": -2, "entries": [[0.5, 0], [0, 0], [0, 0], [1, 0]]}'),
+        (fileio.read_ensemble, '{"dim": 0, "weights": [1.0], "states": [[]]}'),
+        (fileio.read_bipartite_state, '{"dim_s": -1, "dim_k": -1, "amplitudes": [[1, 0]]}'),
+    ],
+)
+def test_read_rejects_dimensions_below_one(tmp_path, reader, text):
+    path = tmp_path / "negative.doc"
+    path.write_text(text)
+    with pytest.raises(ParseError, match="must be a positive integer"):
+        reader(path)
+
+
+@pytest.mark.parametrize(
+    "reader, text",
+    [
+        # two-character strings used to unpack as [re, im] pairs
+        (fileio.read_density_matrix, '{"dim": 2, "entries": ["50", "00", "00", "50"]}'),
+        (fileio.read_ensemble, '{"dim": 1, "weights": [1.0], "states": [["10"]]}'),
+        (fileio.read_ensemble, '{"dim": 1, "weights": [1.0], "states": [[["1", "0"]]]}'),
+        (fileio.read_ensemble, '{"dim": 1, "weights": ["1.0"], "states": [[[1, 0]]]}'),
+        (fileio.read_ensemble, '{"dim": 1, "weights": [true], "states": [[[1, 0]]]}'),
+        (fileio.read_ensemble, '{"dim": 1, "weights": [1.0], "states": [[[true, 0]]]}'),
+        (fileio.read_bipartite_state, '{"dim_s": 1, "dim_k": 1, "amplitudes": [[1, false]]}'),
+        (fileio.read_bipartite_state, '{"dim_s": 1, "dim_k": 1, "amplitudes": [[1, 0, 0]]}'),
+        (fileio.read_bipartite_state, '{"dim_s": 1, "dim_k": 1, "amplitudes": [[1, null]]}'),
+        (fileio.read_density_matrix, '{"dim": 1, "entries": [[1' + "0" * 400 + ", 0]]}"),
+    ],
+)
+def test_read_accepts_only_json_numbers(tmp_path, reader, text):
+    path = tmp_path / "strings.doc"
+    path.write_text(text)
+    with pytest.raises(ParseError):
+        reader(path)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"dim": 1, "weights": [1.0], "states": ' + "[" * 100000 + "]" * 100000 + "}",
+        '{"dim": 1' + "0" * 5000 + ', "weights": [1.0], "states": [[[1, 0]]]}',
+    ],
+    ids=["nested-too-deep", "integer-too-long"],
+)
+def test_read_rejects_documents_the_json_parser_cannot_hold(tmp_path, text):
+    path = tmp_path / "huge.ens"
+    path.write_text(text)
+    with pytest.raises(ParseError, match="not a valid document"):
+        fileio.read_ensemble(path)
+
+
+def test_parsed_entries_keep_the_sign_of_zero(tmp_path):
+    path = tmp_path / "signed.state"
+    path.write_text('{"dim_s": 1, "dim_k": 2, "amplitudes": [[-0.0, 1], [0.6, -0.0]]}')
+    with pytest.raises(NotNormalized):
+        fileio.read_bipartite_state(path)
+    path.write_text('{"dim_s": 1, "dim_k": 2, "amplitudes": [[-0.0, 0.8], [0.6, -0.0]]}')
+    amplitudes = fileio.read_bipartite_state(path).amplitudes
+    assert [np.signbit(amplitudes.real[0]), np.signbit(amplitudes.imag[1])] == [True, True]
+
+
+# ---------------------------------------------------------------------------
+# reader fuzzing: a malformed document raises a library error, nothing else
+
+junk = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.sampled_from([10**400, 2**63, 2**64, -(2**63) - 1]),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.text(max_size=3),
+    st.sampled_from(["1", "0.5", "NaN", "10"]),
+)
+json_values = st.recursive(
+    junk,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=2), inner, max_size=2),
+    max_leaves=12,
+)
+numbers = st.one_of(st.integers(-2, 2), st.floats(-2, 2), st.floats(), junk)
+pairs = st.lists(st.lists(numbers, min_size=1, max_size=3), max_size=5)
+FIELDS = {
+    "dimension": st.one_of(st.integers(-3, 5), st.sampled_from([0, 10**12, 10**400]), json_values),
+    "reals": st.one_of(st.lists(numbers, max_size=5), json_values),
+    "pairs": st.one_of(pairs, json_values),
+    "rows": st.one_of(st.lists(pairs, max_size=4), json_values),
+}
+READERS = {
+    fileio.read_ensemble: {"dim": "dimension", "weights": "reals", "states": "rows"},
+    fileio.read_density_matrix: {"dim": "dimension", "entries": "pairs"},
+    fileio.read_bipartite_state: {
+        "dim_s": "dimension",
+        "dim_k": "dimension",
+        "amplitudes": "pairs",
+    },
+    fileio.read_plan: {name: "rows" for name in ("coeffs", "isometry", "unitary", "basis")},
+}
+
+
+@given(data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_readers_raise_only_library_errors_on_malformed_documents(tmp_path_factory, data):
+    reader = data.draw(st.sampled_from(list(READERS)), label="reader")
+    fields = READERS[reader]
+    names = st.lists(st.sampled_from(sorted(fields)), unique=True, min_size=len(fields) - 1)
+    kept = data.draw(names, label="fields kept")
+    doc = {name: data.draw(FIELDS[fields[name]], label=name) for name in kept}
+    if data.draw(st.booleans(), label="wrap the document"):
+        doc = data.draw(st.sampled_from([[doc], "text", 3]), label="top level")
+    path = tmp_path_factory.mktemp("fuzz") / "doc.json"
+    path.write_text(json.dumps(doc))
+    try:
+        reader(path)
+    except (PurifyKitError, OSError):
+        pass

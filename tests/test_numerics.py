@@ -1,6 +1,7 @@
 """Unit and property tests for the dense linear-algebra primitives."""
 
 import ast
+import dataclasses
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 from purifykit import numerics
 from purifykit.errors import (
+    ContractViolation,
     DimensionMismatch,
     NotFinite,
     NotHermitian,
@@ -305,6 +307,13 @@ def test_completion_rejects_too_many_rows():
 def test_completion_rejects_non_orthonormal_rows():
     with pytest.raises(NotOrthonormal):
         numerics.gram_schmidt_complete([np.array([1.0, 1.0])], 2)
+
+
+def test_incomplete_sweep_is_a_contract_violation(monkeypatch):
+    # a floor above every unit candidate skips them all
+    monkeypatch.setattr(numerics, "TOL", dataclasses.replace(numerics.TOL, completion_floor=2.0))
+    with pytest.raises(ContractViolation, match="completed 1 of 3 rows"):
+        numerics.gram_schmidt_complete([np.array([1.0, 0.0, 0.0])], 3)
 
 
 def assert_matches_row_loop_oracle(rows, dim):
