@@ -15,7 +15,6 @@ from .dynamics import (
     HamiltonianModel,
     PowerIdentityReport,
     build_model,
-    build_term,
     evolution_closed_form,
     evolution_numeric,
     power_identities_check,
@@ -82,7 +81,6 @@ __all__ = [
     "SteeringPlan",
     "are_equivalent",
     "build_model",
-    "build_term",
     "cnot",
     "density_matrix",
     "errors",

@@ -110,10 +110,13 @@ def _cmd_dynamics(config: RunConfig) -> int:
         raise PurifyKitError(f"omega must be finite, got {config.omega}")
     if config.omega == 0:
         raise PurifyKitError("omega must be nonzero")
+    duration = (math.pi / 2) / config.omega
+    if not math.isfinite(duration):
+        raise PurifyKitError(f"omega {config.omega} is too small: the pulse duration overflows")
     ensemble = fileio.read_ensemble(config.inputs[0])
     spectral = spectral_ensemble(density_matrix(ensemble))
     model = build_model(spectral.states, spectral.rank)
-    params = EvolutionParams(omega=config.omega, duration=math.pi / (2 * config.omega))
+    params = EvolutionParams(omega=config.omega, duration=duration)
     report = verification_report(model, params)
     text = report.render()
     if config.output:
@@ -198,14 +201,14 @@ _PREFIXES = {1: "error", 2: "numerical contract failure", 3: "not equivalent"}
 
 
 def _exit_status(make_config: Callable[[], RunConfig]) -> int:
-    """Build a config and run its command; a library or OS error becomes its status."""
+    """Build a config and run its command; a library, OS or memory error becomes its status."""
     try:
         config = make_config()
         command = COMMANDS.get(config.command)
         if command is None:
             raise PurifyKitError(f"unknown command {config.command!r}")
         return command.handler(config)
-    except (PurifyKitError, OSError) as exc:
+    except (PurifyKitError, OSError, MemoryError) as exc:
         status = getattr(exc, "exit_status", 1)
         print(f"{_PREFIXES[status]}: {exc}", file=sys.stderr)
         return status

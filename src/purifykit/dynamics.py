@@ -1,11 +1,11 @@
 """Hamiltonian realization of the purification.
 
-One term per spectral state: H_j couples the system projector onto
-phi_j with an antisymmetric rotation between the reference ready state
-e_0 and the correlated direction e_j. The terms commute, annihilate each
-other, and satisfy H_j^3 = H_j, so when the rotation angle omega*T sits
-at a quarter turn the full propagator reduces termwise to the closed
-form I - H_j^2 - i H_j and maps every phi_j (x) e_0 to phi_j (x) e_j.
+One term per spectral state: H_j = P_j (x) Y_j couples the projector
+P_j = |phi_j><phi_j| with Y_j = i (|e_j><e_0| - |e_0><e_j|), sigma_y on the
+(e_0, e_j) plane of K. The model is the states phi_j and that 2x2 block;
+no operator on S (x) K is formed. The terms commute, annihilate each other,
+and satisfy H_j^3 = H_j, so at a quarter turn of omega*T the propagator is
+termwise I - H_j^2 - i H_j and maps every phi_j (x) e_0 to phi_j (x) e_j.
 """
 
 from __future__ import annotations
@@ -17,10 +17,15 @@ import numpy as np
 
 from . import numerics
 from .ensembles import SpectralEnsemble
-from .errors import ContractViolation, IndexOutOfRange, NotOrthonormal, ReferenceTooSmall
+from .errors import ContractViolation, DimensionMismatch, IndexOutOfRange
+from .errors import NotOrthonormal, ReferenceTooSmall
 from .numerics import TOL
 from .purification import BipartiteState
 from .reports import Check, Report
+
+# Y_j restricted to its (e_0, e_j) plane, in that basis order. The sign
+# makes the quarter-turn kick send the ready slot to e_j with a +1 amplitude.
+PLANE_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
 
 
 @dataclass
@@ -40,9 +45,11 @@ class EvolutionParams:
         return self.omega * self.duration
 
     def is_correlating(self) -> bool:
+        phase = self.phase()
         return (
-            abs(math.cos(self.phase())) <= TOL.quarter_turn
-            and abs(math.sin(self.phase()) - 1.0) <= TOL.quarter_turn
+            math.isfinite(phase)
+            and abs(math.cos(phase)) <= TOL.quarter_turn
+            and abs(math.sin(phase) - 1.0) <= TOL.quarter_turn
         )
 
     def require_correlating(self) -> None:
@@ -58,79 +65,53 @@ class EvolutionParams:
         return cls(omega=1.0, duration=math.pi / 2)
 
 
-def build_term(j: int, phi, dim_k: int) -> np.ndarray:
-    """Generator coupling phi_j with the reference rotation e_0 <-> e_j.
-
-    Returns i * |phi_j><phi_j| (x) (|e_j><e_0| - |e_0><e_j|) on S (x) K;
-    the block orientation makes the quarter-turn kick send the ready
-    slot to e_j with a +1 amplitude. The j = 0 term vanishes identically
-    because both dyads reduce to |e_0><e_0|.
-    """
-    phi = np.asarray(phi, dtype=complex)
-    if not 0 <= j < dim_k:
-        raise IndexOutOfRange(f"index {j} outside the reference range [0, {dim_k})")
-    if j >= phi.shape[0]:
-        raise IndexOutOfRange(f"index {j} has no matching state (only {phi.shape[0]})")
-    projector = np.outer(phi[j], phi[j].conj())
-    block = np.zeros((dim_k, dim_k), dtype=complex)
-    if j != 0:
-        block[j, 0] = 1.0
-        block[0, j] = -1.0
-    return 1j * np.kron(projector, block)
-
-
 @dataclass
 class HamiltonianModel:
-    """The term family H_j and their sum on S (x) K.
+    """H = sum_j P_j (x) Y_j on S (x) K, stored as the states phi_j.
 
     Constructing the model checks the algebra the closed form relies on:
-    each term Hermitian, all pairs commuting, and cross-products zero. The
-    two pairwise maxima are kept as validated, for the verification report.
+    cross-products zero, and so all pairs commuting (see
+    :func:`commutator_max`). The two pairwise maxima are kept as
+    validated, for the verification report.
     """
 
     dim_s: int
     dim_k: int
     phi: np.ndarray
-    terms: list[np.ndarray] = field(repr=False)
-    total: np.ndarray = field(repr=False)
     cross_product_maximum: float = field(init=False)
     commutator_maximum: float = field(init=False)
 
     def __post_init__(self):
         self.phi = np.asarray(self.phi, dtype=complex)
-        for j, term in enumerate(self.terms):
-            residual = numerics.max_abs(term - numerics.dag(term))
-            if residual > TOL.term_hermiticity:
-                raise ContractViolation(
-                    f"term {j} deviates from Hermiticity by {residual}"
-                )
-        self.cross_product_maximum = cross_product_max(self.terms)
+        self.cross_product_maximum = self.commutator_maximum = cross_product_max(self.phi)
         if self.cross_product_maximum > TOL.commutator:
             raise ContractViolation(
                 f"nonzero cross-product between terms: {self.cross_product_maximum}"
             )
-        self.commutator_maximum = commutator_max(self.terms)
-        if self.commutator_maximum > TOL.commutator:
-            raise ContractViolation(f"terms do not commute: {self.commutator_maximum}")
 
 
-def commutator_max(terms) -> float:
-    """Largest entry of any pairwise commutator."""
-    worst = 0.0
-    for a in range(len(terms)):
-        for b in range(a + 1, len(terms)):
-            worst = max(worst, numerics.max_abs(terms[a] @ terms[b] - terms[b] @ terms[a]))
-    return worst
+def cross_product_max(phi) -> float:
+    """Largest entry of any product H_a H_b of two distinct terms.
+
+    For a != b, H_a H_b = <phi_a|phi_b> |phi_a><phi_b| (x) |e_a><e_b|, so
+    its largest entry is |G_ab| m_a m_b, with the Gram matrix G = phi phi^+
+    and m_j the largest amplitude of phi_j. The j = 0 term is zero.
+    """
+    phi = np.asarray(phi, dtype=complex)[1:]
+    peaks = np.max(np.abs(phi), axis=1, initial=0.0)
+    products = np.abs(phi @ numerics.dag(phi)) * np.outer(peaks, peaks)
+    np.fill_diagonal(products, 0.0)
+    return numerics.max_abs(products)
 
 
-def cross_product_max(terms) -> float:
-    """Largest entry of any product of two distinct terms."""
-    worst = 0.0
-    for a in range(len(terms)):
-        for b in range(len(terms)):
-            if a != b:
-                worst = max(worst, numerics.max_abs(terms[a] @ terms[b]))
-    return worst
+def commutator_max(phi) -> float:
+    """Largest entry of any pairwise commutator [H_a, H_b].
+
+    Its two products H_a H_b and H_b H_a sit in the disjoint reference
+    blocks (a, b) and (b, a), so the largest entry is that of the larger
+    cross-product.
+    """
+    return cross_product_max(phi)
 
 
 def build_model(phi, dim_k: int | None = None) -> HamiltonianModel:
@@ -152,11 +133,7 @@ def build_model(phi, dim_k: int | None = None) -> HamiltonianModel:
     gram = phi @ numerics.dag(phi)
     if numerics.max_abs(gram - np.eye(count)) > TOL.orthonormality:
         raise NotOrthonormal("phi rows must be pairwise orthonormal")
-    terms = [build_term(j, phi, dim_k) for j in range(count)]
-    total = np.sum(terms, axis=0)
-    return HamiltonianModel(
-        dim_s=int(phi.shape[1]), dim_k=int(dim_k), phi=phi, terms=terms, total=total
-    )
+    return HamiltonianModel(dim_s=int(phi.shape[1]), dim_k=int(dim_k), phi=phi)
 
 
 @dataclass
@@ -175,54 +152,67 @@ class PowerIdentityReport(Report):
         ]
 
 
-def power_identities_check(term, phi_j, dim_k: int) -> PowerIdentityReport:
+def power_identities_check(phi, j: int) -> PowerIdentityReport:
     """Verify H^3 = H and H^2 = |phi_j><phi_j| (x) (e_0 e_0^+ + e_j e_j^+).
 
-    The correlated index j is recovered from the term itself: contracting
-    out the system factor leaves the antisymmetric reference block, whose
-    first column is supported on row j alone. For the vanishing j = 0
-    term both identities degenerate to zero.
+    With P_j^2 = |phi_j|^2 P_j, the residuals are P_j (x) (|phi_j|^4 Y^3 - Y)
+    and P_j (x) (|phi_j|^2 Y^2 - I) on the (e_0, e_j) plane; the largest
+    entry of P_j is the squared largest amplitude of phi_j. For the
+    vanishing j = 0 term both identities degenerate to zero.
     """
-    term = numerics.as_matrix(term)
-    phi_j = np.asarray(phi_j, dtype=complex)
-    if term.shape[0] % dim_k != 0:
-        raise IndexOutOfRange(
-            f"operator side {term.shape[0]} does not factor over reference {dim_k}"
-        )
-    dim_s = term.shape[0] // dim_k
-    grid = term.reshape(dim_s, dim_k, dim_s, dim_k)
-    block = np.einsum("s,sktl,t->kl", phi_j.conj(), grid, phi_j)
-    column = np.abs(block[:, 0])
-    index = int(np.argmax(column)) if float(column.max()) > 0.5 else 0
-    if index == 0:
-        expected_square = np.zeros_like(term)
-    else:
-        reference = np.zeros((dim_k, dim_k), dtype=complex)
-        reference[0, 0] = 1.0
-        reference[index, index] = 1.0
-        expected_square = np.kron(np.outer(phi_j, phi_j.conj()), reference)
-    square = term @ term
-    cube = square @ term
+    phi = np.asarray(phi, dtype=complex)
+    if not 0 <= j < phi.shape[0]:
+        raise IndexOutOfRange(f"index {j} has no matching state (only {phi.shape[0]})")
+    if j == 0:
+        return PowerIdentityReport(reference_index=0, odd_residual=0.0, even_residual=0.0)
+    norm2 = float(np.vdot(phi[j], phi[j]).real)
+    scale = numerics.max_abs(phi[j]) ** 2
+    square = PLANE_Y @ PLANE_Y
     return PowerIdentityReport(
-        reference_index=index,
-        odd_residual=numerics.max_abs(cube - term),
-        even_residual=numerics.max_abs(square - expected_square),
+        reference_index=j,
+        odd_residual=scale * numerics.max_abs(norm2**2 * square @ PLANE_Y - PLANE_Y),
+        even_residual=scale * numerics.max_abs(norm2 * square - np.eye(2)),
     )
 
 
-def evolution_closed_form(model: HamiltonianModel) -> np.ndarray:
-    """Quarter-turn propagator as the product of I - H_j^2 - i H_j."""
-    side = model.total.shape[0]
-    out = np.eye(side, dtype=complex)
-    identity = np.eye(side, dtype=complex)
-    for term in model.terms:
-        out = out @ (identity - term @ term - 1j * term)
+def _rotate_planes(model: HamiltonianModel, block: np.ndarray, grids) -> np.ndarray:
+    """Apply I + sum_j P_j (x) (block - I) on (e_0, e_j), j >= 1, to each grid.
+
+    ``grids`` is a stack of states shaped (..., dim_s, dim_k), entry
+    [s, k] the amplitude of e_s (x) e_k. With C = conj(phi) Psi, the map is
+    Psi -> Psi + phi^T (C' - C), where C' rotates each pair (C[j, 0],
+    C[j, j]) by the block; only those pairs change, so only they are formed.
+    """
+    grids = np.asarray(grids, dtype=complex)
+    if grids.shape[-2:] != (model.dim_s, model.dim_k):
+        raise DimensionMismatch(f"states must be {model.dim_s} x {model.dim_k} grids")
+    phi = model.phi[1:]
+    j = np.arange(1, model.phi.shape[0])
+    ready = grids[..., :, 0] @ phi.conj().T
+    pairs = np.stack([ready, np.einsum("js,...sj->...j", phi.conj(), grids[..., :, j])])
+    change = np.tensordot(block, pairs, axes=1) - pairs
+    out = grids.copy()
+    out[..., :, 0] += change[0] @ phi
+    out[..., :, j] += phi.T * change[1][..., np.newaxis, :]
     return out
 
 
-def evolution_numeric(model: HamiltonianModel, params: EvolutionParams) -> np.ndarray:
-    """exp(-i omega T H) through the spectral exponential; unitary for any params."""
-    return numerics.mat_exp_hermitian(model.total, params.phase())
+def evolution_closed_form(model: HamiltonianModel, grids) -> np.ndarray:
+    """Quarter-turn propagator I - H_j^2 - i H_j, applied to a stack of states."""
+    return _rotate_planes(model, np.eye(2) - PLANE_Y @ PLANE_Y - 1j * PLANE_Y, grids)
+
+
+def evolution_numeric(model: HamiltonianModel, params: EvolutionParams, grids) -> np.ndarray:
+    """exp(-i omega T H) on a stack of states, each plane turned by exp(-i omega T Y)."""
+    return _rotate_planes(model, numerics.mat_exp_hermitian(PLANE_Y, params.phase()), grids)
+
+
+def _product_states(model: HamiltonianModel, correlated: bool) -> np.ndarray:
+    """The stack of phi_j (x) e_j if correlated, else of phi_j (x) e_0, one per state."""
+    index = np.arange(model.phi.shape[0])
+    grids = np.zeros((index.size, model.dim_s, model.dim_k), dtype=complex)
+    grids[index, :, index if correlated else 0] = model.phi
+    return grids
 
 
 @dataclass
@@ -246,14 +236,10 @@ def verify_correlating_evolution(
     model: HamiltonianModel, params: EvolutionParams
 ) -> CorrelationReport:
     """Apply the propagator to each phi_j (x) e_0 and compare with phi_j (x) e_j."""
-    propagator = evolution_numeric(model, params)
-    ready = numerics.basis_state(model.dim_k, 0)
-    fidelities = []
-    for j in range(model.phi.shape[0]):
-        start = np.kron(model.phi[j], ready)
-        expected = np.kron(model.phi[j], numerics.basis_state(model.dim_k, j))
-        fidelities.append(numerics.state_fidelity(expected, propagator @ start))
-    return CorrelationReport(fidelities=np.array(fidelities))
+    evolved = evolution_numeric(model, params, _product_states(model, correlated=False))
+    expected = _product_states(model, correlated=True)
+    overlaps = np.einsum("jsk,jsk->j", expected.conj(), evolved)
+    return CorrelationReport(fidelities=np.abs(overlaps))
 
 
 def purify_via_dynamics(
@@ -270,8 +256,8 @@ def purify_via_dynamics(
     model = build_model(spectral.states, spectral.rank)
     grid = np.zeros((spectral.dim, spectral.rank), dtype=complex)
     grid[:, 0] = np.sqrt(spectral.weights) @ spectral.states
-    evolved = evolution_numeric(model, params) @ grid.reshape(-1)
-    return BipartiteState(spectral.dim, spectral.rank, evolved)
+    evolved = evolution_numeric(model, params, grid)
+    return BipartiteState(spectral.dim, spectral.rank, evolved.reshape(-1))
 
 
 @dataclass
@@ -295,17 +281,20 @@ class DynamicsReport(Report):
 
 
 def verification_report(model: HamiltonianModel, params: EvolutionParams) -> DynamicsReport:
-    """Run every dynamics check on one model at the given parameters."""
+    """Run every dynamics check on one model at the given parameters.
+
+    The closed form and the numeric propagator both leave every state
+    orthogonal to the planes span{phi_j (x) e_0, phi_j (x) e_j} unchanged,
+    so comparing them on the states phi_j (x) e_0 and phi_j (x) e_j covers
+    every place where they can differ.
+    """
     params.require_correlating()
-    closed = evolution_closed_form(model)
-    numeric = evolution_numeric(model, params)
-    power = [
-        power_identities_check(term, model.phi[j], model.dim_k)
-        for j, term in enumerate(model.terms)
-    ]
+    probes = np.concatenate([_product_states(model, False), _product_states(model, True)])
+    closed = evolution_closed_form(model, probes)
+    numeric = evolution_numeric(model, params, probes)
     return DynamicsReport(
         correlation=verify_correlating_evolution(model, params),
-        power_reports=power,
+        power_reports=[power_identities_check(model.phi, j) for j in range(len(model.phi))],
         commutator_maximum=model.commutator_maximum,
         cross_product_maximum=model.cross_product_maximum,
         closed_vs_numeric=numerics.max_abs(closed - numeric),

@@ -48,7 +48,6 @@ class Tolerances:
     partial_trace: float = 1e-10
     outcome_floor: float = 1e-12
     # Hamiltonian dynamics
-    term_hermiticity: float = 1e-12
     commutator: float = 1e-12
     power: float = 1e-12
     closed_form: float = 1e-10

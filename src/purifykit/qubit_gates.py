@@ -201,13 +201,12 @@ def qubit_demo(
     _, steering_outcomes, steering_report = prepare_ensemble(spectral, target)
 
     model = build_model(np.array([x_plus, x_minus]), 2)
-    propagator = evolution_numeric(model, EvolutionParams.canonical())
-    fidelities = []
-    for state in (x_plus, x_minus):
-        joint = np.kron(state, ready)
-        fidelities.append(
-            numerics.state_fidelity(circuit.matrix @ joint, propagator @ joint)
-        )
+    joints = [np.kron(state, ready) for state in (x_plus, x_minus)]
+    evolved = evolution_numeric(model, EvolutionParams.canonical(), np.reshape(joints, (2, 2, 2)))
+    fidelities = [
+        numerics.state_fidelity(circuit.matrix @ joint, moved.reshape(-1))
+        for joint, moved in zip(joints, evolved)
+    ]
 
     return QubitDemoReport(
         q=q,

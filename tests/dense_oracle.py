@@ -1,0 +1,70 @@
+"""Dense reference evaluation of the correlating Hamiltonian, for the tests only.
+
+Each term is built as a full (dim_s * dim_k)^2 matrix with ``np.kron`` and
+the propagator is the spectral exponential of their sum through
+``np.linalg.eigh``. The library stores the same model in factored form and
+never builds these matrices, so comparing the two checks one evaluation
+against an independent one. Sizes stay small: the cost grows as rank^2
+products of side (dim_s * dim_k).
+"""
+
+import numpy as np
+
+
+def build_term(j, phi, dim_k):
+    """i |phi_j><phi_j| (x) (|e_j><e_0| - |e_0><e_j|) on S (x) K; zero for j = 0."""
+    phi = np.asarray(phi, dtype=complex)
+    block = np.zeros((dim_k, dim_k), dtype=complex)
+    if j != 0:
+        block[j, 0] = 1.0
+        block[0, j] = -1.0
+    return 1j * np.kron(np.outer(phi[j], phi[j].conj()), block)
+
+
+def build_terms(phi, dim_k):
+    return [build_term(j, phi, dim_k) for j in range(len(phi))]
+
+
+def max_abs(m):
+    return float(np.max(np.abs(m))) if np.size(m) else 0.0
+
+
+def cross_product_max(terms):
+    """Largest entry of any product of two distinct terms."""
+    return max(
+        (max_abs(a @ b) for i, a in enumerate(terms) for k, b in enumerate(terms) if i != k),
+        default=0.0,
+    )
+
+
+def commutator_max(terms):
+    """Largest entry of any pairwise commutator."""
+    return max(
+        (max_abs(a @ b - b @ a) for i, a in enumerate(terms) for b in terms[i + 1:]),
+        default=0.0,
+    )
+
+
+def power_residuals(j, phi, dim_k):
+    """(|H^3 - H|, |H^2 - |phi_j><phi_j| (x) (e_0 e_0^+ + e_j e_j^+)|) for term j."""
+    phi = np.asarray(phi, dtype=complex)
+    term = build_term(j, phi, dim_k)
+    reference = np.zeros((dim_k, dim_k))
+    if j != 0:
+        reference[0, 0] = reference[j, j] = 1.0
+    square = term @ term
+    expected = np.kron(np.outer(phi[j], phi[j].conj()), reference)
+    return max_abs(square @ term - term), max_abs(square - expected)
+
+
+def propagator(phi, dim_k, phase):
+    """exp(-i phase H) for H the sum of the terms, through np.linalg.eigh."""
+    values, vectors = np.linalg.eigh(sum(build_terms(phi, dim_k)))
+    return (vectors * np.exp(-1j * phase * values)) @ vectors.conj().T
+
+
+def as_matrix(apply, dim_s, dim_k):
+    """The matrix of a map on stacks of (dim_s, dim_k) grids, from the standard basis."""
+    side = dim_s * dim_k
+    images = apply(np.eye(side, dtype=complex).reshape(side, dim_s, dim_k))
+    return images.reshape(side, side).T

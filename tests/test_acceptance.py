@@ -6,6 +6,7 @@ runs in well under a minute.
 
 import math
 
+import dense_oracle
 import numpy as np
 
 from purifykit import fileio, numerics
@@ -132,17 +133,22 @@ def test_criterion_4_isometry_theorem():
 
 
 def test_criterion_5_hamiltonian_algebra():
+    # the factored residuals of the library and the dense oracle's, on the same phi
     rng = np.random.default_rng(16180)
     worst_odd = worst_even = worst_comm = worst_cross = 0.0
     for dim in range(2, 9):
         phi = numerics.haar_unitary(dim, rng).T  # random orthonormal basis
-        model = build_model(phi, dim)
-        for j, term in enumerate(model.terms):
-            report = power_identities_check(term, phi[j], dim)
-            worst_odd = max(worst_odd, report.odd_residual)
-            worst_even = max(worst_even, report.even_residual)
-        worst_comm = max(worst_comm, commutator_max(model.terms))
-        worst_cross = max(worst_cross, cross_product_max(model.terms))
+        build_model(phi, dim)
+        terms = dense_oracle.build_terms(phi, dim)
+        for j in range(dim):
+            report = power_identities_check(phi, j)
+            odd, even = dense_oracle.power_residuals(j, phi, dim)
+            worst_odd = max(worst_odd, report.odd_residual, odd)
+            worst_even = max(worst_even, report.even_residual, even)
+        worst_comm = max(worst_comm, commutator_max(phi), dense_oracle.commutator_max(terms))
+        worst_cross = max(
+            worst_cross, cross_product_max(phi), dense_oracle.cross_product_max(terms)
+        )
     ok = max(worst_odd, worst_even, worst_comm, worst_cross) <= 1e-12
     _verdict(
         "criterion 5: Hamiltonian algebra up to dim 8",
@@ -153,17 +159,25 @@ def test_criterion_5_hamiltonian_algebra():
 
 
 def test_criterion_6_closed_form_vs_numeric():
+    # the library's factored propagators on the full standard basis of S (x) K,
+    # against the dense oracle's spectral exponential
     rng = np.random.default_rng(14142)
     worst = 0.0
     for dim in (2, 4, 6):
         phi = numerics.haar_unitary(dim, rng).T
         model = build_model(phi, dim)
-        closed = evolution_closed_form(model)
+        closed = dense_oracle.as_matrix(lambda g: evolution_closed_form(model, g), dim, dim)
         for duration in (math.pi / 2, math.pi / 2 + 2 * math.pi):
             params = EvolutionParams(1.0, duration)
             params.require_correlating()
+            numeric = dense_oracle.as_matrix(
+                lambda g: evolution_numeric(model, params, g), dim, dim
+            )
+            oracle = dense_oracle.propagator(phi, dim, params.phase())
             worst = max(
-                worst, numerics.max_abs(closed - evolution_numeric(model, params))
+                worst,
+                numerics.max_abs(closed - oracle),
+                numerics.max_abs(numeric - oracle),
             )
     _verdict(
         "criterion 6: closed form matches the numeric propagator",

@@ -286,6 +286,28 @@ def test_dynamics_rejects_non_finite_omega(files, value, capsys):
     assert capsys.readouterr().err == f"error: omega must be finite, got {value}\n"
 
 
+def test_dynamics_rejects_an_omega_whose_pulse_duration_overflows(files, capsys):
+    assert main(["dynamics", str(files / "biased.ens"), "--omega", "1e-320"]) == 1
+    assert capsys.readouterr().err == (
+        "error: omega 1e-320 is too small: the pulse duration overflows\n"
+    )
+
+
+@pytest.mark.parametrize("value", ["1e308", "-1e308"])
+def test_dynamics_accepts_omega_near_the_largest_float(files, value, capsys):
+    assert main(["dynamics", str(files / "biased.ens"), f"--omega={value}"]) == 0
+    assert "FAIL" not in capsys.readouterr().out
+
+
+def test_allocation_failure_exits_1_without_traceback(files, monkeypatch, capsys):
+    def exhausted(spectral, dim_k):
+        raise MemoryError("Unable to allocate 29.1 TiB for an array")
+
+    monkeypatch.setattr(cli, "purify", exhausted)
+    assert main(["purify", str(files / "mix01.ens"), "--kdim", "1000000000000"]) == 1
+    assert capsys.readouterr().err == "error: Unable to allocate 29.1 TiB for an array\n"
+
+
 def test_usage_errors_exit_1_with_the_argparse_message(capsys):
     with pytest.raises(SystemExit) as missing:
         main(["equiv", "onlyone"])

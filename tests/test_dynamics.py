@@ -1,17 +1,26 @@
-"""Tests for the correlating Hamiltonian, its algebra, and the evolution."""
+"""Tests for the correlating Hamiltonian, its algebra, and the evolution.
+
+The library keeps the Hamiltonian factored and applies its propagators to
+states; ``dense_oracle`` builds the same operators as full matrices, and
+the tests compare the two.
+"""
 
 import math
+import time
+import tracemalloc
 
+import dense_oracle
 import numpy as np
 import pytest
+from dense_oracle import as_matrix, build_term, build_terms, power_residuals, propagator
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from purifykit import numerics
 from purifykit.dynamics import (
+    PLANE_Y,
     EvolutionParams,
     build_model,
-    build_term,
     commutator_max,
     cross_product_max,
     evolution_closed_form,
@@ -28,7 +37,7 @@ from purifykit.ensembles import (
     random_ensemble,
     spectral_ensemble,
 )
-from purifykit.errors import ContractViolation, IndexOutOfRange
+from purifykit.errors import ContractViolation, DimensionMismatch, IndexOutOfRange
 from purifykit.purification import purify
 
 KET0 = np.array([1.0, 0.0], dtype=complex)
@@ -58,13 +67,26 @@ def balanced_spectral():
     return SpectralEnsemble(base, rank=2)
 
 
+def closed_matrix(model):
+    return as_matrix(lambda grids: evolution_closed_form(model, grids), model.dim_s, model.dim_k)
+
+
+def numeric_matrix(model, params):
+    return as_matrix(
+        lambda grids: evolution_numeric(model, params, grids), model.dim_s, model.dim_k
+    )
+
+
 # ---------------------------------------------------------------------------
-# build_term
+# the terms: dense oracle against the entrywise dyads and the 2x2 block
 
 
 def test_term_zero_vanishes():
     phi = np.eye(2, dtype=complex)
     np.testing.assert_array_equal(build_term(0, phi, 2), np.zeros((4, 4)))
+    # the library leaves every phi_0 (x) e_k alone
+    closed = closed_matrix(build_model(phi, 2))
+    np.testing.assert_array_equal(closed[:, :2], np.eye(4)[:, :2])
 
 
 def test_term_one_matches_dyad_oracle_and_frozen_entries():
@@ -75,16 +97,18 @@ def test_term_one_matches_dyad_oracle_and_frozen_entries():
     assert term[3, 2] == 1j
     assert term[2, 3] == -1j
     assert numerics.max_abs(term) == 1.0
+    # restricted to the (e_0, e_1) plane of phi_1, the term is the library's block
+    np.testing.assert_array_equal(term[2:, 2:], PLANE_Y)
 
 
 def test_term_rejects_out_of_range_index():
     phi = np.eye(2, dtype=complex)
     with pytest.raises(IndexOutOfRange):
-        build_term(2, phi, 2)
+        power_identities_check(phi, 2)
     with pytest.raises(IndexOutOfRange):
-        build_term(-1, phi, 2)
+        power_identities_check(phi, -1)
     with pytest.raises(IndexOutOfRange):
-        build_term(1, phi[:1], 3)
+        power_identities_check(phi[:1], 1)
 
 
 @given(dim=st.integers(2, 6), seed=st.integers(0, 2**32 - 1))
@@ -96,6 +120,18 @@ def test_terms_are_hermitian_and_match_the_oracle(dim, seed):
         term = build_term(j, phi, dim)
         assert numerics.max_abs(term - numerics.dag(term)) <= 1e-15
         np.testing.assert_allclose(term, dyad_oracle(j, phi, dim), atol=1e-15)
+    # the closed form is I - H^2 - iH, so H is i/2 times its anti-Hermitian part
+    closed = closed_matrix(build_model(phi, dim))
+    generator = 0.5j * (closed - numerics.dag(closed))
+    np.testing.assert_allclose(generator, sum(build_terms(phi, dim)), atol=1e-15)
+
+
+def test_propagators_reject_states_of_the_wrong_shape():
+    model = build_model(np.eye(2, dtype=complex), 3)
+    with pytest.raises(DimensionMismatch):
+        evolution_closed_form(model, np.zeros(6))
+    with pytest.raises(DimensionMismatch):
+        evolution_numeric(model, EvolutionParams.canonical(), np.zeros((3, 2)))
 
 
 # ---------------------------------------------------------------------------
@@ -104,7 +140,7 @@ def test_terms_are_hermitian_and_match_the_oracle(dim, seed):
 
 def test_power_identities_for_zero_term():
     phi = np.eye(2, dtype=complex)
-    report = power_identities_check(build_term(0, phi, 2), phi[0], 2)
+    report = power_identities_check(phi, 0)
     assert report.reference_index == 0
     assert report.odd_residual == 0.0
     assert report.even_residual == 0.0
@@ -112,7 +148,7 @@ def test_power_identities_for_zero_term():
 
 def test_power_identities_for_nontrivial_term():
     phi = np.eye(2, dtype=complex)
-    report = power_identities_check(build_term(1, phi, 2), phi[1], 2)
+    report = power_identities_check(phi, 1)
     assert report.reference_index == 1
     assert report.odd_residual <= 1e-12
     assert report.even_residual <= 1e-12
@@ -122,10 +158,11 @@ def test_power_identities_on_random_basis_dim5():
     rng = np.random.default_rng(55)
     phi = orthonormal_family(5, 5, rng)
     for j in range(5):
-        report = power_identities_check(build_term(j, phi, 5), phi[j], 5)
+        report = power_identities_check(phi, j)
         assert report.reference_index == j
         assert report.odd_residual <= 1e-12
         assert report.even_residual <= 1e-12
+        assert max(power_residuals(j, phi, 5)) <= 1e-12
 
 
 @given(dim=st.integers(2, 8), seed=st.integers(0, 2**32 - 1))
@@ -138,6 +175,8 @@ def test_powers_one_to_four_alternate(dim, seed):
     square = term @ term
     assert numerics.max_abs(term @ square - term) <= 1e-12  # H^3 = H
     assert numerics.max_abs(square @ square - square) <= 1e-12  # H^4 = H^2
+    report = power_identities_check(phi, j)
+    assert max(report.odd_residual, report.even_residual) <= 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -149,34 +188,73 @@ def test_powers_one_to_four_alternate(dim, seed):
 def test_terms_commute_and_annihilate_each_other(dim, seed):
     rng = np.random.default_rng(seed)
     phi = orthonormal_family(dim, dim, rng)
-    model = build_model(phi, dim)
-    assert commutator_max(model.terms) <= 1e-12
-    assert cross_product_max(model.terms) <= 1e-12
+    build_model(phi, dim)
+    assert commutator_max(phi) <= 1e-12
+    assert cross_product_max(phi) <= 1e-12
     # every other term annihilates phi_j (x) e_0
+    terms = build_terms(phi, dim)
     ready = numerics.basis_state(dim, 0)
     for j in range(dim):
         joint = np.kron(phi[j], ready)
         for k in range(dim):
             if k != j:
-                assert numerics.max_abs(model.terms[k] @ joint) <= 1e-12
+                assert numerics.max_abs(terms[k] @ joint) <= 1e-12
+
+
+@given(
+    dim_s=st.integers(2, 6),
+    rank=st.integers(1, 6),
+    spare=st.integers(0, 2),
+    push=st.floats(0.0, 5e-11),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=40, deadline=None)
+def test_factored_maxima_match_the_dense_oracle(dim_s, rank, spare, push, seed):
+    rng = np.random.default_rng(seed)
+    phi = orthonormal_family(max(dim_s, rank), rank, rng)
+    if rank > 2:  # lean the last state toward phi_1 (phi_0 has no term), inside the Gram gate
+        phi[-1] += push * phi[1]
+        phi[-1] /= np.linalg.norm(phi[-1])
+    terms = build_terms(phi, rank + spare)
+    assert abs(cross_product_max(phi) - dense_oracle.cross_product_max(terms)) <= 1e-15
+    assert abs(commutator_max(phi) - dense_oracle.commutator_max(terms)) <= 1e-15
+    for j in range(rank):
+        report = power_identities_check(phi, j)
+        odd, even = power_residuals(j, phi, rank + spare)
+        assert abs(report.odd_residual - odd) <= 1e-15
+        assert abs(report.even_residual - even) <= 1e-15
+
+
+def test_near_orthonormal_family_is_rejected_like_the_dense_check():
+    # row 2 leans 5e-11 toward row 1: inside the 1e-10 Gram gate, outside
+    # the 1e-12 cross-product bound
+    phi = orthonormal_family(6, 4, np.random.default_rng(6))
+    phi[2] += 5e-11 * phi[1]
+    phi[2] /= np.linalg.norm(phi[2])
+    assert numerics.max_abs(phi @ numerics.dag(phi) - np.eye(4)) <= 1e-10
+    with pytest.raises(ContractViolation, match="cross-product"):
+        build_model(phi, 4)
+    dense = dense_oracle.cross_product_max(build_terms(phi, 4))
+    assert dense > 1e-12
+    assert abs(cross_product_max(phi) - dense) <= 1e-15
 
 
 # ---------------------------------------------------------------------------
-# evolution, closed form vs numeric
+# evolution, closed form vs numeric vs the dense oracle
 
 
 def test_closed_form_of_trivial_model_is_identity():
     spec = spectral_ensemble(density_matrix(Ensemble(2, [1.0], [KET0])))
     model = build_model(spec.states, spec.rank)
-    np.testing.assert_allclose(evolution_closed_form(model), np.eye(2), atol=1e-15)
+    np.testing.assert_allclose(closed_matrix(model), np.eye(2), atol=1e-15)
 
 
 def test_closed_form_single_term_literal():
     model = build_model(np.eye(2, dtype=complex), 2)
-    term = model.terms[1]
+    term = build_term(1, model.phi, 2)
     expected = np.eye(4) - term @ term - 1j * term
     # the j = 0 factor is the identity, so the product collapses to one factor
-    np.testing.assert_allclose(evolution_closed_form(model), expected, atol=1e-14)
+    np.testing.assert_allclose(closed_matrix(model), expected, atol=1e-14)
 
 
 @given(dim=st.integers(2, 6), seed=st.integers(0, 2**32 - 1))
@@ -187,20 +265,21 @@ def test_closed_form_equals_sum_expansion(dim, seed):
     phi = orthonormal_family(dim, dim, rng)
     model = build_model(phi, dim)
     expansion = np.eye(dim * dim, dtype=complex)
-    for term in model.terms:
+    for term in build_terms(phi, dim):
         expansion = expansion - term @ term - 1j * term
-    np.testing.assert_allclose(evolution_closed_form(model), expansion, atol=1e-12)
+    np.testing.assert_allclose(closed_matrix(model), expansion, atol=1e-12)
 
 
 def test_numeric_matches_closed_form_at_quarter_turn():
     rng = np.random.default_rng(8)
     phi = orthonormal_family(4, 4, rng)
     model = build_model(phi, 4)
-    closed = evolution_closed_form(model)
+    closed = closed_matrix(model)
     for params in (EvolutionParams(1.0, math.pi / 2), EvolutionParams(1.0, math.pi / 2 + 2 * math.pi)):
         assert params.is_correlating()
-        numeric = evolution_numeric(model, params)
+        numeric = numeric_matrix(model, params)
         assert numerics.max_abs(closed - numeric) <= 1e-10
+        assert numerics.max_abs(propagator(phi, 4, params.phase()) - numeric) <= 1e-10
 
 
 def test_numeric_is_unitary_even_off_the_quarter_turn():
@@ -209,8 +288,35 @@ def test_numeric_is_unitary_even_off_the_quarter_turn():
     assert not params.is_correlating()
     with pytest.raises(ContractViolation):
         params.require_correlating()
-    u = evolution_numeric(model, params)
+    u = numeric_matrix(model, params)
     assert numerics.max_abs(u @ numerics.dag(u) - np.eye(4)) <= 1e-10
+    assert numerics.max_abs(propagator(model.phi, 2, math.pi) - u) <= 1e-10
+
+
+@given(
+    dim_s=st.integers(1, 5),
+    rank=st.integers(1, 5),
+    spare=st.integers(0, 2),
+    phase=st.floats(-10.0, 10.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=40, deadline=None)
+def test_propagators_match_the_dense_oracle(dim_s, rank, spare, phase, seed):
+    rng = np.random.default_rng(seed)
+    rank = min(rank, dim_s)
+    phi = orthonormal_family(dim_s, rank, rng)
+    model = build_model(phi, rank + spare)
+    numeric = numeric_matrix(model, EvolutionParams(1.0, phase))
+    assert numerics.max_abs(numeric - propagator(phi, rank + spare, phase)) <= 1e-12
+    quarter = propagator(phi, rank + spare, math.pi / 2)
+    assert numerics.max_abs(closed_matrix(model) - quarter) <= 1e-12
+
+
+def test_non_finite_phase_is_not_correlating():
+    for params in (EvolutionParams(1e-320, math.inf), EvolutionParams(math.nan, 1.0)):
+        assert not params.is_correlating()
+        with pytest.raises(ContractViolation):
+            params.require_correlating()
 
 
 # ---------------------------------------------------------------------------
@@ -225,9 +331,9 @@ def test_correlation_leaves_the_ready_slot_alone():
 
 def test_correlation_moves_phi1_to_slot_one():
     model = build_model(np.eye(2, dtype=complex), 2)
-    u = evolution_numeric(model, EvolutionParams.canonical())
-    moved = u @ np.kron(KET1, KET0)
-    np.testing.assert_allclose(moved, np.kron(KET1, KET1), atol=1e-12)
+    start = np.kron(KET1, KET0).reshape(2, 2)
+    moved = evolution_numeric(model, EvolutionParams.canonical(), start)
+    np.testing.assert_allclose(moved.reshape(-1), np.kron(KET1, KET1), atol=1e-12)
 
 
 @given(seed=st.integers(0, 2**32 - 1))
@@ -267,8 +373,8 @@ def test_verification_report_reads_the_validated_maxima():
     rng = np.random.default_rng(5)
     model = build_model(orthonormal_family(4, 3, rng), 4)
     report = verification_report(model, EvolutionParams.canonical())
-    assert report.commutator_maximum == commutator_max(model.terms)
-    assert report.cross_product_maximum == cross_product_max(model.terms)
+    assert report.commutator_maximum == commutator_max(model.phi)
+    assert report.cross_product_maximum == cross_product_max(model.phi)
 
 
 def test_verification_report_covers_all_checks():
@@ -283,3 +389,23 @@ def test_verification_report_covers_all_checks():
     assert "commutator maximum" in text
     assert "closed form vs numeric" in text
     assert "FAIL" not in text
+
+
+def test_memory_follows_the_factored_size():
+    # one dense operator on S (x) K at dim 64, rank 64 would take 268 MB
+    spec = spectral_ensemble(
+        density_matrix(random_ensemble(64, 64, np.random.default_rng(64)))
+    )
+    assert spec.rank == 64
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        model = build_model(spec.states, spec.rank)
+        report = verification_report(model, EvolutionParams.canonical())
+        purify_via_dynamics(spec)
+        elapsed = time.perf_counter() - start
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.passed()
+    assert peak < 64 * 2**20, f"peak {peak / 2**20:.1f} MB after {elapsed:.2f} s"
