@@ -71,19 +71,18 @@ class HamiltonianModel:
 
     Constructing the model checks the algebra the closed form relies on:
     cross-products zero, and so all pairs commuting (see
-    :func:`commutator_max`). The two pairwise maxima are kept as
-    validated, for the verification report.
+    :func:`commutator_max`). The cross-product maximum, which is also the
+    commutator maximum, is kept as validated, for the verification report.
     """
 
     dim_s: int
     dim_k: int
     phi: np.ndarray
     cross_product_maximum: float = field(init=False)
-    commutator_maximum: float = field(init=False)
 
     def __post_init__(self):
         self.phi = np.asarray(self.phi, dtype=complex)
-        self.cross_product_maximum = self.commutator_maximum = cross_product_max(self.phi)
+        self.cross_product_maximum = cross_product_max(self.phi)
         if self.cross_product_maximum > TOL.commutator:
             raise ContractViolation(
                 f"nonzero cross-product between terms: {self.cross_product_maximum}"
@@ -123,6 +122,7 @@ def build_model(phi, dim_k: int | None = None) -> HamiltonianModel:
     phi = np.asarray(phi, dtype=complex)
     if phi.ndim != 2:
         raise NotOrthonormal("phi must be a 2-D array of row states")
+    phi = numerics.as_matrix(phi)
     count = phi.shape[0]
     if dim_k is None:
         dim_k = count
@@ -295,7 +295,7 @@ def verification_report(model: HamiltonianModel, params: EvolutionParams) -> Dyn
     return DynamicsReport(
         correlation=verify_correlating_evolution(model, params),
         power_reports=[power_identities_check(model.phi, j) for j in range(len(model.phi))],
-        commutator_maximum=model.commutator_maximum,
+        commutator_maximum=model.cross_product_maximum,
         cross_product_maximum=model.cross_product_maximum,
         closed_vs_numeric=numerics.max_abs(closed - numeric),
     )

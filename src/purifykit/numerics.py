@@ -12,7 +12,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
-    ContractViolation,
     DimensionMismatch,
     NotFinite,
     NotHermitian,
@@ -35,7 +34,6 @@ class Tolerances:
     hermiticity: float = 1e-10
     orthonormality: float = 1e-10
     norm: float = 1e-12
-    completion_floor: float = 1e-8
     # ensembles and density matrices
     equivalence: float = 1e-9
     weight_sum: float = 1e-10
@@ -154,14 +152,12 @@ def gram_schmidt_complete(rows, target_dim: int) -> np.ndarray:
     """Complete orthonormal rows to a full target_dim x target_dim unitary.
 
     The given rows are kept verbatim as the leading rows of the output.
-    Candidate directions are the standard basis vectors swept in index
-    order; each is projected off the rows collected so far as one block
-    (a matrix-vector step), and the projection is applied twice, which
-    is enough for orthogonality to working precision (Giraud, Langou and
-    Rozloznik, 2005). A candidate is skipped when its remaining component
-    is shorter than ``TOL.completion_floor``; if the sweep ends short of
-    ``target_dim`` rows, ``ContractViolation`` is raised. The result is
-    deterministic.
+    The rest come from one complete QR factorization of the rows'
+    conjugate transpose: the trailing columns of Q span the orthogonal
+    complement of the conjugated rows, so their conjugate transposes
+    complete the rows. Only the span of the completed rows is fixed, not
+    the basis inside it; the result is deterministic. No rows give the
+    identity.
     """
     given = [np.asarray(row, dtype=complex) for row in rows]
     if len(given) > target_dim:
@@ -169,32 +165,16 @@ def gram_schmidt_complete(rows, target_dim: int) -> np.ndarray:
     for row in given:
         if row.shape != (target_dim,):
             raise DimensionMismatch(f"every row must have length {target_dim}")
-    out = np.zeros((target_dim, target_dim), dtype=complex)
+    if not given:
+        return np.eye(target_dim, dtype=complex)
+    block = as_matrix(given)
     filled = len(given)
-    if given:
-        out[:filled] = given
-        block = out[:filled]
-        if max_abs(block @ dag(block) - np.eye(filled)) > TOL.orthonormality:
-            raise NotOrthonormal(
-                f"input rows are not pairwise orthonormal within {TOL.orthonormality}"
-            )
-    for index in range(target_dim):
-        if filled == target_dim:
-            break
-        candidate = basis_state(target_dim, index)
-        block = out[:filled]
-        for _ in range(2):
-            # <row|candidate> for every row at once, without copying the block
-            overlaps = np.conj(block @ np.conj(candidate))
-            candidate -= overlaps @ block
-        length = float(np.linalg.norm(candidate))
-        if length <= TOL.completion_floor:
-            continue
-        out[filled] = candidate / length
-        filled += 1
-    if filled != target_dim:
-        raise ContractViolation(f"standard-basis sweep completed {filled} of {target_dim} rows")
-    return out
+    if max_abs(block @ dag(block) - np.eye(filled)) > TOL.orthonormality:
+        raise NotOrthonormal(
+            f"input rows are not pairwise orthonormal within {TOL.orthonormality}"
+        )
+    q, _ = np.linalg.qr(dag(block), mode="complete")
+    return np.concatenate([block, dag(q[:, filled:])])
 
 
 def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:

@@ -212,9 +212,11 @@ def steering_isometry(
 
     The isometry entry [i, j] is sqrt(p_j / d_i) times coeffs[j, i]; its
     rows are orthonormal because both ensembles share one density matrix.
-    The rows are zero-padded to ``dim_k``, completed to a unitary by a
-    standard-basis sweep, and the measurement basis vectors are read off
-    as the conjugated columns of the completed matrix.
+    The rows are zero-padded to ``dim_k`` and completed to a unitary by
+    :func:`numerics.gram_schmidt_complete`; the measurement basis vectors
+    are the conjugated columns of the completed matrix. The purified state
+    has no amplitude on e_k from the rank onward, so no outcome depends on
+    how the completion fills the unitary's rows k >= rank.
     """
     coeffs = steering_coefficients(spectral, target, tol)
     n_rows = spectral.rank

@@ -38,6 +38,7 @@ from purifykit.ensembles import (
     spectral_ensemble,
 )
 from purifykit.errors import ContractViolation, DimensionMismatch, IndexOutOfRange
+from purifykit.errors import NotFinite, NotOrthonormal
 from purifykit.purification import purify
 
 KET0 = np.array([1.0, 0.0], dtype=complex)
@@ -237,6 +238,15 @@ def test_near_orthonormal_family_is_rejected_like_the_dense_check():
     dense = dense_oracle.cross_product_max(build_terms(phi, 4))
     assert dense > 1e-12
     assert abs(cross_product_max(phi) - dense) <= 1e-15
+
+
+def test_non_finite_family_is_rejected_before_the_gram_check():
+    # NaN compares False against every tolerance, so the Gram gate alone passes it
+    for bad in (np.nan, np.inf):
+        with pytest.raises(NotFinite):
+            build_model(np.full((2, 2), bad))
+    with pytest.raises(NotOrthonormal):
+        build_model(np.array([1.0, 0.0]))
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from purifykit import numerics
 from purifykit.errors import (
-    ContractViolation,
     DimensionMismatch,
     NotFinite,
     NotHermitian,
@@ -47,8 +46,12 @@ def partial_trace_loop(m, dim_s, dim_k):
     return out
 
 
+# the sweep skips a candidate whose orthogonal residual is at most this long
+COMPLETION_FLOOR = 1e-8
+
+
 def gram_schmidt_complete_loop(rows, target_dim):
-    """Row-by-row completion: the former implementation, kept as the reference."""
+    """Row-by-row standard-basis sweep: a former implementation, kept as the reference."""
     stack = [np.asarray(row, dtype=complex) for row in rows]
     if len(stack) > target_dim:
         raise TooManyRows(f"{len(stack)} rows cannot fit in dimension {target_dim}")
@@ -68,7 +71,7 @@ def gram_schmidt_complete_loop(rows, target_dim):
             for row in stack:
                 candidate = candidate - row * np.vdot(row, candidate)
         length = float(np.linalg.norm(candidate))
-        if length <= numerics.TOL.completion_floor:
+        if length <= COMPLETION_FLOOR:
             continue
         stack.append(candidate / length)
     if len(stack) != target_dim:
@@ -309,17 +312,31 @@ def test_completion_rejects_non_orthonormal_rows():
         numerics.gram_schmidt_complete([np.array([1.0, 1.0])], 2)
 
 
-def test_incomplete_sweep_is_a_contract_violation(monkeypatch):
-    # a floor above every unit candidate skips them all
-    monkeypatch.setattr(numerics, "TOL", dataclasses.replace(numerics.TOL, completion_floor=2.0))
-    with pytest.raises(ContractViolation, match="completed 1 of 3 rows"):
-        numerics.gram_schmidt_complete([np.array([1.0, 0.0, 0.0])], 3)
+@pytest.mark.parametrize("rows", [[[1.0, 0.0, 0.0]], [[1.0, 0.0], [0.0, 1.0, 0.0]]])
+def test_completion_rejects_rows_of_the_wrong_length(rows):
+    with pytest.raises(DimensionMismatch):
+        numerics.gram_schmidt_complete(rows, 2)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_completion_rejects_non_finite_rows(bad):
+    with pytest.raises(NotFinite):
+        numerics.gram_schmidt_complete([[bad, 0.0]], 2)
+
+
+def complement_projector(unitary, n_rows):
+    """Projector onto the span of the rows past n_rows; no basis choice inside it shows."""
+    completed = unitary[n_rows:]
+    return numerics.dag(completed) @ completed
 
 
 def assert_matches_row_loop_oracle(rows, dim):
     got = numerics.gram_schmidt_complete(rows, dim)
-    assert numerics.max_abs(got - gram_schmidt_complete_loop(rows, dim)) <= 1e-12
+    oracle = gram_schmidt_complete_loop(rows, dim)
     np.testing.assert_array_equal(got[: len(rows)], rows)
+    assert numerics.max_abs(
+        complement_projector(got, len(rows)) - complement_projector(oracle, len(rows))
+    ) <= 1e-12
     assert numerics.max_abs(got @ numerics.dag(got) - np.eye(dim)) <= 1e-10
 
 
@@ -346,6 +363,18 @@ def test_completion_matches_row_loop_oracle_at_steering_size():
 
 # ---------------------------------------------------------------------------
 # the tolerance table
+
+
+def test_every_tolerance_is_read_in_the_package():
+    package = Path(numerics.__file__).parent
+    read = set()
+    for path in package.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                if node.value.id == "TOL":
+                    read.add(node.attr)
+    unread = {f.name for f in dataclasses.fields(numerics.TOL)} - read
+    assert not unread, f"tolerances no check reads: {sorted(unread)}"
 
 
 def test_small_float_literals_live_only_in_the_tolerance_table():
