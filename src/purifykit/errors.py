@@ -42,7 +42,7 @@ class NotOrthonormal(PurifyKitError):
 
 
 class TooManyRows(PurifyKitError):
-    """More orthonormal rows were supplied than the target dimension holds."""
+    """More rows were supplied than the target dimension holds."""
     exit_status = 2
 
 

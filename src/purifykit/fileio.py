@@ -13,8 +13,10 @@ import json
 
 import numpy as np
 
+from . import numerics
 from .ensembles import DensityMatrix, Ensemble
-from .errors import ParseError
+from .errors import ContractViolation, ParseError
+from .numerics import TOL
 from .purification import BipartiteState, SteeringPlan
 
 
@@ -39,9 +41,10 @@ def _render(value) -> str:
     raise TypeError(f"cannot render {type(value)!r}")
 
 
-def _render_document(fields: dict) -> str:
+def _write_document(path, fields: dict) -> None:
     body = ",\n".join(f'  {json.dumps(k)}: {_render(v)}' for k, v in fields.items())
-    return "{\n" + body + "\n}\n"
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write("{\n" + body + "\n}\n")
 
 
 def _complex_pairs(values: np.ndarray) -> list:
@@ -104,13 +107,11 @@ def _load_document(path, expected_fields: tuple[str, ...]) -> dict:
 
 
 def write_ensemble(path, ensemble: Ensemble) -> None:
-    fields = {
+    _write_document(path, {
         "dim": ensemble.dim,
         "weights": [float(w) for w in ensemble.weights],
         "states": [_complex_pairs(state) for state in ensemble.states],
-    }
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(_render_document(fields))
+    })
 
 
 def read_ensemble(path) -> Ensemble:
@@ -122,12 +123,10 @@ def read_ensemble(path) -> Ensemble:
 
 
 def write_density_matrix(path, rho: DensityMatrix) -> None:
-    fields = {
+    _write_document(path, {
         "dim": rho.dim,
         "entries": _complex_pairs(rho.matrix),
-    }
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(_render_document(fields))
+    })
 
 
 def read_density_matrix(path) -> DensityMatrix:
@@ -140,13 +139,11 @@ def read_density_matrix(path) -> DensityMatrix:
 
 
 def write_bipartite_state(path, psi: BipartiteState) -> None:
-    fields = {
+    _write_document(path, {
         "dim_s": psi.dim_s,
         "dim_k": psi.dim_k,
         "amplitudes": _complex_pairs(psi.amplitudes),
-    }
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(_render_document(fields))
+    })
 
 
 def read_bipartite_state(path) -> BipartiteState:
@@ -158,18 +155,24 @@ def read_bipartite_state(path) -> BipartiteState:
 
 
 def write_plan(path, plan: SteeringPlan) -> None:
-    fields = {
+    _write_document(path, {
         "coeffs": _matrix_pairs(plan.coeffs),
         "isometry": _matrix_pairs(plan.isometry),
         "unitary": _matrix_pairs(plan.unitary),
         "basis": _matrix_pairs(plan.basis),
-    }
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(_render_document(fields))
+    })
 
 
 def read_plan(path) -> SteeringPlan:
     fields = ("coeffs", "isometry", "unitary", "basis")
     doc = _load_document(path, fields)
     matrices = {name: _parse_numbers(doc[name], 3, f"{path}: {name}") for name in fields}
-    return SteeringPlan(**matrices)
+    basis = numerics.as_matrix(matrices.pop("basis"))
+    plan = SteeringPlan(**matrices)
+    adjoint = plan.basis
+    if basis.shape != adjoint.shape or numerics.max_abs(basis - adjoint) > TOL.orthonormality:
+        raise ContractViolation(
+            f"{path}: basis is not the conjugate transpose of the unitary "
+            f"within {TOL.orthonormality}"
+        )
+    return plan

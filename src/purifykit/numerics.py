@@ -16,7 +16,6 @@ from .errors import (
     NotFinite,
     NotHermitian,
     NotNormalized,
-    NotOrthonormal,
     NotSquare,
     TooManyRows,
 )
@@ -149,15 +148,15 @@ def mat_exp_hermitian(h, scale: float = 1.0) -> np.ndarray:
 
 
 def gram_schmidt_complete(rows, target_dim: int) -> np.ndarray:
-    """Complete orthonormal rows to a full target_dim x target_dim unitary.
+    """Complete n rows to a target_dim x target_dim matrix.
 
     The given rows are kept verbatim as the leading rows of the output.
-    The rest come from one complete QR factorization of the rows'
-    conjugate transpose: the trailing columns of Q span the orthogonal
-    complement of the conjugated rows, so their conjugate transposes
-    complete the rows. Only the span of the completed rows is fixed, not
-    the basis inside it; the result is deterministic. No rows give the
-    identity.
+    The rest are the conjugated trailing columns of Q in one complete QR
+    factorization A^H = QR of the rows A; A Q[:, n:] = R^H[:, n:] = 0, so
+    for any finite rows they are orthonormal and orthogonal to each row.
+    The result is unitary exactly when the rows are orthonormal, which
+    ``SteeringPlan`` checks. The completed rows are deterministic, but
+    only their span is fixed by the rows. No rows give the identity.
     """
     given = [np.asarray(row, dtype=complex) for row in rows]
     if len(given) > target_dim:
@@ -168,13 +167,8 @@ def gram_schmidt_complete(rows, target_dim: int) -> np.ndarray:
     if not given:
         return np.eye(target_dim, dtype=complex)
     block = as_matrix(given)
-    filled = len(given)
-    if max_abs(block @ dag(block) - np.eye(filled)) > TOL.orthonormality:
-        raise NotOrthonormal(
-            f"input rows are not pairwise orthonormal within {TOL.orthonormality}"
-        )
     q, _ = np.linalg.qr(dag(block), mode="complete")
-    return np.concatenate([block, dag(q[:, filled:])])
+    return np.concatenate([block, dag(q[:, len(given):])])
 
 
 def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:

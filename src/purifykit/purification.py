@@ -67,22 +67,19 @@ class SteeringPlan:
     ``coeffs`` expands each target state over the spectral states
     (entry [j, i] = <phi_i|tau_j>); ``isometry`` is the row-orthonormal
     weight-ratio matrix built from it; ``unitary`` embeds the isometry as
-    its leading rows; ``basis`` holds the measurement directions B_j of K
-    as rows, B_j being the conjugated j-th column of the unitary.
-    Validation checks the isometry rows, that ``unitary`` is square and
-    unitary, and that ``basis`` equals its conjugate transpose entrywise.
+    its leading rows. This is the one place a plan's orthonormality is
+    checked: the isometry rows within ``TOL.isometry``, and that
+    ``unitary`` is square and unitary within ``TOL.plan_unitarity``.
     """
 
     coeffs: np.ndarray
     isometry: np.ndarray
     unitary: np.ndarray
-    basis: np.ndarray
 
     def __post_init__(self):
         self.coeffs = numerics.as_matrix(self.coeffs)
         self.isometry = numerics.as_matrix(self.isometry)
         self.unitary = numerics.as_matrix(self.unitary)
-        self.basis = numerics.as_matrix(self.basis)
         rows = self.isometry.shape[0]
         residual = numerics.max_abs(
             self.isometry @ numerics.dag(self.isometry) - np.eye(rows)
@@ -104,22 +101,15 @@ class SteeringPlan:
                 f"completed matrix deviates from unitarity by {u_residual} "
                 f"(tol {TOL.plan_unitarity})"
             )
-        adjoint = numerics.dag(self.unitary)
-        if self.basis.shape != adjoint.shape:
-            raise ContractViolation(
-                f"measurement basis has shape {self.basis.shape}, the conjugate "
-                f"transpose of the unitary has shape {adjoint.shape}"
-            )
-        b_residual = numerics.max_abs(self.basis - adjoint)
-        if b_residual > TOL.orthonormality:
-            raise ContractViolation(
-                f"measurement basis deviates from the conjugate transpose of the "
-                f"unitary by {b_residual} (tol {TOL.orthonormality})"
-            )
 
     @property
     def dim_k(self) -> int:
         return int(self.unitary.shape[0])
+
+    @property
+    def basis(self) -> np.ndarray:
+        """Measurement directions B_j of K as rows, B_j = conjugated column j of ``unitary``."""
+        return self.unitary.conj().T
 
     @property
     def isometry_residual(self) -> float:
@@ -131,7 +121,8 @@ class SteeringPlan:
 class MeasurementOutcome:
     """One projective outcome on the reference: index, probability, post-state of S.
 
-    A plain record; :func:`measure_reference` validates what it is built from.
+    A plain record; :func:`measure_reference` or :class:`SteeringPlan`
+    validates what it is built from.
     """
 
     index: int
@@ -212,9 +203,10 @@ def steering_isometry(
 
     The isometry entry [i, j] is sqrt(p_j / d_i) times coeffs[j, i]; its
     rows are orthonormal because both ensembles share one density matrix.
-    The rows are zero-padded to ``dim_k`` and completed to a unitary by
-    :func:`numerics.gram_schmidt_complete`; the measurement basis vectors
-    are the conjugated columns of the completed matrix. The purified state
+    The rows are zero-padded to ``dim_k`` and completed by
+    :func:`numerics.gram_schmidt_complete`; :class:`SteeringPlan` checks
+    the rows and that the completed matrix, whose conjugated columns are
+    the measurement basis vectors, is unitary. The purified state
     has no amplitude on e_k from the rank onward, so no outcome depends on
     how the completion fills the unitary's rows k >= rank.
     """
@@ -233,17 +225,18 @@ def steering_isometry(
     padded = np.zeros((n_rows, dim_k), dtype=complex)
     padded[:, :n_cols] = isometry
     unitary = numerics.gram_schmidt_complete(padded, dim_k)
-    basis = unitary.conj().T
-    return SteeringPlan(coeffs=coeffs, isometry=isometry, unitary=unitary, basis=basis)
+    return SteeringPlan(coeffs=coeffs, isometry=isometry, unitary=unitary)
 
 
 def measure_reference(psi: BipartiteState, basis) -> list[MeasurementOutcome]:
-    """Measure a complete orthonormal basis of the reference.
+    """Measure a complete orthonormal basis of the reference, given as rows.
 
     For each basis vector b_j the unnormalized post-state of S is
     (I (x) <b_j|) psi; its squared norm is the outcome probability.
-    Outcomes with probability below 1e-12 are dropped, so the returned
-    probabilities still sum to 1 within 1e-10.
+    Outcomes below ``TOL.outcome_floor`` are dropped. The probabilities
+    sum to 1 up to how far the basis is from orthonormal: within
+    ``TOL.orthonormality`` here, ``TOL.plan_unitarity`` through the plan
+    that :func:`prepare_ensemble` measures with.
     """
     rows = np.asarray(basis, dtype=complex)
     if rows.ndim != 2 or rows.shape[1] != psi.dim_k:
@@ -254,12 +247,18 @@ def measure_reference(psi: BipartiteState, basis) -> list[MeasurementOutcome]:
         raise BasisNotComplete(
             f"basis has {rows.shape[0]} vectors, the reference needs {psi.dim_k}"
         )
+    rows = numerics.as_matrix(rows)  # NotFinite: the Gram check cannot see NaN
     gram = rows @ numerics.dag(rows)
     if numerics.max_abs(gram - np.eye(psi.dim_k)) > TOL.orthonormality:
         raise BasisNotOrthonormal(
             f"basis vectors are not pairwise orthonormal within {TOL.orthonormality}"
         )
-    unnormalized = psi.as_grid() @ rows.conj().T  # column j = (I (x) <b_j|) psi
+    return _outcomes(psi, rows.conj().T)
+
+
+def _outcomes(psi: BipartiteState, columns: np.ndarray) -> list[MeasurementOutcome]:
+    """Outcomes of measuring b_j on the reference, column j of ``columns`` being conj(b_j)."""
+    unnormalized = psi.as_grid() @ columns  # column j = (I (x) <b_j|) psi
     probs = np.sum(np.abs(unnormalized) ** 2, axis=0)
     outcomes = []
     for j, prob in enumerate(probs):
@@ -291,7 +290,7 @@ def prepare_ensemble(
     """
     plan = steering_isometry(spectral, target, tol=tol, dim_k=dim_k)
     psi = purify(spectral, plan.dim_k)
-    outcomes = measure_reference(psi, plan.basis)
+    outcomes = _outcomes(psi, plan.unitary)
 
     probs = np.zeros(plan.dim_k)
     posts: dict[int, np.ndarray] = {}

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from purifykit import fileio, numerics
 from purifykit.ensembles import (
     Ensemble,
+    SpectralEnsemble,
     density_matrix,
     random_density_matrix,
     random_ensemble,
@@ -19,6 +20,7 @@ from purifykit.ensembles import (
 from purifykit.errors import (
     ContractViolation,
     InvalidEnsemble,
+    NotFinite,
     NotNormalized,
     NotSquare,
     ParseError,
@@ -92,15 +94,57 @@ def test_plan_round_trip(tmp_path):
     np.testing.assert_array_equal(loaded.coeffs, plan.coeffs)
 
 
+# the exact bytes of write_plan(hadamard_plan()); "basis" is written from SteeringPlan.basis
+GOLDEN_HADAMARD_PLAN = """{
+  "coeffs": [[[0.70710678118654746, 0], [0.70710678118654746, 0]], \
+[[0.70710678118654746, 0], [-0.70710678118654746, 0]]],
+  "isometry": [[[0.70710678118654746, 0], [0.70710678118654746, 0]], \
+[[0.70710678118654746, 0], [-0.70710678118654746, 0]]],
+  "unitary": [[[0.70710678118654746, 0], [0.70710678118654746, 0]], \
+[[0.70710678118654746, 0], [-0.70710678118654746, 0]]],
+  "basis": [[[0.70710678118654746, -0], [0.70710678118654746, -0]], \
+[[0.70710678118654746, -0], [-0.70710678118654746, -0]]]
+}
+"""
+
+
+def hadamard_plan():
+    # (1/2, |0>; 1/2, |1>) into (1/2, |+>; 1/2, |->) with dim_k = 2: the
+    # isometry fills the unitary, so no completion digits enter a plan file
+    spec = SpectralEnsemble(Ensemble(2, [0.5, 0.5], [[1, 0], [0, 1]]), rank=2)
+    plus, minus = np.array([1, 1]) / np.sqrt(2), np.array([1, -1]) / np.sqrt(2)
+    return steering_isometry(spec, Ensemble(2, [0.5, 0.5], [plus, minus]), dim_k=2)
+
+
+def test_plan_file_with_nothing_to_complete_is_golden(tmp_path):
+    path = tmp_path / "hadamard.plan"
+    fileio.write_plan(path, hadamard_plan())
+    assert path.read_text(encoding="utf-8") == GOLDEN_HADAMARD_PLAN
+
+
 @pytest.mark.parametrize("edit", ["permuted", "truncated"])
 def test_read_plan_requires_basis_to_be_the_unitary_adjoint(tmp_path, edit):
     # both edits leave the basis rows orthonormal
     rho = random_density_matrix(3, 2, np.random.default_rng(12))
     plan = steering_isometry(spectral_ensemble(rho), random_equivalent_ensemble(rho, 4, seed=2))
-    plan.basis = plan.basis[::-1] if edit == "permuted" else plan.basis[:-1]
     path = tmp_path / "plan.plan"
     fileio.write_plan(path, plan)
+    doc = json.loads(path.read_text())
+    doc["basis"] = doc["basis"][::-1] if edit == "permuted" else doc["basis"][:-1]
+    path.write_text(json.dumps(doc))
     with pytest.raises(ContractViolation):
+        fileio.read_plan(path)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_read_plan_rejects_a_non_finite_basis(tmp_path, bad):
+    # JSON readers accept NaN and Infinity; the basis comparison alone would not see NaN
+    path = tmp_path / "plan.plan"
+    fileio.write_plan(path, hadamard_plan())
+    doc = json.loads(path.read_text())
+    doc["basis"][0][0][1] = bad
+    path.write_text(json.dumps(doc))
+    with pytest.raises(NotFinite):
         fileio.read_plan(path)
 
 
@@ -225,7 +269,7 @@ def test_read_plan_rejects_a_non_square_unitary(tmp_path):
     with pytest.raises(NotSquare):
         fileio.read_plan(path)
     with pytest.raises(NotSquare):
-        SteeringPlan(**plan)
+        SteeringPlan(plan["coeffs"], plan["isometry"], plan["unitary"])
 
 
 @pytest.mark.parametrize(

@@ -307,9 +307,27 @@ def test_completion_rejects_too_many_rows():
         numerics.gram_schmidt_complete(np.eye(3), 2)
 
 
-def test_completion_rejects_non_orthonormal_rows():
-    with pytest.raises(NotOrthonormal):
-        numerics.gram_schmidt_complete([np.array([1.0, 1.0])], 2)
+@given(dim=st.integers(1, 16), data=st.data(), seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=100, deadline=None)
+def test_completion_of_any_finite_rows_is_orthonormal_and_orthogonal_to_them(dim, data, seed):
+    # non-orthonormal, repeated and all-zero rows: the completion does not need orthonormal rows
+    rng = np.random.default_rng(seed)
+    n_rows = data.draw(st.integers(0, dim), label="n_rows")
+    rows = np.zeros((n_rows, dim), dtype=complex)
+    for i in range(n_rows):
+        kind = data.draw(st.sampled_from(["random", "repeat", "zero"] if i else ["random", "zero"]))
+        if kind == "random":
+            scale = data.draw(st.sampled_from([1e-3, 1.0, 1e3]), label="scale")
+            rows[i] = scale * (rng.standard_normal(dim) + 1j * rng.standard_normal(dim))
+        elif kind == "repeat":
+            rows[i] = rows[data.draw(st.integers(0, i - 1), label="repeated row")]
+    got = numerics.gram_schmidt_complete(rows, dim)
+    assert got.shape == (dim, dim)
+    assert got[:n_rows].tobytes() == rows.tobytes()
+    completed = got[n_rows:]
+    assert numerics.max_abs(completed @ numerics.dag(completed) - np.eye(dim - n_rows)) <= 1e-12
+    largest = max([1.0, *np.linalg.norm(rows, axis=1)])
+    assert numerics.max_abs(rows @ numerics.dag(completed)) <= 1e-12 * largest
 
 
 @pytest.mark.parametrize("rows", [[[1.0, 0.0, 0.0]], [[1.0, 0.0], [0.0, 1.0, 0.0]]])

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from purifykit import numerics
+from purifykit import cli, fileio, numerics
 from purifykit.ensembles import (
     DensityMatrix,
     Ensemble,
@@ -23,6 +23,7 @@ from purifykit.errors import (
     BasisNotComplete,
     BasisNotOrthonormal,
     NotEquivalent,
+    NotFinite,
     ReferenceTooSmall,
     TargetOutsideSupport,
 )
@@ -230,6 +231,13 @@ def test_measure_rejects_skewed_basis():
         measure_reference(psi, [KET0, PLUS])
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_measure_rejects_a_non_finite_basis(bad):
+    # a NaN Gram residual compares False against any tolerance
+    with pytest.raises(NotFinite):
+        measure_reference(BipartiteState(1, 2, [1, 0]), [[bad, 0], [0, 1]])
+
+
 @given(dim=st.integers(2, 5), count=st.integers(1, 6), extra=st.integers(0, 3),
        seed=st.integers(0, 2**32 - 1))
 @settings(max_examples=50, deadline=None)
@@ -307,6 +315,37 @@ def test_prepare_recovers_every_random_equivalent_target(dim, extra, seed):
     assert report.isometry_residual <= 1e-9
     assert report.reconstruction_residual <= 1e-9
     assert report.passed()
+
+
+def ill_conditioned_pair(seed):
+    """Spectrum {0.995, 0.001 x5} and an 8-state equivalent target perturbed by 1e-11.
+
+    The weight ratios sqrt(p_j / d_i) amplify the perturbation by up to
+    1/sqrt(0.001), so the isometry residual lands between
+    TOL.orthonormality and TOL.isometry while the density matrices still
+    agree far within TOL.equivalence.
+    """
+    rng = np.random.default_rng(seed)
+    u = numerics.haar_unitary(6, rng)
+    rho = DensityMatrix(6, (u * [0.995, 0.001, 0.001, 0.001, 0.001, 0.001]) @ u.conj().T)
+    target = random_equivalent_ensemble(rho, 8, seed=seed)
+    noise = rng.standard_normal((8, 6)) + 1j * rng.standard_normal((8, 6))
+    states = target.states + 1e-11 * noise
+    states /= np.linalg.norm(states, axis=1)[:, None]
+    return spectral_ensemble(rho), Ensemble(6, target.weights, states)
+
+
+@pytest.mark.parametrize("seed", [4, 29, 34])
+def test_isometry_residual_between_the_two_orthonormality_tolerances_steers(seed, tmp_path):
+    spec, target = ill_conditioned_pair(seed)
+    _, _, report = prepare_ensemble(spec, target)
+    assert numerics.TOL.orthonormality < report.isometry_residual <= numerics.TOL.isometry
+    assert report.passed()
+    source, drawn = tmp_path / "spec.ens", tmp_path / "target.ens"
+    fileio.write_ensemble(source, spec.base)
+    fileio.write_ensemble(drawn, target)
+    assert cli.main(["equiv", str(source), str(drawn)]) == 0
+    assert cli.main(["steer", str(source), str(drawn)]) == 0
 
 
 def test_preparation_report_renders_tolerance_labels():
