@@ -81,7 +81,7 @@ class HamiltonianModel:
     cross_product_maximum: float = field(init=False)
 
     def __post_init__(self):
-        self.phi = np.asarray(self.phi, dtype=complex)
+        self.phi = numerics.as_array(self.phi)
         self.cross_product_maximum = cross_product_max(self.phi)
         if self.cross_product_maximum > TOL.commutator:
             raise ContractViolation(
@@ -96,7 +96,7 @@ def cross_product_max(phi) -> float:
     its largest entry is |G_ab| m_a m_b, with the Gram matrix G = phi phi^+
     and m_j the largest amplitude of phi_j. The j = 0 term is zero.
     """
-    phi = np.asarray(phi, dtype=complex)[1:]
+    phi = numerics.as_array(phi)[1:]
     peaks = np.max(np.abs(phi), axis=1, initial=0.0)
     products = np.abs(phi @ numerics.dag(phi)) * np.outer(peaks, peaks)
     np.fill_diagonal(products, 0.0)
@@ -119,7 +119,7 @@ def build_model(phi, dim_k: int | None = None) -> HamiltonianModel:
     ``dim_k`` defaults to the family size; every state needs its own
     reference direction, so a smaller reference is rejected.
     """
-    phi = np.asarray(phi, dtype=complex)
+    phi = numerics.as_array(phi)
     if phi.ndim != 2:
         raise NotOrthonormal("phi must be a 2-D array of row states")
     phi = numerics.as_matrix(phi)
@@ -160,7 +160,7 @@ def power_identities_check(phi, j: int) -> PowerIdentityReport:
     entry of P_j is the squared largest amplitude of phi_j. For the
     vanishing j = 0 term both identities degenerate to zero.
     """
-    phi = np.asarray(phi, dtype=complex)
+    phi = numerics.as_array(phi)
     if not 0 <= j < phi.shape[0]:
         raise IndexOutOfRange(f"index {j} has no matching state (only {phi.shape[0]})")
     if j == 0:
@@ -183,7 +183,7 @@ def _rotate_planes(model: HamiltonianModel, block: np.ndarray, grids) -> np.ndar
     Psi -> Psi + phi^T (C' - C), where C' rotates each pair (C[j, 0],
     C[j, j]) by the block; only those pairs change, so only they are formed.
     """
-    grids = np.asarray(grids, dtype=complex)
+    grids = numerics.as_array(grids)
     if grids.shape[-2:] != (model.dim_s, model.dim_k):
         raise DimensionMismatch(f"states must be {model.dim_s} x {model.dim_k} grids")
     phi = model.phi[1:]

@@ -39,8 +39,8 @@ class Ensemble:
     states: np.ndarray
 
     def __post_init__(self):
-        self.weights = np.asarray(self.weights, dtype=float)
-        self.states = np.asarray(self.states, dtype=complex)
+        self.weights = numerics.as_array(self.weights, float)
+        self.states = numerics.as_array(self.states)
         if self.dim <= 0:
             raise InvalidEnsemble("dimension must be positive")
         if self.weights.ndim != 1 or self.weights.size == 0:
@@ -88,7 +88,7 @@ class DensityMatrix:
     eigenvectors: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        self.matrix = np.asarray(self.matrix, dtype=complex)
+        self.matrix = numerics.as_array(self.matrix)
         if self.matrix.shape != (self.dim, self.dim):
             raise NotADensityMatrix(
                 f"matrix must be {self.dim}x{self.dim}, got {self.matrix.shape}"
@@ -153,9 +153,8 @@ class SpectralEnsemble:
 
 
 def _weighted_projector_sum(ensemble: Ensemble) -> np.ndarray:
-    return np.einsum(
-        "i,ij,ik->jk", ensemble.weights, ensemble.states, ensemble.states.conj()
-    )
+    """sum_i w_i |psi_i><psi_i| as one matrix product, (X^T w) @ conj(X) for states X."""
+    return (ensemble.states.T * ensemble.weights) @ ensemble.states.conj()
 
 
 def density_matrix(ensemble: Ensemble) -> DensityMatrix:

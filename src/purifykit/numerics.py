@@ -70,9 +70,20 @@ def max_abs(values) -> float:
     return float(np.max(np.abs(arr))) if arr.size else 0.0
 
 
+def as_array(values, dtype=complex) -> np.ndarray:
+    """Coerce to an array of ``dtype``; a ragged nesting or an entry that is not
+    a number raises ``DimensionMismatch``, an integer too large ``NotFinite``."""
+    try:
+        return np.asarray(values, dtype=dtype)
+    except OverflowError as exc:
+        raise NotFinite(f"entries must be finite: {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise DimensionMismatch(f"expected a rectangular array of numbers: {exc}") from exc
+
+
 def as_matrix(m) -> np.ndarray:
     """Coerce to a finite 2-D complex array."""
-    mat = np.asarray(m, dtype=complex)
+    mat = as_array(m)
     if mat.ndim != 2:
         raise DimensionMismatch(f"expected a 2-D matrix, got shape {mat.shape}")
     if not np.all(np.isfinite(mat)):
@@ -86,7 +97,7 @@ def as_state(v) -> np.ndarray:
     The squared norm is a total probability, so it may differ from 1 by
     ``TOL.weight_sum``, the slack an ensemble's weights are allowed.
     """
-    vec = np.asarray(v, dtype=complex)
+    vec = as_array(v)
     if vec.ndim != 1 or vec.size == 0:
         raise DimensionMismatch(f"expected a 1-D state vector, got shape {vec.shape}")
     if not np.all(np.isfinite(vec)):
@@ -108,7 +119,7 @@ def basis_state(dim: int, index: int) -> np.ndarray:
 
 def state_fidelity(a, b) -> float:
     """|<a|b>| for unit vectors; equals 1 iff the states agree up to a global phase."""
-    return float(abs(np.vdot(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))))
+    return float(abs(np.vdot(as_array(a), as_array(b))))
 
 
 def hermitian_eig(m) -> tuple[np.ndarray, np.ndarray]:
@@ -158,7 +169,7 @@ def gram_schmidt_complete(rows, target_dim: int) -> np.ndarray:
     ``SteeringPlan`` checks. The completed rows are deterministic, but
     only their span is fixed by the rows. No rows give the identity.
     """
-    given = [np.asarray(row, dtype=complex) for row in rows]
+    given = [as_array(row) for row in rows]
     if len(given) > target_dim:
         raise TooManyRows(f"{len(given)} rows cannot fit in dimension {target_dim}")
     for row in given:

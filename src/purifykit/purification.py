@@ -130,7 +130,7 @@ class MeasurementOutcome:
     post_state: np.ndarray
 
     def __post_init__(self):
-        self.post_state = np.asarray(self.post_state, dtype=complex)
+        self.post_state = numerics.as_array(self.post_state)
 
 
 @dataclass
@@ -238,7 +238,7 @@ def measure_reference(psi: BipartiteState, basis) -> list[MeasurementOutcome]:
     ``TOL.orthonormality`` here, ``TOL.plan_unitarity`` through the plan
     that :func:`prepare_ensemble` measures with.
     """
-    rows = np.asarray(basis, dtype=complex)
+    rows = numerics.as_array(basis)
     if rows.ndim != 2 or rows.shape[1] != psi.dim_k:
         raise BasisNotComplete(
             f"basis must consist of vectors of length {psi.dim_k}"
@@ -253,20 +253,26 @@ def measure_reference(psi: BipartiteState, basis) -> list[MeasurementOutcome]:
         raise BasisNotOrthonormal(
             f"basis vectors are not pairwise orthonormal within {TOL.orthonormality}"
         )
-    return _outcomes(psi, rows.conj().T)
+    return _outcomes(*_measure(psi, rows.conj().T))
 
 
-def _outcomes(psi: BipartiteState, columns: np.ndarray) -> list[MeasurementOutcome]:
-    """Outcomes of measuring b_j on the reference, column j of ``columns`` being conj(b_j)."""
+def _measure(
+    psi: BipartiteState, columns: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Measure b_j on the reference, column j of ``columns`` being conj(b_j).
+
+    Returns the indices of the outcomes at or above ``TOL.outcome_floor``,
+    their probabilities, and their normalized post-states as rows.
+    """
     unnormalized = psi.as_grid() @ columns  # column j = (I (x) <b_j|) psi
     probs = np.sum(np.abs(unnormalized) ** 2, axis=0)
-    outcomes = []
-    for j, prob in enumerate(probs):
-        if prob < TOL.outcome_floor:
-            continue
-        post = unnormalized[:, j] / np.sqrt(prob)
-        outcomes.append(MeasurementOutcome(index=j, probability=float(prob), post_state=post))
-    return outcomes
+    kept = np.flatnonzero(probs >= TOL.outcome_floor)
+    return kept, probs[kept], unnormalized.T[kept] / np.sqrt(probs[kept])[:, None]
+
+
+def _outcomes(kept, probs, posts) -> list[MeasurementOutcome]:
+    """One record per kept outcome, from the arrays :func:`_measure` returns."""
+    return [MeasurementOutcome(int(j), float(p), post) for j, p, post in zip(kept, probs, posts)]
 
 
 def measured_ensemble(psi: BipartiteState, basis) -> Ensemble:
@@ -290,23 +296,19 @@ def prepare_ensemble(
     """
     plan = steering_isometry(spectral, target, tol=tol, dim_k=dim_k)
     psi = purify(spectral, plan.dim_k)
-    outcomes = _outcomes(psi, plan.unitary)
+    kept, kept_probs, posts = _measure(psi, plan.unitary)
 
     probs = np.zeros(plan.dim_k)
-    posts: dict[int, np.ndarray] = {}
-    for outcome in outcomes:
-        probs[outcome.index] = outcome.probability
-        posts[outcome.index] = outcome.post_state
+    probs[kept] = kept_probs
     expected = np.zeros(plan.dim_k)
     expected[: target.size] = target.weights
     weight_deviation = numerics.max_abs(probs - expected)
 
-    infidelity = 0.0
-    for j in range(target.size):
-        if j not in posts:
-            continue  # only reachable for target weights below the outcome floor
-        overlap = numerics.state_fidelity(posts[j], target.states[j])
-        infidelity = max(infidelity, 1.0 - overlap)
+    # |<post_j|tau_j>| over the reached target outcomes; a target weight
+    # below the outcome floor leaves its outcome unreached
+    reached = kept < target.size
+    overlaps = np.abs(np.sum(posts[reached].conj() * target.states[kept[reached]], axis=1))
+    infidelity = np.max(1.0 - overlaps, initial=0.0)
 
     # sum_j sqrt(p_j) tau_j (x) B_j, as a (dim_s, dim_k) grid flattened row-major
     weighted = target.states.T * np.sqrt(target.weights)
@@ -320,4 +322,4 @@ def prepare_ensemble(
         reconstruction_residual=float(reconstruction),
         tol=tol,
     )
-    return plan, outcomes, report
+    return plan, _outcomes(kept, kept_probs, posts), report

@@ -1,0 +1,38 @@
+"""Loop and einsum reference evaluations of the steering path, for the tests only.
+
+The library forms the weighted projector sum as one matrix product and
+measures the reference with array operations; these are the forms it
+replaced, kept to compare the two.
+"""
+
+import numpy as np
+
+from purifykit import numerics
+from purifykit.numerics import TOL
+
+
+def weighted_projector_sum(ensemble):
+    """sum_i w_i |psi_i><psi_i| as the einsum the library used before."""
+    return np.einsum("i,ij,ik->jk", ensemble.weights, ensemble.states, ensemble.states.conj())
+
+
+def outcomes(psi, columns):
+    """(index, probability, post-state) per kept column, one column at a time."""
+    unnormalized = psi.as_grid() @ columns
+    probs = np.sum(np.abs(unnormalized) ** 2, axis=0)
+    kept = []
+    for j, prob in enumerate(probs):
+        if prob < TOL.outcome_floor:
+            continue
+        kept.append((j, float(prob), unnormalized[:, j] / np.sqrt(prob)))
+    return kept
+
+
+def state_infidelity(outcome_records, target):
+    """Largest 1 - |<post_j|tau_j>| over the reached target outcomes, at least 0."""
+    posts = {o.index: o.post_state for o in outcome_records}
+    infidelity = 0.0
+    for j in range(target.size):
+        if j in posts:
+            infidelity = max(infidelity, 1.0 - numerics.state_fidelity(posts[j], target.states[j]))
+    return infidelity

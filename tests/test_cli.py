@@ -159,6 +159,18 @@ def test_random_equiv_is_byte_deterministic(files):
     assert first.read_bytes() == second.read_bytes()
 
 
+def test_random_equiv_validates_the_density_matrix_once(files, monkeypatch, capsys):
+    # the file's matrix is checked and decomposed on reading; the drawn
+    # ensemble is valid by construction, so its deviation needs neither
+    calls = []
+    validate = DensityMatrix.__post_init__
+    monkeypatch.setattr(DensityMatrix, "__post_init__", lambda self: calls.append(validate(self)))
+    status = main(["random-equiv", str(files / "rho.dm"), "--count", "4", "--seed", "2"])
+    assert status == 0
+    assert len(calls) == 1
+    assert capsys.readouterr().out.startswith("density-matrix deviation: ")
+
+
 def test_invalid_ensemble_file_exits_1(files, capsys):
     bad = files / "bad.ens"
     bad.write_text('{"dim": 2, "weights": [0.9], "states": [[[1.0, 0.0], [0.0, 0.0]]]}')

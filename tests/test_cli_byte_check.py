@@ -1,0 +1,65 @@
+"""The CLI byte check script: one well-formed record per run, repeated exactly."""
+
+import importlib.util
+import json
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SCRIPT = ROOT / "scripts" / "cli_byte_check.py"
+SHA256 = re.compile(r"[0-9a-f]{64}")
+
+
+def load_script():
+    spec = importlib.util.spec_from_file_location("cli_byte_check", SCRIPT)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def expected_exit(argv):
+    if argv[-1] == "missing.ens":
+        return 1  # the file has no weights
+    if argv[1:3] == ["source.ens", "other.ens"]:
+        return 3  # other.ens has another density matrix
+    return 0
+
+
+def test_smoke_manifest_has_one_record_per_run_and_repeats_exactly(tmp_path):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(ROOT / "src") + os.pathsep + env.get("PYTHONPATH", "")
+    manifest = tmp_path / "manifest.jsonl"
+    result = subprocess.run(
+        [sys.executable, str(SCRIPT), "--size", "smoke", "--out", str(manifest)],
+        capture_output=True,
+        text=True,
+        env=env,
+        cwd=tmp_path,
+    )
+    assert result.returncode == 0, result.stderr
+    lines = manifest.read_text(encoding="utf-8").splitlines()
+
+    script = load_script()
+    runs_per_seed = len(script.commands(1, 3, 4, {"q": 0.5, "theta": 1.0, "phase": 0.0}))
+    assert len(lines) == len(script.SEEDS) * runs_per_seed
+    records = [json.loads(line) for line in lines]
+    assert len({r["run"] for r in records}) == len(records)
+    for record in records:
+        assert set(record) == {"run", "argv", "exit", "stdout", "stderr", "files"}
+        argv = record["argv"]
+        assert all(isinstance(a, str) and not os.path.isabs(a) for a in argv)
+        assert record["exit"] == expected_exit(argv)
+        assert SHA256.fullmatch(record["stdout"]) and SHA256.fullmatch(record["stderr"])
+        # the runs exiting 1 or 3 fail before they write their --out file
+        writes = "--out" in argv and record["exit"] == 0
+        assert list(record["files"]) == ([argv[argv.index("--out") + 1]] if writes else [])
+        assert all(SHA256.fullmatch(digest) for digest in record["files"].values())
+
+    # a second, in-process run over fresh directories gives the same bytes
+    cwd = os.getcwd()
+    again = [json.dumps(r, sort_keys=True) for r in script.manifest(("smoke",))]
+    assert again == lines
+    assert os.getcwd() == cwd

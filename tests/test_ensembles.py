@@ -5,11 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import steering_oracle
 from purifykit import numerics
 from purifykit.ensembles import (
     DensityMatrix,
     Ensemble,
     SpectralEnsemble,
+    _weighted_projector_sum,
     are_equivalent,
     density_deviation,
     density_matrix,
@@ -221,6 +223,25 @@ def test_density_deviation_is_the_largest_density_matrix_entry_difference():
     assert are_equivalent(balanced, biased, 0.101)
     with pytest.raises(DimensionMismatch):
         density_deviation(balanced, Ensemble(3, [1.0], [[1, 0, 0]]))
+
+
+@given(
+    dim=st.integers(1, 16),
+    count=st.integers(1, 32),
+    distinct=st.integers(1, 32),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=80, deadline=None)
+def test_weighted_projector_sum_matches_the_einsum_oracle(dim, count, distinct, seed):
+    rng = np.random.default_rng(seed)
+    pool = rng.standard_normal((distinct, dim)) + 1j * rng.standard_normal((distinct, dim))
+    pool /= np.linalg.norm(pool, axis=1)[:, None]
+    states = pool[rng.integers(0, distinct, count)]  # repeats whenever count > distinct
+    ensemble = Ensemble(dim, rng.dirichlet(np.ones(count)), states)
+    got = _weighted_projector_sum(ensemble)
+    assert got.shape == (dim, dim)
+    assert numerics.max_abs(got - steering_oracle.weighted_projector_sum(ensemble)) <= 1e-13
+    assert density_deviation(ensemble, ensemble) == 0.0
 
 
 def test_equivalence_of_valid_ensembles_ignores_the_density_trace_check():

@@ -97,6 +97,28 @@ def random_hermitian(dim, rng):
 
 
 # ---------------------------------------------------------------------------
+# input coercion
+
+
+@pytest.mark.parametrize(
+    "values, error",
+    [
+        ([[1, 0], [0]], DimensionMismatch),
+        ([["a", 0], [0, 1]], DimensionMismatch),
+        ([[{}, 1]], DimensionMismatch),
+        ([[10**400, 0]], NotFinite),
+    ],
+    ids=["ragged", "text", "object", "huge-integer"],
+)
+def test_coercion_raises_library_errors_instead_of_numpy_ones(values, error):
+    for coerce in (numerics.as_array, numerics.as_matrix, numerics.as_state):
+        with pytest.raises(error):
+            coerce(values)
+    with pytest.raises(error):
+        numerics.gram_schmidt_complete(values, 2)
+
+
+# ---------------------------------------------------------------------------
 # hermitian_eig
 
 

@@ -1,5 +1,6 @@
 """Tests for purification, steering plans, and reference measurements."""
 
+import dataclasses
 from collections import Counter
 
 import numpy as np
@@ -7,12 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from purifykit import cli, fileio, numerics
+import steering_oracle
+from purifykit import cli, fileio, numerics, purification
 from purifykit.ensembles import (
     DensityMatrix,
     Ensemble,
     SpectralEnsemble,
     are_equivalent,
+    density_deviation,
     density_matrix,
     random_density_matrix,
     random_ensemble,
@@ -22,6 +25,7 @@ from purifykit.ensembles import (
 from purifykit.errors import (
     BasisNotComplete,
     BasisNotOrthonormal,
+    DimensionMismatch,
     NotEquivalent,
     NotFinite,
     ReferenceTooSmall,
@@ -238,6 +242,79 @@ def test_measure_rejects_a_non_finite_basis(bad):
         measure_reference(BipartiteState(1, 2, [1, 0]), [[bad, 0], [0, 1]])
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: measure_reference(BipartiteState(1, 2, [1, 0]), [[1, 0], [0]]),
+        lambda: measure_reference(BipartiteState(1, 2, [1, 0]), [["a", 0], [0, 1]]),
+        lambda: numerics.gram_schmidt_complete([[1, "x"]], 2),
+        lambda: numerics.gram_schmidt_complete([[1, [0]]], 2),
+    ],
+    ids=["measure-ragged", "measure-text", "complete-text", "complete-ragged-row"],
+)
+def test_ragged_or_non_numeric_input_raises_a_library_error(call):
+    with pytest.raises(DimensionMismatch, match="rectangular array of numbers"):
+        call()
+
+
+@given(
+    dim_s=st.integers(1, 6),
+    rank=st.integers(1, 6),
+    extra=st.integers(0, 4),
+    haar=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=60, deadline=None)
+def test_outcomes_match_the_per_column_loop_bit_for_bit(dim_s, rank, extra, haar, seed):
+    rng = np.random.default_rng(seed)
+    rho = random_density_matrix(dim_s, min(rank, dim_s), rng)
+    spec = spectral_ensemble(rho)
+    psi = purify(spec, spec.rank + extra)
+    # the standard basis leaves every outcome from the rank onward at zero probability
+    columns = numerics.haar_unitary(psi.dim_k, rng) if haar else np.eye(psi.dim_k, dtype=complex)
+    got = purification._outcomes(*purification._measure(psi, columns))
+    expected = steering_oracle.outcomes(psi, columns)
+    assert [o.index for o in got] == [j for j, _, _ in expected]
+    assert [o.probability for o in got] == [p for _, p, _ in expected]
+    for outcome, (_, _, post) in zip(got, expected):
+        assert type(outcome.index) is int and type(outcome.probability) is float
+        np.testing.assert_array_equal(outcome.post_state, post)
+    if not haar:
+        assert [o.index for o in got] == list(range(spec.rank))
+
+
+@given(dim=st.integers(2, 6), extra=st.integers(0, 6), seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=50, deadline=None)
+def test_state_infidelity_is_the_per_state_loop_maximum(dim, extra, seed):
+    rng = np.random.default_rng(seed)
+    rho = random_density_matrix(dim, int(rng.integers(1, dim + 1)), rng)
+    spec = spectral_ensemble(rho)
+    target = random_equivalent_ensemble(rho, spec.rank + extra, seed=seed)
+    _, outcomes, report = prepare_ensemble(spec, target)
+    expected = steering_oracle.state_infidelity(outcomes, target)
+    assert abs(report.state_infidelity - expected) <= 1e-15
+
+
+def test_state_infidelity_skips_a_target_outcome_below_the_floor():
+    pure = SpectralEnsemble(Ensemble(2, [1.0], [KET0]), rank=1)
+    target = Ensemble(2, [1.0 - 1e-13, 1e-13], [KET0, KET0])
+    _, outcomes, report = prepare_ensemble(pure, target)
+    assert [o.index for o in outcomes] == [0]
+    assert report.state_infidelity == steering_oracle.state_infidelity(outcomes, target)
+    assert report.passed()
+
+
+def test_state_infidelity_is_zero_when_no_target_outcome_is_reached(monkeypatch):
+    monkeypatch.setattr(
+        purification, "TOL", dataclasses.replace(numerics.TOL, outcome_floor=2.0)
+    )
+    spec = balanced_spectral()
+    _, outcomes, report = prepare_ensemble(spec, spec.base)
+    assert outcomes == []
+    assert report.state_infidelity == 0.0 == steering_oracle.state_infidelity(outcomes, spec.base)
+    assert report.weight_deviation == 0.5
+
+
 @given(dim=st.integers(2, 5), count=st.integers(1, 6), extra=st.integers(0, 3),
        seed=st.integers(0, 2**32 - 1))
 @settings(max_examples=50, deadline=None)
@@ -338,6 +415,13 @@ def ill_conditioned_pair(seed):
 @pytest.mark.parametrize("seed", [4, 29, 34])
 def test_isometry_residual_between_the_two_orthonormality_tolerances_steers(seed, tmp_path):
     spec, target = ill_conditioned_pair(seed)
+    deviation = density_deviation(spec.base, target)
+    expected = numerics.max_abs(
+        steering_oracle.weighted_projector_sum(spec.base)
+        - steering_oracle.weighted_projector_sum(target)
+    )
+    assert abs(deviation - expected) <= 1e-13
+    assert deviation <= numerics.TOL.equivalence
     _, _, report = prepare_ensemble(spec, target)
     assert numerics.TOL.orthonormality < report.isometry_residual <= numerics.TOL.isometry
     assert report.passed()
