@@ -2,6 +2,7 @@
 """Hash every byte the command line writes, for comparing two checkouts.
 
     PYTHONPATH=src python scripts/cli_byte_check.py --out manifest.jsonl
+    PYTHONPATH=src python scripts/cli_byte_check.py --golden --out tests/cli_golden.jsonl
 
 Writes seeded input files with plain numpy and json, runs a fixed list of
 ``purifykit.cli.main`` commands over them (equivalence, steering,
@@ -12,6 +13,12 @@ file it wrote. The inputs do not depend on the library, so manifests made
 against two checkouts (point PYTHONPATH at each ``src``) can be compared
 with ``diff``; ``--keep DIR`` also stores the raw outputs, to see what a
 differing hash hides.
+
+``--golden`` writes, in place of the hashes, each output's text with every
+number replaced by ``#`` and the numbers parsed out of it, so a test can
+compare text exactly and numbers within a bound. A full-size output file
+holds thousands of numbers; for it only the sha256 of its text and its
+count of numbers are kept.
 """
 
 from __future__ import annotations
@@ -22,7 +29,7 @@ import io
 import json
 import math
 import os
-import shutil
+import re
 import sys
 import tempfile
 from contextlib import contextmanager, redirect_stderr, redirect_stdout
@@ -37,6 +44,7 @@ SIZES = {
     "full": {"dim": 32, "rank": 16, "count": 24, "kdim": 64, "low_rank": 4},
 }
 SEEDS = (1, 2, 3)
+NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
 
 
 def _haar_unitary(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -149,11 +157,14 @@ def _run(main, argv: list[str]) -> tuple[int, str, str]:
     return status, out.getvalue(), err.getvalue()
 
 
-def manifest(sizes=tuple(SIZES), keep: Path | None = None) -> list[dict]:
-    """Run every command at each size and seed, in a fresh directory each; one record per run."""
+def runs(sizes=tuple(SIZES), keep: Path | None = None):
+    """Run every command at each size and seed, in a fresh directory each.
+
+    Yields the run name, its size, argv, exit status, stdout, stderr and
+    the bytes of the file it wrote, by name.
+    """
     from purifykit.cli import main
 
-    records = []
     for size in sizes:
         for seed in SEEDS:
             params = SIZES[size]
@@ -165,20 +176,53 @@ def manifest(sizes=tuple(SIZES), keep: Path | None = None) -> list[dict]:
                     written = argv[argv.index("--out") + 1] if "--out" in argv else None
                     files = {}
                     if written is not None and Path(written).exists():
-                        files[written] = _sha256(Path(written).read_bytes())
-                    records.append({
-                        "run": name,
-                        "argv": argv,
-                        "exit": status,
-                        "stdout": _sha256(out.encode()),
-                        "stderr": _sha256(err.encode()),
-                        "files": files,
-                    })
+                        files[written] = Path(written).read_bytes()
                     if keep is not None:
                         (keep / f"{name}.stdout").write_text(out, encoding="utf-8")
                         (keep / f"{name}.stderr").write_text(err, encoding="utf-8")
-                        for path in files:
-                            shutil.copyfile(path, keep / f"{name}.{path}")
+                        for path, data in files.items():
+                            (keep / f"{name}.{path}").write_bytes(data)
+                    yield name, size, argv, status, out, err, files
+
+
+def manifest(sizes=tuple(SIZES), keep: Path | None = None) -> list[dict]:
+    """One record of hashes per run."""
+    return [
+        {
+            "run": name,
+            "argv": argv,
+            "exit": status,
+            "stdout": _sha256(out.encode()),
+            "stderr": _sha256(err.encode()),
+            "files": {path: _sha256(data) for path, data in files.items()},
+        }
+        for name, _, argv, status, out, err, files in runs(sizes, keep)
+    ]
+
+
+def split_numbers(text: str) -> dict:
+    """The text with each number replaced by ``#``, and the numbers in order."""
+    return {"text": NUMBER.sub("#", text), "numbers": [float(x) for x in NUMBER.findall(text)]}
+
+
+def golden(sizes=tuple(SIZES), keep: Path | None = None) -> list[dict]:
+    """One record of text and numbers per run; full-size files as text hash and number count."""
+    records = []
+    for name, size, argv, status, out, err, files in runs(sizes, keep):
+        parsed = {path: split_numbers(data.decode("utf-8")) for path, data in files.items()}
+        if size != "smoke":
+            parsed = {
+                path: {"text_sha256": _sha256(doc["text"].encode()), "count": len(doc["numbers"])}
+                for path, doc in parsed.items()
+            }
+        records.append({
+            "run": name,
+            "argv": argv,
+            "exit": status,
+            "stdout": split_numbers(out),
+            "stderr": split_numbers(err),
+            "files": parsed,
+        })
     return records
 
 
@@ -187,6 +231,9 @@ def main() -> int:
     parser.add_argument("--size", choices=[*SIZES, "both"], default="both")
     parser.add_argument("--out", help="manifest path (default: stdout)")
     parser.add_argument("--keep", help="directory to store every raw output in")
+    parser.add_argument(
+        "--golden", action="store_true", help="record text and numbers in place of hashes"
+    )
     args = parser.parse_args()
 
     keep = None
@@ -194,7 +241,8 @@ def main() -> int:
         keep = Path(args.keep).resolve()
         keep.mkdir(parents=True, exist_ok=True)
     sizes = tuple(SIZES) if args.size == "both" else (args.size,)
-    lines = [json.dumps(r, sort_keys=True) for r in manifest(sizes, keep=keep)]
+    records = (golden if args.golden else manifest)(sizes, keep=keep)
+    lines = [json.dumps(r, sort_keys=True) for r in records]
     text = "\n".join(lines) + "\n"
     if args.out:
         Path(args.out).write_text(text, encoding="utf-8")

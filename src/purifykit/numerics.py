@@ -71,14 +71,19 @@ def max_abs(values) -> float:
 
 
 def as_array(values, dtype=complex) -> np.ndarray:
-    """Coerce to an array of ``dtype``; a ragged nesting or an entry that is not
-    a number raises ``DimensionMismatch``, an integer too large ``NotFinite``."""
+    """Coerce to an array of ``dtype``; a ragged nesting, an entry that is not
+    a number, or a complex entry where ``dtype`` is real raises
+    ``DimensionMismatch``, an integer too large ``NotFinite``."""
     try:
-        return np.asarray(values, dtype=dtype)
+        # numpy would drop the imaginary part with no more than a warning
+        refused = np.dtype(dtype).kind != "c" and np.iscomplexobj(values)
+        if not refused:
+            return np.asarray(values, dtype=dtype)
     except OverflowError as exc:
         raise NotFinite(f"entries must be finite: {exc}") from exc
     except (TypeError, ValueError) as exc:
         raise DimensionMismatch(f"expected a rectangular array of numbers: {exc}") from exc
+    raise DimensionMismatch("expected real numbers, got complex entries")
 
 
 def as_matrix(m) -> np.ndarray:

@@ -3,9 +3,13 @@
 The construction enlarges the system S by a finite reference space K,
 forms the pure state sum_i sqrt(d_i) phi_i (x) e_i, and recovers any
 equivalent ensemble by measuring a suitable orthonormal basis of K. The
-basis comes from a row-orthonormal coefficient matrix: its rows mix the
-orthonormal spectral states into the (generally non-orthogonal) target
-states, and completing it to a unitary fixes the measurement directions.
+basis comes from a row-orthonormal coefficient matrix, the isometry: its
+rows mix the orthonormal spectral states into the (generally
+non-orthogonal) target states. The purified state has no amplitude beyond
+the rank, so outcome j depends only on column j of the isometry
+(Hughston, Jozsa and Wootters, Phys. Lett. A 183, 1993); completing the
+isometry to a unitary fixes the other measurement directions, which only
+a plan file needs.
 
 Reference-space conventions: the correlated reference states are the
 standard basis vectors of K, with e_0 doubling as the ready state, and
@@ -60,27 +64,53 @@ class BipartiteState:
         return grid @ grid.conj().T
 
 
+class _Unitary:
+    """``SteeringPlan.unitary``: the unitary given to the constructor, or else
+    the completion of the zero-padded isometry, checked on first read and
+    then kept."""
+
+    def __get__(self, plan, owner=None):
+        if plan is None:
+            return None  # the dataclass default: no unitary given
+        if plan._unitary is None:
+            completed = numerics.gram_schmidt_complete(plan._padded_isometry(), plan.dim_k)
+            plan._check_unitary(completed)
+            plan._unitary = completed
+        return plan._unitary
+
+    def __set__(self, plan, unitary):
+        plan._unitary = unitary
+
+
 @dataclass
 class SteeringPlan:
     """Everything needed to steer the purified state into a target ensemble.
 
     ``coeffs`` expands each target state over the spectral states
     (entry [j, i] = <phi_i|tau_j>); ``isometry`` is the row-orthonormal
-    weight-ratio matrix built from it; ``unitary`` embeds the isometry as
-    its leading rows. This is the one place a plan's orthonormality is
-    checked: the isometry rows within ``TOL.isometry``, and that
-    ``unitary`` is square and unitary within ``TOL.plan_unitarity``.
+    weight-ratio matrix built from it, and its columns are all that
+    :func:`prepare_ensemble` measures with. ``unitary`` embeds the
+    zero-padded isometry as its leading rows; its conjugated columns are
+    the measurement basis of K. ``dim_k`` defaults to the side of a given
+    unitary, else to the isometry's width.
+
+    This is the one place a plan's orthonormality is checked: the isometry
+    rows within ``TOL.isometry`` at construction, and the unitary by
+    :meth:`_check_unitary` wherever it exists. A unitary passed in is
+    checked at construction. Without one, ``unitary`` is completed from the
+    isometry by :func:`numerics.gram_schmidt_complete` and checked on first
+    read, so a plan that is only measured forms no dim_k x dim_k matrix.
     """
 
     coeffs: np.ndarray
     isometry: np.ndarray
-    unitary: np.ndarray
+    unitary: np.ndarray | None = _Unitary()
+    dim_k: int | None = None
 
     def __post_init__(self):
         self.coeffs = numerics.as_matrix(self.coeffs)
         self.isometry = numerics.as_matrix(self.isometry)
-        self.unitary = numerics.as_matrix(self.unitary)
-        rows = self.isometry.shape[0]
+        rows, width = self.isometry.shape
         residual = numerics.max_abs(
             self.isometry @ numerics.dag(self.isometry) - np.eye(rows)
         )
@@ -90,21 +120,48 @@ class SteeringPlan:
                 f"isometry rows deviate from orthonormality by {residual} "
                 f"(tol {TOL.isometry})"
             )
-        side, width = self.unitary.shape
+        if self._unitary is not None:
+            self._unitary = numerics.as_matrix(self._unitary)
+            if self.dim_k is None:
+                self.dim_k = len(self._unitary)
+            self._check_unitary(self._unitary)
+        elif self.dim_k is None:
+            self.dim_k = width
+        elif self.dim_k < width:
+            raise DimensionMismatch(
+                f"isometry has {width} columns, more than the reference dimension {self.dim_k}"
+            )
+
+    def _padded_isometry(self) -> np.ndarray:
+        padded = np.zeros((self.isometry.shape[0], self.dim_k), dtype=complex)
+        padded[:, : self.isometry.shape[1]] = self.isometry
+        return padded
+
+    def _check_unitary(self, unitary: np.ndarray) -> None:
+        """Raise unless ``unitary`` is square of side ``dim_k``, holds the
+        zero-padded isometry as its leading rows within ``TOL.orthonormality``
+        and is unitary within ``TOL.plan_unitarity``."""
+        side, width = unitary.shape
         if side != width:
             raise NotSquare(f"completed matrix is {side}x{width}, must be square")
-        u_residual = numerics.max_abs(
-            self.unitary @ numerics.dag(self.unitary) - np.eye(side)
-        )
+        rows, cols = self.isometry.shape
+        if side != self.dim_k or cols > side:
+            raise DimensionMismatch(
+                f"a {side}x{side} unitary cannot embed a {rows}x{cols} isometry "
+                f"on a reference of dimension {self.dim_k}"
+            )
+        embedding = numerics.max_abs(unitary[:rows] - self._padded_isometry())
+        if embedding > TOL.orthonormality:
+            raise ContractViolation(
+                f"leading rows of the completed matrix deviate from the isometry by "
+                f"{embedding} (tol {TOL.orthonormality})"
+            )
+        u_residual = numerics.max_abs(unitary @ numerics.dag(unitary) - np.eye(side))
         if u_residual > TOL.plan_unitarity:
             raise ContractViolation(
                 f"completed matrix deviates from unitarity by {u_residual} "
                 f"(tol {TOL.plan_unitarity})"
             )
-
-    @property
-    def dim_k(self) -> int:
-        return int(self.unitary.shape[0])
 
     @property
     def basis(self) -> np.ndarray:
@@ -203,12 +260,11 @@ def steering_isometry(
 
     The isometry entry [i, j] is sqrt(p_j / d_i) times coeffs[j, i]; its
     rows are orthonormal because both ensembles share one density matrix.
-    The rows are zero-padded to ``dim_k`` and completed by
-    :func:`numerics.gram_schmidt_complete`; :class:`SteeringPlan` checks
-    the rows and that the completed matrix, whose conjugated columns are
-    the measurement basis vectors, is unitary. The purified state
-    has no amplitude on e_k from the rank onward, so no outcome depends on
-    how the completion fills the unitary's rows k >= rank.
+    :class:`SteeringPlan` checks the rows. The plan completes the rows,
+    zero-padded to ``dim_k``, to a unitary only when its ``unitary`` or
+    ``basis`` is read. The purified state has no amplitude on e_k from
+    the rank onward, so no outcome depends on how the completion fills
+    the unitary's rows k >= rank.
     """
     coeffs = steering_coefficients(spectral, target, tol)
     n_rows = spectral.rank
@@ -221,11 +277,7 @@ def steering_isometry(
             f"{max(n_rows, n_cols)}"
         )
     ratios = np.sqrt(target.weights)[None, :] / np.sqrt(spectral.weights)[:, None]
-    isometry = ratios * coeffs.T
-    padded = np.zeros((n_rows, dim_k), dtype=complex)
-    padded[:, :n_cols] = isometry
-    unitary = numerics.gram_schmidt_complete(padded, dim_k)
-    return SteeringPlan(coeffs=coeffs, isometry=isometry, unitary=unitary)
+    return SteeringPlan(coeffs=coeffs, isometry=ratios * coeffs.T, dim_k=dim_k)
 
 
 def measure_reference(psi: BipartiteState, basis) -> list[MeasurementOutcome]:
@@ -235,8 +287,8 @@ def measure_reference(psi: BipartiteState, basis) -> list[MeasurementOutcome]:
     (I (x) <b_j|) psi; its squared norm is the outcome probability.
     Outcomes below ``TOL.outcome_floor`` are dropped. The probabilities
     sum to 1 up to how far the basis is from orthonormal: within
-    ``TOL.orthonormality`` here, ``TOL.plan_unitarity`` through the plan
-    that :func:`prepare_ensemble` measures with.
+    ``TOL.orthonormality`` here, ``TOL.isometry`` through the plan that
+    :func:`prepare_ensemble` measures with.
     """
     rows = numerics.as_array(basis)
     if rows.ndim != 2 or rows.shape[1] != psi.dim_k:
@@ -253,18 +305,18 @@ def measure_reference(psi: BipartiteState, basis) -> list[MeasurementOutcome]:
         raise BasisNotOrthonormal(
             f"basis vectors are not pairwise orthonormal within {TOL.orthonormality}"
         )
-    return _outcomes(*_measure(psi, rows.conj().T))
+    return _outcomes(*_measure(psi.as_grid(), rows.conj().T))
 
 
-def _measure(
-    psi: BipartiteState, columns: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Measure b_j on the reference, column j of ``columns`` being conj(b_j).
+def _measure(grid: np.ndarray, columns: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Measure b_j on the reference of the amplitude grid, column j of ``columns`` being conj(b_j).
 
-    Returns the indices of the outcomes at or above ``TOL.outcome_floor``,
-    their probabilities, and their normalized post-states as rows.
+    ``grid`` may leave out reference columns on which the state has no
+    amplitude, if ``columns`` leaves out the same rows. Returns the indices
+    of the outcomes at or above ``TOL.outcome_floor``, their probabilities,
+    and their normalized post-states as rows.
     """
-    unnormalized = psi.as_grid() @ columns  # column j = (I (x) <b_j|) psi
+    unnormalized = grid @ columns  # column j = (I (x) <b_j|) psi
     probs = np.sum(np.abs(unnormalized) ** 2, axis=0)
     kept = np.flatnonzero(probs >= TOL.outcome_floor)
     return kept, probs[kept], unnormalized.T[kept] / np.sqrt(probs[kept])[:, None]
@@ -292,28 +344,28 @@ def prepare_ensemble(
     """Purify, steer, and measure so the target ensemble is recovered.
 
     Outcome j reproduces the j-th target weight and state (up to a global
-    phase); the report collects the four maximum deviations.
+    phase); the report collects the four maximum deviations. The purified
+    state lives on the first ``rank`` reference columns, so only those and
+    the isometry's n columns are measured: the outcomes from n to dim_k
+    have zero amplitude.
     """
     plan = steering_isometry(spectral, target, tol=tol, dim_k=dim_k)
-    psi = purify(spectral, plan.dim_k)
-    kept, kept_probs, posts = _measure(psi, plan.unitary)
+    grid = purify(spectral).as_grid()  # the rank reference columns, which carry all amplitude
+    kept, kept_probs, posts = _measure(grid, plan.isometry)
 
-    probs = np.zeros(plan.dim_k)
+    probs = np.zeros(target.size)
     probs[kept] = kept_probs
-    expected = np.zeros(plan.dim_k)
-    expected[: target.size] = target.weights
-    weight_deviation = numerics.max_abs(probs - expected)
+    weight_deviation = numerics.max_abs(probs - target.weights)
 
-    # |<post_j|tau_j>| over the reached target outcomes; a target weight
-    # below the outcome floor leaves its outcome unreached
-    reached = kept < target.size
-    overlaps = np.abs(np.sum(posts[reached].conj() * target.states[kept[reached]], axis=1))
+    # |<post_j|tau_j>| over the reached outcomes; a target weight below the
+    # outcome floor leaves its outcome unreached
+    overlaps = np.abs(np.sum(posts.conj() * target.states[kept], axis=1))
     infidelity = np.max(1.0 - overlaps, initial=0.0)
 
-    # sum_j sqrt(p_j) tau_j (x) B_j, as a (dim_s, dim_k) grid flattened row-major
+    # sum_j sqrt(p_j) tau_j (x) B_j on the rank columns: B_j restricted to
+    # them is conjugated column j of the isometry
     weighted = target.states.T * np.sqrt(target.weights)
-    rebuilt = (weighted @ plan.basis[: target.size]).reshape(-1)
-    reconstruction = numerics.max_abs(psi.amplitudes - rebuilt)
+    reconstruction = numerics.max_abs(grid - weighted @ numerics.dag(plan.isometry))
 
     report = PreparationReport(
         weight_deviation=float(weight_deviation),

@@ -1,7 +1,8 @@
 """Loop and einsum reference evaluations of the steering path, for the tests only.
 
-The library forms the weighted projector sum as one matrix product and
-measures the reference with array operations; these are the forms it
+The library forms the weighted projector sum as one matrix product,
+measures the reference with array operations, and steers through the
+isometry's columns without completing a unitary; these are the forms it
 replaced, kept to compare the two.
 """
 
@@ -9,6 +10,7 @@ import numpy as np
 
 from purifykit import numerics
 from purifykit.numerics import TOL
+from purifykit.purification import purify, steering_isometry
 
 
 def weighted_projector_sum(ensemble):
@@ -36,3 +38,23 @@ def state_infidelity(outcome_records, target):
         if j in posts:
             infidelity = max(infidelity, 1.0 - numerics.state_fidelity(posts[j], target.states[j]))
     return infidelity
+
+
+def unitary_path(spectral, target, dim_k):
+    """Kept outcomes, weight deviation and state infidelity, measured through the unitary.
+
+    Completes the plan's isometry to a dim_k x dim_k unitary and measures
+    every one of its columns, the form steering took before it measured
+    through the isometry's columns alone.
+    """
+    plan = steering_isometry(spectral, target, dim_k=dim_k)
+    kept = outcomes(purify(spectral, plan.dim_k), plan.unitary)
+    probs = np.zeros(plan.dim_k)
+    expected = np.zeros(plan.dim_k)
+    expected[: target.size] = target.weights
+    infidelity = 0.0
+    for j, prob, post in kept:
+        probs[j] = prob
+        if j < target.size:
+            infidelity = max(infidelity, 1.0 - numerics.state_fidelity(post, target.states[j]))
+    return kept, numerics.max_abs(probs - expected), infidelity

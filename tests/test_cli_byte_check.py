@@ -1,4 +1,13 @@
-"""The CLI byte check script: one well-formed record per run, repeated exactly."""
+"""The CLI byte check script: one well-formed record per run, repeated exactly,
+and every run's output against the committed golden file.
+
+The golden file is written by
+
+    PYTHONPATH=src python scripts/cli_byte_check.py --golden --out tests/cli_golden.jsonl
+
+A change that moves it regenerates it with that command and lists each
+moved field in CHANGES.md.
+"""
 
 import importlib.util
 import json
@@ -11,6 +20,12 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SCRIPT = ROOT / "scripts" / "cli_byte_check.py"
 SHA256 = re.compile(r"[0-9a-f]{64}")
+GOLDEN = ROOT / "tests" / "cli_golden.jsonl"
+# A printed number may move by rounding across BLAS builds and evaluation
+# orders, |got - golden| <= ABS_BOUND + REL_BOUND * |golden|, and by no more.
+# Never widen these to pass a change.
+ABS_BOUND = 1e-12
+REL_BOUND = 1e-9
 
 
 def load_script():
@@ -63,3 +78,27 @@ def test_smoke_manifest_has_one_record_per_run_and_repeats_exactly(tmp_path):
     again = [json.dumps(r, sort_keys=True) for r in script.manifest(("smoke",))]
     assert again == lines
     assert os.getcwd() == cwd
+
+
+def numbers_match(got, golden):
+    return len(got) == len(golden) and all(
+        abs(g - v) <= ABS_BOUND + REL_BOUND * abs(v) for g, v in zip(got, golden)
+    )
+
+
+def test_cli_output_matches_the_golden_file():
+    golden = [json.loads(line) for line in GOLDEN.read_text(encoding="utf-8").splitlines()]
+    got = load_script().golden()
+    assert [r["run"] for r in got] == [r["run"] for r in golden]
+    for record, expected in zip(got, golden):
+        run = expected["run"]
+        assert (record["argv"], record["exit"]) == (expected["argv"], expected["exit"]), run
+        outputs = {"stdout": record["stdout"], "stderr": record["stderr"], **record["files"]}
+        wanted = {"stdout": expected["stdout"], "stderr": expected["stderr"], **expected["files"]}
+        assert outputs.keys() == wanted.keys(), run
+        for name, doc in wanted.items():
+            # text and verdict words exactly; a full-size file as text hash and number count
+            rest = {key: value for key, value in outputs[name].items() if key != "numbers"}
+            assert rest == {key: value for key, value in doc.items() if key != "numbers"}, (run, name)
+            if "numbers" in doc:
+                assert numbers_match(outputs[name]["numbers"], doc["numbers"]), (run, name)

@@ -64,6 +64,24 @@ def test_weight_and_state_counts_must_match():
         Ensemble(2, np.array([1.0]), np.array([KET0, KET1]))
 
 
+@pytest.mark.parametrize(
+    "weights, refused",
+    [
+        (np.array([0.5 + 1j, 0.5]), True),
+        ([0.5 + 1j, 0.5], True),
+        (np.array([0.5, 0.5]), False),
+    ],
+    ids=["complex-array", "complex-list", "real-array"],
+)
+def test_complex_weights_are_refused_not_cast(weights, refused):
+    # numpy's float cast would keep [0.5, 0.5] and only warn
+    if refused:
+        with pytest.raises(DimensionMismatch, match="complex"):
+            Ensemble(2, weights, [KET0, KET1])
+    else:
+        np.testing.assert_array_equal(Ensemble(2, weights, [KET0, KET1]).weights, [0.5, 0.5])
+
+
 def test_repeated_states_are_kept():
     doubled = mix((0.5, KET0), (0.5, KET0))
     assert doubled.size == 2

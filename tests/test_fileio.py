@@ -19,6 +19,7 @@ from purifykit.ensembles import (
 )
 from purifykit.errors import (
     ContractViolation,
+    DimensionMismatch,
     InvalidEnsemble,
     NotFinite,
     NotNormalized,
@@ -270,6 +271,29 @@ def test_read_plan_rejects_a_non_square_unitary(tmp_path):
         fileio.read_plan(path)
     with pytest.raises(NotSquare):
         SteeringPlan(plan["coeffs"], plan["isometry"], plan["unitary"])
+
+
+def test_read_plan_rejects_a_unitary_that_does_not_embed_the_isometry(tmp_path):
+    # the identity is unitary and its adjoint is the basis, but its leading
+    # rows are not the isometry, so it would measure another ensemble
+    rho = random_density_matrix(3, 2, np.random.default_rng(12))
+    plan = steering_isometry(spectral_ensemble(rho), random_equivalent_ensemble(rho, 4, seed=2))
+    path = tmp_path / "plan.plan"
+    fileio.write_plan(path, plan)
+    doc = json.loads(path.read_text())
+    identity = [[[float(i == j), 0.0] for j in range(4)] for i in range(4)]
+    doc["unitary"] = doc["basis"] = identity
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ContractViolation, match="isometry"):
+        fileio.read_plan(path)
+
+
+def test_steering_plan_rejects_an_isometry_wider_than_the_unitary():
+    isometry = np.array([[1, 0, 0], [0, 1, 0]])
+    with pytest.raises(DimensionMismatch):
+        SteeringPlan(isometry.T, isometry, np.eye(2))
+    with pytest.raises(DimensionMismatch):
+        SteeringPlan(isometry.T, isometry, dim_k=2)
 
 
 @pytest.mark.parametrize(

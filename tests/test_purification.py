@@ -25,6 +25,7 @@ from purifykit.ensembles import (
 from purifykit.errors import (
     BasisNotComplete,
     BasisNotOrthonormal,
+    ContractViolation,
     DimensionMismatch,
     NotEquivalent,
     NotFinite,
@@ -272,7 +273,7 @@ def test_outcomes_match_the_per_column_loop_bit_for_bit(dim_s, rank, extra, haar
     psi = purify(spec, spec.rank + extra)
     # the standard basis leaves every outcome from the rank onward at zero probability
     columns = numerics.haar_unitary(psi.dim_k, rng) if haar else np.eye(psi.dim_k, dtype=complex)
-    got = purification._outcomes(*purification._measure(psi, columns))
+    got = purification._outcomes(*purification._measure(psi.as_grid(), columns))
     expected = steering_oracle.outcomes(psi, columns)
     assert [o.index for o in got] == [j for j, _, _ in expected]
     assert [o.probability for o in got] == [p for _, p, _ in expected]
@@ -394,6 +395,47 @@ def test_prepare_recovers_every_random_equivalent_target(dim, extra, seed):
     assert report.passed()
 
 
+def split_target(rho, count, splits, factor, seed):
+    """A random equivalent ensemble whose first ``splits`` states each give a
+    copy of themselves the weight ``factor`` times ``TOL.outcome_floor``."""
+    base = random_equivalent_ensemble(rho, count, seed=seed)
+    sliver = factor * numerics.TOL.outcome_floor
+    weights = np.concatenate([base.weights, np.full(splits, sliver)])
+    weights[:splits] -= sliver
+    return Ensemble(rho.dim, weights, np.concatenate([base.states, base.states[:splits]]))
+
+
+@given(
+    data=st.data(),
+    dim=st.integers(2, 24),
+    # either side of the floor, never at it: a probability within rounding
+    # of the floor may be kept by one evaluation order and not the other
+    factor=st.sampled_from([0.5, 0.9, 1.1, 2.0]),
+    extra=st.integers(0, 4),
+    seed=st.integers(0, 2**31 - 1),
+)
+@settings(max_examples=40, deadline=None)
+def test_measuring_through_the_isometry_matches_the_completed_unitary(
+    data, dim, factor, extra, seed
+):
+    rank = data.draw(st.integers(1, dim), label="rank")
+    count = data.draw(st.integers(rank, 2 * dim), label="count")
+    splits = data.draw(st.integers(0, min(2, count, 2 * dim - count)), label="splits")
+    rho = random_density_matrix(dim, rank, np.random.default_rng(seed))
+    spec = spectral_ensemble(rho)
+    target = split_target(rho, count, splits, factor, seed)
+    _, outcomes, report = prepare_ensemble(spec, target, dim_k=target.size + extra)
+    expected, weight_deviation, infidelity = steering_oracle.unitary_path(
+        spec, target, target.size + extra
+    )
+    assert [o.index for o in outcomes] == [j for j, _, _ in expected]
+    for outcome, (_, probability, post) in zip(outcomes, expected):
+        assert abs(outcome.probability - probability) <= 1e-15
+        assert numerics.max_abs(outcome.post_state - post) <= 1e-14
+    assert abs(report.weight_deviation - weight_deviation) <= 1e-15
+    assert abs(report.state_infidelity - infidelity) <= 1e-15
+
+
 def ill_conditioned_pair(seed):
     """Spectrum {0.995, 0.001 x5} and an 8-state equivalent target perturbed by 1e-11.
 
@@ -454,6 +496,22 @@ def test_reconstruction_residual_matches_kron_loop_oracle():
     assert abs(report.reconstruction_residual - expected) <= 1e-14
 
 
+def test_reconstruction_residual_matches_rank_column_kron_oracle():
+    # the purified state lives on the first rank reference columns, where
+    # B_j is conjugated column j of the isometry
+    rng = np.random.default_rng(31)
+    rho = random_density_matrix(5, 3, rng)
+    spec = spectral_ensemble(rho)
+    target = random_equivalent_ensemble(rho, 6, seed=31)
+    plan, _, report = prepare_ensemble(spec, target, dim_k=9)
+    grid = purify(spec, plan.dim_k).as_grid()[:, : spec.rank]
+    rebuilt = np.zeros(grid.size, dtype=complex)
+    for j in range(target.size):
+        rebuilt += np.sqrt(target.weights[j]) * np.kron(target.states[j], plan.isometry[:, j].conj())
+    expected = numerics.max_abs(grid.reshape(-1) - rebuilt)
+    assert abs(report.reconstruction_residual - expected) <= 1e-14
+
+
 def test_isometry_residual_is_the_validated_value():
     rng = np.random.default_rng(32)
     rho = random_density_matrix(4, 2, rng)
@@ -490,3 +548,53 @@ def test_prepare_ensemble_builds_no_density_matrix_and_no_eigendecomposition(mon
     _, _, report = prepare_ensemble(spec, target)
     assert report.passed()
     assert calls == Counter()
+
+
+def counted_completion(monkeypatch, skew=0.0):
+    """Count calls to ``gram_schmidt_complete``; ``skew`` scales its last row by 1 + skew."""
+    calls = Counter()
+    original = numerics.gram_schmidt_complete
+
+    def completion(rows, target_dim):
+        calls["complete"] += 1
+        completed = original(rows, target_dim)
+        completed[-1] *= 1.0 + skew
+        return completed
+
+    monkeypatch.setattr(numerics, "gram_schmidt_complete", completion)
+    return calls
+
+
+def test_only_reading_the_unitary_completes_it_and_only_once(monkeypatch, tmp_path):
+    rho = random_density_matrix(4, 2, np.random.default_rng(8))
+    spec = spectral_ensemble(rho)
+    target = random_equivalent_ensemble(rho, 5, seed=8)
+    calls = counted_completion(monkeypatch)
+    plan, _, report = prepare_ensemble(spec, target, dim_k=7)
+    assert report.passed()
+    assert calls["complete"] == 0
+    unitary = plan.unitary
+    assert calls["complete"] == 1
+    assert plan.unitary is unitary and plan.basis.shape == (7, 7)
+    assert calls["complete"] == 1
+    path = tmp_path / "plan.plan"
+    fileio.write_plan(path, plan)
+    loaded = fileio.read_plan(path)
+    assert calls["complete"] == 1
+    for name in ("coeffs", "isometry", "unitary", "basis"):
+        np.testing.assert_array_equal(getattr(loaded, name), getattr(plan, name))
+
+
+def test_a_completion_that_is_not_unitary_fails_where_the_unitary_is_read(monkeypatch, tmp_path):
+    spec = balanced_spectral()
+    target = random_equivalent_ensemble(density_matrix(spec.base), 3, seed=5)
+    counted_completion(monkeypatch, skew=1e-6)  # row 2 of 3 is a completed row
+    plan, _, report = prepare_ensemble(spec, target)
+    assert report.passed()
+    with pytest.raises(ContractViolation, match="unitarity"):
+        plan.unitary
+    source, drawn, out = tmp_path / "spec.ens", tmp_path / "target.ens", tmp_path / "plan.plan"
+    fileio.write_ensemble(source, spec.base)
+    fileio.write_ensemble(drawn, target)
+    assert cli.main(["steer", str(source), str(drawn)]) == 0
+    assert cli.main(["steer", str(source), str(drawn), "--out", str(out)]) == 2
