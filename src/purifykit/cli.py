@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import math
 import os
 import sys
@@ -233,7 +234,11 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every command, built once per process and shared:
+    parsing leaves it unchanged, and PURIFYKIT_TOL is read per call by
+    :func:`config_from_args`."""
     parser = _Parser(
         prog="purifykit",
         description="Purify finite quantum ensembles and steer them into "

@@ -39,10 +39,9 @@ class Ensemble:
     states: np.ndarray
 
     def __post_init__(self):
+        self.dim = numerics.as_dimension(self.dim, InvalidEnsemble, "dim")
         self.weights = numerics.as_array(self.weights, float)
         self.states = numerics.as_array(self.states)
-        if self.dim <= 0:
-            raise InvalidEnsemble("dimension must be positive")
         if self.weights.ndim != 1 or self.weights.size == 0:
             raise InvalidEnsemble("weights must form a non-empty 1-D array")
         if self.states.shape != (self.weights.size, self.dim):
@@ -88,6 +87,7 @@ class DensityMatrix:
     eigenvectors: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
+        self.dim = numerics.as_dimension(self.dim, NotADensityMatrix, "dim")
         self.matrix = numerics.as_array(self.matrix)
         if self.matrix.shape != (self.dim, self.dim):
             raise NotADensityMatrix(

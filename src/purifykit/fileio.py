@@ -20,39 +20,24 @@ from .numerics import TOL
 from .purification import BipartiteState, SteeringPlan
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
-
-
 def _render(value) -> str:
-    if isinstance(value, bool):
-        raise TypeError("booleans have no place in these documents")
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return _fmt(value)
-    if isinstance(value, str):
-        return json.dumps(value)
-    if isinstance(value, dict):
-        inner = ", ".join(f"{json.dumps(k)}: {_render(v)}" for k, v in value.items())
-        return "{" + inner + "}"
-    if isinstance(value, (list, tuple)):
-        return "[" + ", ".join(_render(v) for v in value) + "]"
-    raise TypeError(f"cannot render {type(value)!r}")
+    """An integer as itself; an array as nested lists with complex entries
+    as [re, im] pairs, filled into a template of its shape by one ``%``."""
+    if isinstance(value, int):
+        return str(value)
+    values = np.asarray(value)
+    if values.dtype.kind == "c":
+        values = np.stack((values.real, values.imag), axis=-1)
+    template = "%.17g"
+    for length in reversed(values.shape):
+        template = "[" + ", ".join([template] * length) + "]"
+    return template % tuple(values.ravel().tolist())
 
 
 def _write_document(path, fields: dict) -> None:
     body = ",\n".join(f'  {json.dumps(k)}: {_render(v)}' for k, v in fields.items())
     with open(path, "w", encoding="utf-8") as handle:
         handle.write("{\n" + body + "\n}\n")
-
-
-def _complex_pairs(values: np.ndarray) -> list:
-    return [[float(v.real), float(v.imag)] for v in np.asarray(values, complex).ravel()]
-
-
-def _matrix_pairs(matrix: np.ndarray) -> list:
-    return [_complex_pairs(row) for row in np.asarray(matrix, complex)]
 
 
 _FORMS = {
@@ -79,23 +64,21 @@ def _parse_numbers(raw, ndim: int, what: str) -> np.ndarray:
         leaves = raw
         for _ in range(ndim - 1):
             leaves = itertools.chain.from_iterable(leaves)
-        if not any(isinstance(x, bool) for x in leaves):
+        if bool not in map(type, leaves):
             values = np.ascontiguousarray(values, dtype=float)
             return values if ndim == 1 else values.view(complex)[..., 0]
     raise ParseError(f"{what} must be {_FORMS[ndim]}")
 
 
-def _parse_dimension(raw, what: str) -> int:
-    # JSON integers only: int() would truncate 2.7 to 2 and accept true as 1
-    if isinstance(raw, bool) or not isinstance(raw, int) or raw < 1:
-        raise ParseError(f"{what} must be a positive integer, got {raw!r}")
-    return raw
+def _json_integer(text: str):
+    # "%.17g" writes -0.0 as -0, which JSON would read as the integer 0
+    return -0.0 if text == "-0" else int(text)
 
 
 def _load_document(path, expected_fields: tuple[str, ...]) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            doc = json.load(handle)
+            doc = json.load(handle, parse_int=_json_integer)
     except (ValueError, RecursionError) as exc:  # bad JSON or UTF-8, long integers, deep nesting
         raise ParseError(f"{path}: not a valid document ({exc})") from exc
     if not isinstance(doc, dict):
@@ -109,14 +92,14 @@ def _load_document(path, expected_fields: tuple[str, ...]) -> dict:
 def write_ensemble(path, ensemble: Ensemble) -> None:
     _write_document(path, {
         "dim": ensemble.dim,
-        "weights": [float(w) for w in ensemble.weights],
-        "states": [_complex_pairs(state) for state in ensemble.states],
+        "weights": ensemble.weights,
+        "states": ensemble.states,
     })
 
 
 def read_ensemble(path) -> Ensemble:
     doc = _load_document(path, ("dim", "weights", "states"))
-    dim = _parse_dimension(doc["dim"], f"{path}: dim")
+    dim = numerics.as_dimension(doc["dim"], ParseError, f"{path}: dim")
     weights = _parse_numbers(doc["weights"], 1, f"{path}: weights")
     states = _parse_numbers(doc["states"], 3, f"{path}: states")
     return Ensemble(dim, weights, states)
@@ -125,13 +108,13 @@ def read_ensemble(path) -> Ensemble:
 def write_density_matrix(path, rho: DensityMatrix) -> None:
     _write_document(path, {
         "dim": rho.dim,
-        "entries": _complex_pairs(rho.matrix),
+        "entries": rho.matrix.ravel(),
     })
 
 
 def read_density_matrix(path) -> DensityMatrix:
     doc = _load_document(path, ("dim", "entries"))
-    dim = _parse_dimension(doc["dim"], f"{path}: dim")
+    dim = numerics.as_dimension(doc["dim"], ParseError, f"{path}: dim")
     entries = _parse_numbers(doc["entries"], 2, f"{path}: entries")
     if entries.size != dim * dim:
         raise ParseError(f"{path}: expected {dim * dim} entries, got {entries.size}")
@@ -142,24 +125,24 @@ def write_bipartite_state(path, psi: BipartiteState) -> None:
     _write_document(path, {
         "dim_s": psi.dim_s,
         "dim_k": psi.dim_k,
-        "amplitudes": _complex_pairs(psi.amplitudes),
+        "amplitudes": psi.amplitudes,
     })
 
 
 def read_bipartite_state(path) -> BipartiteState:
     doc = _load_document(path, ("dim_s", "dim_k", "amplitudes"))
-    dim_s = _parse_dimension(doc["dim_s"], f"{path}: dim_s")
-    dim_k = _parse_dimension(doc["dim_k"], f"{path}: dim_k")
+    dim_s = numerics.as_dimension(doc["dim_s"], ParseError, f"{path}: dim_s")
+    dim_k = numerics.as_dimension(doc["dim_k"], ParseError, f"{path}: dim_k")
     amplitudes = _parse_numbers(doc["amplitudes"], 2, f"{path}: amplitudes")
     return BipartiteState(dim_s, dim_k, amplitudes)
 
 
 def write_plan(path, plan: SteeringPlan) -> None:
     _write_document(path, {
-        "coeffs": _matrix_pairs(plan.coeffs),
-        "isometry": _matrix_pairs(plan.isometry),
-        "unitary": _matrix_pairs(plan.unitary),
-        "basis": _matrix_pairs(plan.basis),
+        "coeffs": plan.coeffs,
+        "isometry": plan.isometry,
+        "unitary": plan.unitary,
+        "basis": plan.basis,
     })
 
 

@@ -86,6 +86,14 @@ def as_array(values, dtype=complex) -> np.ndarray:
     raise DimensionMismatch("expected real numbers, got complex entries")
 
 
+def as_dimension(value, error: type[Exception], what: str) -> int:
+    """``value`` as a plain ``int``; a bool, a non-integer or a value below
+    one raises ``error``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
+        raise error(f"{what} must be a positive integer, got {value!r}")
+    return int(value)
+
+
 def as_matrix(m) -> np.ndarray:
     """Coerce to a finite 2-D complex array."""
     mat = as_array(m)

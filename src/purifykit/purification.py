@@ -47,6 +47,8 @@ class BipartiteState:
     amplitudes: np.ndarray
 
     def __post_init__(self):
+        self.dim_s = numerics.as_dimension(self.dim_s, DimensionMismatch, "dim_s")
+        self.dim_k = numerics.as_dimension(self.dim_k, DimensionMismatch, "dim_k")
         self.amplitudes = numerics.as_state(self.amplitudes)
         if self.amplitudes.size != self.dim_s * self.dim_k:
             raise DimensionMismatch(

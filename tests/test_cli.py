@@ -230,6 +230,41 @@ def test_main_tol_flag_overrides_environment(files, monkeypatch):
     assert status == 3
 
 
+def test_the_cached_parser_answers_each_call_as_a_fresh_process(files, monkeypatch, capsys):
+    assert cli.build_parser() is cli.build_parser()
+    monkeypatch.delenv("PURIFYKIT_TOL", raising=False)
+    env = dict(os.environ)
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+
+    def in_process(argv):
+        try:
+            status = main(argv)
+        except SystemExit as exc:
+            status = exc.code
+        captured = capsys.readouterr()
+        return status, captured.out, captured.err
+
+    def fresh_process(argv):
+        result = subprocess.run(
+            [sys.executable, "-m", "purifykit", *argv], capture_output=True, text=True, env=env
+        )
+        return result.returncode, result.stdout, result.stderr
+
+    good = ["equiv", str(files / "mix01.ens"), str(files / "mixpm.ens")]
+    usage = ["equiv", str(files / "mix01.ens")]
+    runs = [good, usage, good]
+    outcomes = [in_process(argv) for argv in runs]
+    assert [status for status, _, _ in outcomes] == [0, 1, 0]
+    assert outcomes[1][2].startswith("usage: purifykit equiv ")
+    assert outcomes == [fresh_process(argv) for argv in runs]
+    # the tolerance comes from the environment of each call, not of the first
+    biased = ["equiv", str(files / "mix01.ens"), str(files / "biased.ens")]
+    assert in_process(biased)[0] == 3
+    monkeypatch.setenv("PURIFYKIT_TOL", "10.0")
+    assert in_process(biased)[0] == 0
+
+
 def test_default_tolerance_reads_environment(monkeypatch):
     monkeypatch.delenv("PURIFYKIT_TOL", raising=False)
     assert default_tolerance() == 1e-9

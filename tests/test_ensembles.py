@@ -82,10 +82,24 @@ def test_complex_weights_are_refused_not_cast(weights, refused):
         np.testing.assert_array_equal(Ensemble(2, weights, [KET0, KET1]).weights, [0.5, 0.5])
 
 
+@pytest.mark.parametrize("dim", [True, 1.0, "1", 0, -1])
+def test_ensemble_dimension_must_be_a_positive_integer(dim):
+    with pytest.raises(InvalidEnsemble, match="dim must be a positive integer"):
+        Ensemble(dim, [1.0], [[1]])
+    assert type(Ensemble(np.int64(1), [1.0], [[1]]).dim) is int
+
+
 def test_repeated_states_are_kept():
     doubled = mix((0.5, KET0), (0.5, KET0))
     assert doubled.size == 2
     assert are_equivalent(doubled, mix((1.0, KET0)), 1e-12)
+
+
+@pytest.mark.parametrize("dim", [True, 1.0, "1", 0, -1])
+def test_density_matrix_dimension_must_be_a_positive_integer(dim):
+    with pytest.raises(NotADensityMatrix, match="dim must be a positive integer"):
+        DensityMatrix(dim, [[1]])
+    assert type(DensityMatrix(np.int32(1), [[1]]).dim) is int
 
 
 def test_density_matrix_type_rejects_non_hermitian():

@@ -6,9 +6,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
+import render_oracle
 from purifykit import fileio, numerics
 from purifykit.ensembles import (
+    DensityMatrix,
     Ensemble,
     SpectralEnsemble,
     density_matrix,
@@ -27,7 +30,7 @@ from purifykit.errors import (
     ParseError,
     PurifyKitError,
 )
-from purifykit.purification import SteeringPlan, purify, steering_isometry
+from purifykit.purification import BipartiteState, SteeringPlan, purify, steering_isometry
 
 
 def awkward_ensemble():
@@ -50,15 +53,6 @@ def test_ensemble_round_trip_is_exact(tmp_path):
     loaded = fileio.read_ensemble(path)
     np.testing.assert_array_equal(loaded.weights, original.weights)
     np.testing.assert_array_equal(loaded.states, original.states)
-
-
-def test_rewriting_an_ensemble_is_byte_identical(tmp_path):
-    first = tmp_path / "a.ens"
-    second = tmp_path / "b.ens"
-    original = awkward_ensemble()
-    fileio.write_ensemble(first, original)
-    fileio.write_ensemble(second, fileio.read_ensemble(first))
-    assert first.read_bytes() == second.read_bytes()
 
 
 def test_density_matrix_round_trip(tmp_path):
@@ -357,6 +351,62 @@ def test_parsed_entries_keep_the_sign_of_zero(tmp_path):
     path.write_text('{"dim_s": 1, "dim_k": 2, "amplitudes": [[-0.0, 0.8], [0.6, -0.0]]}')
     amplitudes = fileio.read_bipartite_state(path).amplitudes
     assert [np.signbit(amplitudes.real[0]), np.signbit(amplitudes.imag[1])] == [True, True]
+
+
+# ---------------------------------------------------------------------------
+# the one-template renderer gives the bytes of the per-number one it replaced
+
+# signed zero, the smallest subnormal, the largest decade, the first integer
+# past 16 digits, a value with no short binary form, integers stored as floats
+EDGE_FLOATS = [-0.0, 0.0, 5e-324, -5e-324, 1e308, -1e308, 1e16, 0.1, 1.0, -3.0, 2.0**53]
+entries = st.one_of(
+    st.sampled_from(EDGE_FLOATS), st.floats(allow_nan=False, allow_infinity=False)
+)
+
+
+@given(data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_render_matches_the_recursive_renderer(data):
+    shape = data.draw(hnp.array_shapes(min_dims=1, max_dims=3, min_side=0, max_side=4))
+    values = data.draw(hnp.arrays(float, shape, elements=entries), label="real parts")
+    if data.draw(st.booleans(), label="complex"):
+        imag = data.draw(hnp.arrays(float, shape, elements=entries), label="imaginary parts")
+        values = values.astype(complex)
+        values.imag = imag  # assigned, not added, so -0.0 parts survive
+    if data.draw(st.booleans(), label="transposed"):
+        values = values.T  # a strided view, as SteeringPlan.basis is
+    assert fileio._render(values) == render_oracle.render(render_oracle.nested(values))
+
+
+def plan_with_completed_unitary():
+    rho = random_density_matrix(3, 2, np.random.default_rng(12))
+    return steering_isometry(spectral_ensemble(rho), random_equivalent_ensemble(rho, 4, seed=2))
+
+
+DOCUMENTS = {
+    "ensemble": (fileio.write_ensemble, fileio.read_ensemble, awkward_ensemble),
+    "density_matrix": (
+        fileio.write_density_matrix,
+        fileio.read_density_matrix,
+        # -0.0 is written as -0, which a JSON reader takes for the integer 0
+        lambda: DensityMatrix(2, [[0.7, -0.0], [0.0, 0.3]]),
+    ),
+    "state": (
+        fileio.write_bipartite_state,
+        fileio.read_bipartite_state,
+        lambda: BipartiteState(2, 3, np.exp(1j * np.arange(6)) / np.sqrt(6)),
+    ),
+    "plan": (fileio.write_plan, fileio.read_plan, plan_with_completed_unitary),
+}
+
+
+@pytest.mark.parametrize("kind", DOCUMENTS)
+def test_rewriting_a_document_is_byte_identical(tmp_path, kind):
+    write, read, make = DOCUMENTS[kind]
+    first, second = tmp_path / "first", tmp_path / "second"
+    write(first, make())
+    write(second, read(first))
+    assert first.read_bytes() == second.read_bytes()
 
 
 # ---------------------------------------------------------------------------

@@ -73,6 +73,16 @@ def contraction_oracle(psi, basis):
 # purify
 
 
+@pytest.mark.parametrize("dim", [True, 1.0, "1", 0, -1])
+def test_bipartite_dimensions_must_be_positive_integers(dim):
+    with pytest.raises(DimensionMismatch, match="dim_s must be a positive integer"):
+        BipartiteState(dim, 1, [1])
+    with pytest.raises(DimensionMismatch, match="dim_k must be a positive integer"):
+        BipartiteState(1, dim, [1])
+    psi = BipartiteState(np.int64(1), np.int32(1), [1])
+    assert (type(psi.dim_s), type(psi.dim_k)) == (int, int)
+
+
 def test_purify_pure_input_gives_product_state():
     spec = spectral_ensemble(density_matrix(Ensemble(2, [1.0], [PLUS])))
     psi = purify(spec, 1)
