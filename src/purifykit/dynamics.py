@@ -18,7 +18,7 @@ import numpy as np
 from . import numerics
 from .ensembles import SpectralEnsemble
 from .errors import ContractViolation, DimensionMismatch, IndexOutOfRange
-from .errors import NotOrthonormal, ReferenceTooSmall
+from .errors import NotFinite, NotOrthonormal, ReferenceTooSmall
 from .numerics import TOL
 from .purification import BipartiteState
 from .reports import Check, Report
@@ -26,6 +26,9 @@ from .reports import Check, Report
 # Y_j restricted to its (e_0, e_j) plane, in that basis order. The sign
 # makes the quarter-turn kick send the ready slot to e_j with a +1 amplitude.
 PLANE_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
+PLANE_SQUARE = PLANE_Y @ PLANE_Y
+# Every propagator turns the same block, so it is decomposed once.
+PLANE_EIG = numerics.hermitian_eig(PLANE_Y)
 
 
 @dataclass
@@ -69,8 +72,12 @@ class EvolutionParams:
 class HamiltonianModel:
     """H = sum_j P_j (x) Y_j on S (x) K, stored as the states phi_j.
 
-    Constructing the model checks the algebra the closed form relies on:
-    cross-products zero, and so all pairs commuting (see
+    Constructing the model checks everything the propagators rely on, once:
+    ``dim_s`` and ``dim_k`` are positive integers (``DimensionMismatch``),
+    ``phi`` is a finite 2-D stack of rows of width ``dim_s``, no more rows
+    than ``dim_k`` (``ReferenceTooSmall``: each needs its own reference
+    direction), the rows are pairwise orthonormal (``NotOrthonormal``), and
+    the cross-products vanish, so all pairs commute (see
     :func:`commutator_max`). The cross-product maximum, which is also the
     commutator maximum, is kept as validated, for the verification report.
     """
@@ -81,7 +88,19 @@ class HamiltonianModel:
     cross_product_maximum: float = field(init=False)
 
     def __post_init__(self):
-        self.phi = numerics.as_array(self.phi)
+        self.dim_s = numerics.as_dimension(self.dim_s, DimensionMismatch, "dim_s")
+        self.dim_k = numerics.as_dimension(self.dim_k, DimensionMismatch, "dim_k")
+        self.phi = numerics.as_matrix(self.phi)
+        count, width = self.phi.shape
+        if width != self.dim_s:
+            raise DimensionMismatch(f"states of width {width} do not live in dim_s = {self.dim_s}")
+        if count > self.dim_k:
+            raise ReferenceTooSmall(
+                f"reference dimension {self.dim_k} cannot host {count} correlated directions"
+            )
+        gram = self.phi @ numerics.dag(self.phi)
+        if numerics.max_abs(gram - np.eye(count)) > TOL.orthonormality:
+            raise NotOrthonormal("phi rows must be pairwise orthonormal")
         self.cross_product_maximum = cross_product_max(self.phi)
         if self.cross_product_maximum > TOL.commutator:
             raise ContractViolation(
@@ -116,24 +135,14 @@ def commutator_max(phi) -> float:
 def build_model(phi, dim_k: int | None = None) -> HamiltonianModel:
     """Assemble one term per state of an orthonormal family.
 
-    ``dim_k`` defaults to the family size; every state needs its own
-    reference direction, so a smaller reference is rejected.
+    ``dim_k`` defaults to the family size; :class:`HamiltonianModel`
+    checks it and the family.
     """
     phi = numerics.as_array(phi)
     if phi.ndim != 2:
         raise NotOrthonormal("phi must be a 2-D array of row states")
-    phi = numerics.as_matrix(phi)
-    count = phi.shape[0]
-    if dim_k is None:
-        dim_k = count
-    if dim_k < count:
-        raise ReferenceTooSmall(
-            f"reference dimension {dim_k} cannot host {count} correlated directions"
-        )
-    gram = phi @ numerics.dag(phi)
-    if numerics.max_abs(gram - np.eye(count)) > TOL.orthonormality:
-        raise NotOrthonormal("phi rows must be pairwise orthonormal")
-    return HamiltonianModel(dim_s=int(phi.shape[1]), dim_k=int(dim_k), phi=phi)
+    count, width = phi.shape
+    return HamiltonianModel(dim_s=width, dim_k=count if dim_k is None else dim_k, phi=phi)
 
 
 @dataclass
@@ -160,19 +169,23 @@ def power_identities_check(phi, j: int) -> PowerIdentityReport:
     entry of P_j is the squared largest amplitude of phi_j. For the
     vanishing j = 0 term both identities degenerate to zero.
     """
-    phi = numerics.as_array(phi)
-    if not 0 <= j < phi.shape[0]:
-        raise IndexOutOfRange(f"index {j} has no matching state (only {phi.shape[0]})")
-    if j == 0:
-        return PowerIdentityReport(reference_index=0, odd_residual=0.0, even_residual=0.0)
-    norm2 = float(np.vdot(phi[j], phi[j]).real)
-    scale = numerics.max_abs(phi[j]) ** 2
-    square = PLANE_Y @ PLANE_Y
-    return PowerIdentityReport(
-        reference_index=j,
-        odd_residual=scale * numerics.max_abs(norm2**2 * square @ PLANE_Y - PLANE_Y),
-        even_residual=scale * numerics.max_abs(norm2 * square - np.eye(2)),
-    )
+    phi = numerics.as_matrix(phi)
+    if isinstance(j, bool) or not isinstance(j, (int, np.integer)) or not 0 <= j < len(phi):
+        raise IndexOutOfRange(f"index {j!r} has no matching state (only {len(phi)})")
+    return _power_reports(phi)[j]
+
+
+def _power_reports(phi: np.ndarray) -> list[PowerIdentityReport]:
+    """:func:`power_identities_check` for every term of the 2-D ``phi``, in one pass."""
+    norm2 = np.array([np.vdot(row, row).real for row in phi])[:, np.newaxis, np.newaxis]
+    scale = np.max(np.abs(phi), axis=1, initial=0.0) ** 2
+    odd = scale * np.max(np.abs(norm2**2 * PLANE_SQUARE @ PLANE_Y - PLANE_Y), axis=(1, 2))
+    even = scale * np.max(np.abs(norm2 * PLANE_SQUARE - np.eye(2)), axis=(1, 2))
+    odd[:1] = even[:1] = 0.0  # the j = 0 term is zero
+    return [
+        PowerIdentityReport(reference_index=j, odd_residual=o, even_residual=e)
+        for j, (o, e) in enumerate(zip(odd.tolist(), even.tolist()))
+    ]
 
 
 def _rotate_planes(model: HamiltonianModel, block: np.ndarray, grids) -> np.ndarray:
@@ -199,12 +212,15 @@ def _rotate_planes(model: HamiltonianModel, block: np.ndarray, grids) -> np.ndar
 
 def evolution_closed_form(model: HamiltonianModel, grids) -> np.ndarray:
     """Quarter-turn propagator I - H_j^2 - i H_j, applied to a stack of states."""
-    return _rotate_planes(model, np.eye(2) - PLANE_Y @ PLANE_Y - 1j * PLANE_Y, grids)
+    return _rotate_planes(model, np.eye(2) - PLANE_SQUARE - 1j * PLANE_Y, grids)
 
 
 def evolution_numeric(model: HamiltonianModel, params: EvolutionParams, grids) -> np.ndarray:
     """exp(-i omega T H) on a stack of states, each plane turned by exp(-i omega T Y)."""
-    return _rotate_planes(model, numerics.mat_exp_hermitian(PLANE_Y, params.phase()), grids)
+    phase = params.phase()
+    if not math.isfinite(phase):
+        raise NotFinite(f"omega*T = {phase} must be finite")
+    return _rotate_planes(model, numerics.exp_from_eig(*PLANE_EIG, phase), grids)
 
 
 def _product_states(model: HamiltonianModel, correlated: bool) -> np.ndarray:
@@ -237,7 +253,11 @@ def verify_correlating_evolution(
 ) -> CorrelationReport:
     """Apply the propagator to each phi_j (x) e_0 and compare with phi_j (x) e_j."""
     evolved = evolution_numeric(model, params, _product_states(model, correlated=False))
-    expected = _product_states(model, correlated=True)
+    return _correlation(evolved, _product_states(model, correlated=True))
+
+
+def _correlation(evolved: np.ndarray, expected: np.ndarray) -> CorrelationReport:
+    """Fidelity of each evolved phi_j (x) e_0 with its phi_j (x) e_j."""
     overlaps = np.einsum("jsk,jsk->j", expected.conj(), evolved)
     return CorrelationReport(fidelities=np.abs(overlaps))
 
@@ -286,15 +306,17 @@ def verification_report(model: HamiltonianModel, params: EvolutionParams) -> Dyn
     The closed form and the numeric propagator both leave every state
     orthogonal to the planes span{phi_j (x) e_0, phi_j (x) e_j} unchanged,
     so comparing them on the states phi_j (x) e_0 and phi_j (x) e_j covers
-    every place where they can differ.
+    every place where they can differ. The evolved phi_j (x) e_0 also give
+    the correlation fidelities of :func:`verify_correlating_evolution`.
     """
     params.require_correlating()
+    count = len(model.phi)
     probes = np.concatenate([_product_states(model, False), _product_states(model, True)])
     closed = evolution_closed_form(model, probes)
     numeric = evolution_numeric(model, params, probes)
     return DynamicsReport(
-        correlation=verify_correlating_evolution(model, params),
-        power_reports=[power_identities_check(model.phi, j) for j in range(len(model.phi))],
+        correlation=_correlation(numeric[:count], probes[count:]),
+        power_reports=_power_reports(model.phi),
         commutator_maximum=model.cross_product_maximum,
         cross_product_maximum=model.cross_product_maximum,
         closed_vs_numeric=numerics.max_abs(closed - numeric),

@@ -164,11 +164,15 @@ def partial_trace_k(m, dim_s: int, dim_k: int) -> np.ndarray:
     return np.einsum("ikjk->ij", mat.reshape(dim_s, dim_k, dim_s, dim_k))
 
 
+def exp_from_eig(values, vectors, scale: float = 1.0) -> np.ndarray:
+    """exp(-i * scale * h) for h = vectors diag(values) vectors^+, from
+    its decomposition by :func:`hermitian_eig`."""
+    return (vectors * np.exp(-1j * scale * values)) @ dag(vectors)
+
+
 def mat_exp_hermitian(h, scale: float = 1.0) -> np.ndarray:
     """exp(-i * scale * h) for Hermitian h, computed spectrally."""
-    values, vectors = hermitian_eig(h)
-    phases = np.exp(-1j * scale * values)
-    return (vectors * phases) @ dag(vectors)
+    return exp_from_eig(*hermitian_eig(h), scale)
 
 
 def gram_schmidt_complete(rows, target_dim: int) -> np.ndarray:

@@ -8,18 +8,20 @@ the tests compare the two.
 import math
 import time
 import tracemalloc
+from collections import Counter
 
 import dense_oracle
 import numpy as np
 import pytest
 from dense_oracle import as_matrix, build_term, build_terms, power_residuals, propagator
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from purifykit import numerics
+from purifykit import dynamics, numerics
 from purifykit.dynamics import (
     PLANE_Y,
     EvolutionParams,
+    HamiltonianModel,
     build_model,
     commutator_max,
     cross_product_max,
@@ -38,7 +40,7 @@ from purifykit.ensembles import (
     spectral_ensemble,
 )
 from purifykit.errors import ContractViolation, DimensionMismatch, IndexOutOfRange
-from purifykit.errors import NotFinite, NotOrthonormal
+from purifykit.errors import NotFinite, NotOrthonormal, ReferenceTooSmall
 from purifykit.purification import purify
 
 KET0 = np.array([1.0, 0.0], dtype=complex)
@@ -66,6 +68,22 @@ def orthonormal_family(dim, count, rng):
 def balanced_spectral():
     base = Ensemble(2, np.array([0.5, 0.5]), np.array([KET0, KET1]))
     return SpectralEnsemble(base, rank=2)
+
+
+def per_term_power_check(phi, j):
+    """The power residuals of term j alone, with 2x2 block products: the
+    per-term evaluation the library's one array pass replaced."""
+    phi = np.asarray(phi, dtype=complex)
+    if j == 0:
+        return dynamics.PowerIdentityReport(reference_index=0, odd_residual=0.0, even_residual=0.0)
+    norm2 = float(np.vdot(phi[j], phi[j]).real)
+    scale = numerics.max_abs(phi[j]) ** 2
+    square = PLANE_Y @ PLANE_Y
+    return dynamics.PowerIdentityReport(
+        reference_index=j,
+        odd_residual=scale * numerics.max_abs(norm2**2 * square @ PLANE_Y - PLANE_Y),
+        even_residual=scale * numerics.max_abs(norm2 * square - np.eye(2)),
+    )
 
 
 def closed_matrix(model):
@@ -110,6 +128,13 @@ def test_term_rejects_out_of_range_index():
         power_identities_check(phi, -1)
     with pytest.raises(IndexOutOfRange):
         power_identities_check(phi[:1], 1)
+    # True would index as a boolean mask and report residuals 8 and 2
+    for j in (True, False, 1.0, np.float64(1.0), "1", None):
+        with pytest.raises(IndexOutOfRange):
+            power_identities_check(phi, j)
+    assert power_identities_check(phi, np.int64(1)) == power_identities_check(phi, 1)
+    with pytest.raises(DimensionMismatch):
+        power_identities_check(phi[0], 1)
 
 
 @given(dim=st.integers(2, 6), seed=st.integers(0, 2**32 - 1))
@@ -180,6 +205,35 @@ def test_powers_one_to_four_alternate(dim, seed):
     assert max(report.odd_residual, report.even_residual) <= 1e-12
 
 
+@given(
+    rows=st.integers(1, 8),
+    width=st.integers(1, 8),
+    lean=st.floats(-1e-3, 1e-3),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(rows=3, width=3, lean=0.0, seed=0)
+@example(rows=6, width=6, lean=-0.000765512425085161, seed=38175016)
+@settings(max_examples=60, deadline=None)
+def test_the_array_pass_gives_the_per_term_power_reports(rows, width, lean, seed):
+    # rows of any norm, so the residuals are not all zero
+    rng = np.random.default_rng(seed)
+    phi = rng.standard_normal((rows, width)) + 1j * rng.standard_normal((rows, width))
+    phi /= np.linalg.norm(phi, axis=1, keepdims=True)
+    phi *= 1.0 + lean * rng.random((rows, 1))
+    expected = [per_term_power_check(phi, j) for j in range(rows)]
+    reports = dynamics._power_reports(phi)
+    assert [power_identities_check(phi, j) for j in range(rows)] == reports
+    assert [r.reference_index for r in reports] == list(range(rows))
+    # the pass squares with one correctly rounded product where the loop
+    # called libm's pow, which can differ in the last bit
+    np.testing.assert_allclose(
+        [(r.odd_residual, r.even_residual) for r in reports],
+        [(r.odd_residual, r.even_residual) for r in expected],
+        rtol=1e-15,
+        atol=1e-15,
+    )
+
+
 # ---------------------------------------------------------------------------
 # model-level algebra
 
@@ -238,6 +292,28 @@ def test_near_orthonormal_family_is_rejected_like_the_dense_check():
     dense = dense_oracle.cross_product_max(build_terms(phi, 4))
     assert dense > 1e-12
     assert abs(cross_product_max(phi) - dense) <= 1e-15
+
+
+def test_the_model_checks_its_dimensions_where_it_is_built():
+    for dim_k in (3.7, np.float64(4.0), True, "4", 0, -1):
+        with pytest.raises(DimensionMismatch):
+            build_model(np.eye(3), dim_k)
+    model = build_model(np.eye(3), np.int64(4))
+    assert (model.dim_s, model.dim_k) == (3, 4) and type(model.dim_k) is int
+    with pytest.raises(ReferenceTooSmall):
+        build_model(np.eye(3), 2)
+    with pytest.raises(ReferenceTooSmall):
+        HamiltonianModel(dim_s=3, dim_k=2, phi=np.eye(3))
+    with pytest.raises(DimensionMismatch):
+        HamiltonianModel(dim_s=5, dim_k=3, phi=np.eye(3))
+    with pytest.raises(DimensionMismatch):
+        HamiltonianModel(dim_s=3.0, dim_k=3, phi=np.eye(3))
+    with pytest.raises(DimensionMismatch):
+        HamiltonianModel(dim_s=3, dim_k=3, phi=np.eye(3)[0])
+    with pytest.raises(NotOrthonormal):
+        HamiltonianModel(dim_s=2, dim_k=2, phi=[[1.0, 0.0], [1.0, 0.0]])
+    with pytest.raises(NotFinite):
+        HamiltonianModel(dim_s=2, dim_k=2, phi=np.full((2, 2), np.nan))
 
 
 def test_non_finite_family_is_rejected_before_the_gram_check():
@@ -323,10 +399,71 @@ def test_propagators_match_the_dense_oracle(dim_s, rank, spare, phase, seed):
 
 
 def test_non_finite_phase_is_not_correlating():
-    for params in (EvolutionParams(1e-320, math.inf), EvolutionParams(math.nan, 1.0)):
+    model = build_model(np.eye(2, dtype=complex), 2)
+    for params in (
+        EvolutionParams(1e-320, math.inf),
+        EvolutionParams(math.nan, 1.0),
+        EvolutionParams(omega=math.inf),
+    ):
         assert not params.is_correlating()
         with pytest.raises(ContractViolation):
             params.require_correlating()
+        # the numeric propagator accepts any finite phase, and no other
+        with pytest.raises(NotFinite):
+            evolution_numeric(model, params, np.zeros((2, 2)))
+
+
+@given(theta=st.floats(-1e12, 1e12), seed=st.integers(0, 2**32 - 1))
+@example(theta=0.0, seed=0)
+@example(theta=0.3, seed=0)
+@example(theta=math.pi / 2, seed=0)
+@example(theta=-2.0, seed=0)
+@example(theta=1e6, seed=0)
+@settings(max_examples=40, deadline=None)
+def test_the_plane_block_decomposed_once_gives_the_spectral_exponential(theta, seed):
+    rng = np.random.default_rng(seed)
+    model = build_model(orthonormal_family(4, 3, rng), 5)
+    grids = rng.standard_normal((3, 4, 5)) + 1j * rng.standard_normal((3, 4, 5))
+    block = numerics.mat_exp_hermitian(PLANE_Y, theta)
+    np.testing.assert_array_equal(numerics.exp_from_eig(*dynamics.PLANE_EIG, theta), block)
+    np.testing.assert_array_equal(
+        evolution_numeric(model, EvolutionParams(1.0, theta), grids),
+        dynamics._rotate_planes(model, block, grids),
+    )
+
+
+@given(
+    dim_s=st.integers(1, 16),
+    rank=st.integers(1, 16),
+    spare=st.integers(0, 2),
+    phases=st.lists(st.floats(-10.0, 10.0), min_size=1, max_size=7),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(dim_s=6, rank=4, spare=0, phases=[k * math.pi / 12 for k in range(7)], seed=6)
+@settings(max_examples=40, deadline=None)
+def test_the_pulse_separates_s_from_k(dim_s, rank, spare, phases, seed):
+    # after a phase theta the reference partner of phi_j (j >= 1) is
+    # cos(theta) e_0 + sin(theta) e_j up to signs, and phi_0 keeps e_0, so
+    # tr rho_S^2 = sum d_i^2 + cos^4 sum_{i != j >= 1} d_i d_j + 2 cos^2 d_0 (1 - d_0)
+    rng = np.random.default_rng(seed)
+    rank = min(rank, dim_s)
+    phi = orthonormal_family(dim_s, rank, rng)
+    weights = rng.dirichlet(np.ones(rank))
+    model = build_model(phi, rank + spare)
+    start = np.zeros((dim_s, rank + spare), dtype=complex)
+    start[:, 0] = np.sqrt(weights) @ phi
+    rest = weights[1:]
+    for theta in phases:
+        evolved = evolution_numeric(model, EvolutionParams(1.0, theta), start)
+        rho_s = evolved @ numerics.dag(evolved)
+        purity = float(np.trace(rho_s @ rho_s).real)
+        cos2 = math.cos(theta) ** 2
+        expected = (
+            np.sum(weights**2)
+            + cos2**2 * (rest.sum() ** 2 - np.sum(rest**2))
+            + 2 * cos2 * weights[0] * (1 - weights[0])
+        )
+        assert abs(purity - expected) <= 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -385,6 +522,39 @@ def test_verification_report_reads_the_validated_maxima():
     report = verification_report(model, EvolutionParams.canonical())
     assert report.commutator_maximum == commutator_max(model.phi)
     assert report.cross_product_maximum == cross_product_max(model.phi)
+
+
+@given(dim=st.integers(1, 8), spare=st.integers(0, 2), seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=30, deadline=None)
+def test_the_report_reads_the_correlation_from_its_own_evolution(dim, spare, seed):
+    model = build_model(orthonormal_family(dim, dim, np.random.default_rng(seed)), dim + spare)
+    params = EvolutionParams.canonical()
+    report = verification_report(model, params)
+    alone = verify_correlating_evolution(model, params)
+    np.testing.assert_allclose(report.correlation.fidelities, alone.fidelities, rtol=0, atol=1e-15)
+
+
+def test_one_verification_and_one_purification_evolve_twice_and_decompose_nothing(monkeypatch):
+    spec = spectral_ensemble(density_matrix(random_ensemble(5, 4, np.random.default_rng(13))))
+    model = build_model(spec.states, spec.rank)
+    calls = Counter()
+
+    def counted(module, name):
+        original = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(numerics, "hermitian_eig")
+    counted(dynamics, "evolution_numeric")
+    report = verification_report(model, EvolutionParams.canonical())
+    purify_via_dynamics(spec)
+    assert report.passed()
+    assert calls["evolution_numeric"] == 2
+    assert calls["hermitian_eig"] == 0
 
 
 def test_verification_report_covers_all_checks():
