@@ -29,6 +29,8 @@ PLANE_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
 PLANE_SQUARE = PLANE_Y @ PLANE_Y
 # Every propagator turns the same block, so it is decomposed once.
 PLANE_EIG = numerics.hermitian_eig(PLANE_Y)
+# The closed-form quarter-turn block I - Y^2 - iY.
+QUARTER_TURN = np.eye(2) - PLANE_SQUARE - 1j * PLANE_Y
 
 
 @dataclass
@@ -101,7 +103,7 @@ class HamiltonianModel:
         gram = self.phi @ numerics.dag(self.phi)
         if numerics.max_abs(gram - np.eye(count)) > TOL.orthonormality:
             raise NotOrthonormal("phi rows must be pairwise orthonormal")
-        self.cross_product_maximum = cross_product_max(self.phi)
+        self.cross_product_maximum = _cross_product_max(self.phi)
         if self.cross_product_maximum > TOL.commutator:
             raise ContractViolation(
                 f"nonzero cross-product between terms: {self.cross_product_maximum}"
@@ -114,8 +116,14 @@ def cross_product_max(phi) -> float:
     For a != b, H_a H_b = <phi_a|phi_b> |phi_a><phi_b| (x) |e_a><e_b|, so
     its largest entry is |G_ab| m_a m_b, with the Gram matrix G = phi phi^+
     and m_j the largest amplitude of phi_j. The j = 0 term is zero.
+    ``phi`` must be a finite 2-D array (``DimensionMismatch``, ``NotFinite``).
     """
-    phi = numerics.as_array(phi)[1:]
+    return _cross_product_max(numerics.as_matrix(phi))
+
+
+def _cross_product_max(phi: np.ndarray) -> float:
+    """:func:`cross_product_max` of an already validated 2-D ``phi``."""
+    phi = phi[1:]
     peaks = np.max(np.abs(phi), axis=1, initial=0.0)
     products = np.abs(phi @ numerics.dag(phi)) * np.outer(peaks, peaks)
     np.fill_diagonal(products, 0.0)
@@ -188,46 +196,74 @@ def _power_reports(phi: np.ndarray) -> list[PowerIdentityReport]:
     ]
 
 
-def _rotate_planes(model: HamiltonianModel, block: np.ndarray, grids) -> np.ndarray:
-    """Apply I + sum_j P_j (x) (block - I) on (e_0, e_j), j >= 1, to each grid.
+def _rotate_planes(model: HamiltonianModel, blocks: np.ndarray, grids) -> np.ndarray:
+    """Apply I + sum_j P_j (x) (block - I) on (e_0, e_j), j >= 1, to each grid,
+    for each 2x2 block of the stack ``blocks`` shaped (..., 2, 2).
 
     ``grids`` is a stack of states shaped (..., dim_s, dim_k), entry
-    [s, k] the amplitude of e_s (x) e_k. With C = conj(phi) Psi, the map is
-    Psi -> Psi + phi^T (C' - C), where C' rotates each pair (C[j, 0],
-    C[j, j]) by the block; only those pairs change, so only they are formed.
+    [s, k] the amplitude of e_s (x) e_k; the result is shaped
+    blocks.shape[:-2] + grids.shape, so one block keeps the grids' shape.
+    With C = conj(phi) Psi, the map is Psi -> Psi + phi^T (C' - C), where C'
+    rotates each pair (C[j, 0], C[j, j]) by the block. Only those pairs
+    change, so only they are formed, once for every block: the ready column
+    is column 0 and the partners are the contiguous columns 1..n-1.
     """
     grids = numerics.as_array(grids)
     if grids.shape[-2:] != (model.dim_s, model.dim_k):
         raise DimensionMismatch(f"states must be {model.dim_s} x {model.dim_k} grids")
+    count = model.phi.shape[0]
     phi = model.phi[1:]
-    j = np.arange(1, model.phi.shape[0])
-    ready = grids[..., :, 0] @ phi.conj().T
-    pairs = np.stack([ready, np.einsum("js,...sj->...j", phi.conj(), grids[..., :, j])])
-    change = np.tensordot(block, pairs, axes=1) - pairs
-    out = grids.copy()
-    out[..., :, 0] += change[0] @ phi
-    out[..., :, j] += phi.T * change[1][..., np.newaxis, :]
-    return out
+    conj = phi.conj()
+    # one flat stack of states, so each block's products have the same shapes
+    states = grids.reshape(-1, model.dim_s, model.dim_k)
+    pairs = np.empty((2, len(states), count - 1), dtype=complex)
+    np.matmul(states[:, :, 0], conj.T, out=pairs[0])
+    np.einsum("js,tsj->tj", conj, states[:, :, 1:count], out=pairs[1])
+    flat = pairs.reshape(2, -1)
+    stack = np.reshape(blocks, (-1, 2, 2))
+    # block @ pairs - pairs keeps the rounding of the single-block pass;
+    # (block - I) @ pairs would round differently
+    change = (stack @ flat - flat).reshape(len(stack), *pairs.shape)
+    out = np.empty((len(stack), *states.shape), dtype=complex)
+    out[...] = states
+    out[..., 0] += change[:, 0] @ phi
+    out[..., 1:count] += phi.T * change[:, 1][..., np.newaxis, :]
+    return out.reshape(np.shape(blocks)[:-2] + grids.shape)
 
 
-def evolution_closed_form(model: HamiltonianModel, grids) -> np.ndarray:
-    """Quarter-turn propagator I - H_j^2 - i H_j, applied to a stack of states."""
-    return _rotate_planes(model, np.eye(2) - PLANE_SQUARE - 1j * PLANE_Y, grids)
+def _finite(grids) -> np.ndarray:
+    """``grids`` as a complex array; a NaN or infinite amplitude raises ``NotFinite``."""
+    grids = numerics.as_array(grids)
+    if not np.all(np.isfinite(grids)):
+        raise NotFinite("state amplitudes must be finite")
+    return grids
 
 
-def evolution_numeric(model: HamiltonianModel, params: EvolutionParams, grids) -> np.ndarray:
-    """exp(-i omega T H) on a stack of states, each plane turned by exp(-i omega T Y)."""
+def _numeric_block(params: EvolutionParams) -> np.ndarray:
+    """exp(-i omega T Y) on one plane; a non-finite omega*T raises ``NotFinite``."""
     phase = params.phase()
     if not math.isfinite(phase):
         raise NotFinite(f"omega*T = {phase} must be finite")
-    return _rotate_planes(model, numerics.exp_from_eig(*PLANE_EIG, phase), grids)
+    return numerics.exp_from_eig(*PLANE_EIG, phase)
 
 
-def _product_states(model: HamiltonianModel, correlated: bool) -> np.ndarray:
-    """The stack of phi_j (x) e_j if correlated, else of phi_j (x) e_0, one per state."""
-    index = np.arange(model.phi.shape[0])
-    grids = np.zeros((index.size, model.dim_s, model.dim_k), dtype=complex)
-    grids[index, :, index if correlated else 0] = model.phi
+def evolution_closed_form(model: HamiltonianModel, grids) -> np.ndarray:
+    """Quarter-turn propagator I - H_j^2 - i H_j, applied to a stack of finite states."""
+    return _rotate_planes(model, QUARTER_TURN, _finite(grids))
+
+
+def evolution_numeric(model: HamiltonianModel, params: EvolutionParams, grids) -> np.ndarray:
+    """exp(-i omega T H) on a stack of finite states, each plane turned by exp(-i omega T Y)."""
+    return _rotate_planes(model, _numeric_block(params), _finite(grids))
+
+
+def _probes(model: HamiltonianModel) -> np.ndarray:
+    """The stack of every phi_j (x) e_0, then of every phi_j (x) e_j."""
+    count = model.phi.shape[0]
+    index = np.arange(count)
+    grids = np.zeros((2 * count, model.dim_s, model.dim_k), dtype=complex)
+    grids[:count, :, 0] = model.phi
+    grids[count + index, :, index] = model.phi
     return grids
 
 
@@ -252,8 +288,9 @@ def verify_correlating_evolution(
     model: HamiltonianModel, params: EvolutionParams
 ) -> CorrelationReport:
     """Apply the propagator to each phi_j (x) e_0 and compare with phi_j (x) e_j."""
-    evolved = evolution_numeric(model, params, _product_states(model, correlated=False))
-    return _correlation(evolved, _product_states(model, correlated=True))
+    count = len(model.phi)
+    probes = _probes(model)
+    return _correlation(evolution_numeric(model, params, probes[:count]), probes[count:])
 
 
 def _correlation(evolved: np.ndarray, expected: np.ndarray) -> CorrelationReport:
@@ -306,14 +343,15 @@ def verification_report(model: HamiltonianModel, params: EvolutionParams) -> Dyn
     The closed form and the numeric propagator both leave every state
     orthogonal to the planes span{phi_j (x) e_0, phi_j (x) e_j} unchanged,
     so comparing them on the states phi_j (x) e_0 and phi_j (x) e_j covers
-    every place where they can differ. The evolved phi_j (x) e_0 also give
-    the correlation fidelities of :func:`verify_correlating_evolution`.
+    every place where they can differ. One pass turns these probes under
+    both blocks, and the evolved phi_j (x) e_0 also give the correlation
+    fidelities of :func:`verify_correlating_evolution`.
     """
     params.require_correlating()
     count = len(model.phi)
-    probes = np.concatenate([_product_states(model, False), _product_states(model, True)])
-    closed = evolution_closed_form(model, probes)
-    numeric = evolution_numeric(model, params, probes)
+    probes = _probes(model)
+    blocks = np.array([QUARTER_TURN, _numeric_block(params)])
+    closed, numeric = _rotate_planes(model, blocks, probes)
     return DynamicsReport(
         correlation=_correlation(numeric[:count], probes[count:]),
         power_reports=_power_reports(model.phi),

@@ -63,6 +63,17 @@ def propagator(phi, dim_k, phase):
     return (vectors * np.exp(-1j * phase * values)) @ vectors.conj().T
 
 
+def plane_map(phi, dim_k, block):
+    """I + sum_{j >= 1} |phi_j><phi_j| (x) (block - I) on the (e_0, e_j) plane of K."""
+    phi = np.asarray(phi, dtype=complex)
+    out = np.eye(phi.shape[1] * dim_k, dtype=complex)
+    for j in range(1, len(phi)):
+        plane = np.zeros((dim_k, dim_k), dtype=complex)
+        plane[np.ix_([0, j], [0, j])] = np.asarray(block) - np.eye(2)
+        out += np.kron(np.outer(phi[j], phi[j].conj()), plane)
+    return out
+
+
 def as_matrix(apply, dim_s, dim_k):
     """The matrix of a map on stacks of (dim_s, dim_k) grids, from the standard basis."""
     side = dim_s * dim_k

@@ -160,6 +160,22 @@ def test_propagators_reject_states_of_the_wrong_shape():
         evolution_numeric(model, EvolutionParams.canonical(), np.zeros((3, 2)))
 
 
+def test_propagators_refuse_non_finite_states():
+    model = build_model(np.eye(2, dtype=complex), 3)
+    params = EvolutionParams.canonical()
+    for bad in (np.inf, -np.inf, np.nan):
+        grids = np.zeros((2, 2, 3), dtype=complex)
+        grids[1, 0, 2] = bad
+        with pytest.raises(NotFinite):
+            evolution_closed_form(model, grids)
+        with pytest.raises(NotFinite):
+            evolution_numeric(model, params, grids)
+        with pytest.raises(NotFinite):
+            evolution_closed_form(model, np.full((2, 3), bad))
+    with pytest.raises(NotFinite):
+        evolution_numeric(model, params, [[0, 1j * np.inf, 0], [0, 0, 0]])
+
+
 # ---------------------------------------------------------------------------
 # power identities
 
@@ -278,6 +294,18 @@ def test_factored_maxima_match_the_dense_oracle(dim_s, rank, spare, push, seed):
         odd, even = power_residuals(j, phi, rank + spare)
         assert abs(report.odd_residual - odd) <= 1e-15
         assert abs(report.even_residual - even) <= 1e-15
+
+
+def test_the_maxima_refuse_what_is_not_a_finite_matrix():
+    # a NaN maximum would pass every "> tol" test
+    for maximum in (cross_product_max, commutator_max):
+        for flat in ([1, 0], np.zeros(3), 1.0):
+            with pytest.raises(DimensionMismatch):
+                maximum(flat)
+        for bad in (np.nan, np.inf):
+            with pytest.raises(NotFinite):
+                maximum([[1, 0, 0], [0, 1, 0], [bad, 0, 1]])
+        assert maximum(np.eye(3).tolist()) == 0.0
 
 
 def test_near_orthonormal_family_is_rejected_like_the_dense_check():
@@ -466,6 +494,44 @@ def test_the_pulse_separates_s_from_k(dim_s, rank, spare, phases, seed):
         assert abs(purity - expected) <= 1e-12
 
 
+@given(
+    dim_s=st.integers(1, 5),
+    rank=st.integers(1, 5),
+    spare=st.integers(0, 2),
+    block_batch=st.lists(st.integers(1, 3), max_size=2),
+    grid_batch=st.lists(st.integers(1, 3), max_size=2),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(dim_s=3, rank=1, spare=2, block_batch=[2], grid_batch=[3], seed=0)
+@example(dim_s=4, rank=4, spare=0, block_batch=[], grid_batch=[], seed=1)
+@example(dim_s=3, rank=3, spare=0, block_batch=[2], grid_batch=[], seed=0)
+@example(dim_s=5, rank=3, spare=2, block_batch=[2, 3], grid_batch=[2, 1], seed=2)
+@settings(max_examples=40, deadline=None)
+def test_one_pass_over_a_stack_of_blocks_equals_a_pass_per_block(
+    dim_s, rank, spare, block_batch, grid_batch, seed
+):
+    rng = np.random.default_rng(seed)
+    rank = min(rank, dim_s)
+    dim_k = rank + spare
+    model = build_model(orthonormal_family(dim_s, rank, rng), dim_k)
+    blocks = rng.standard_normal((*block_batch, 2, 2)) + 1j * rng.standard_normal(
+        (*block_batch, 2, 2)
+    )
+    grids = rng.standard_normal((*grid_batch, dim_s, dim_k)) + 1j * rng.standard_normal(
+        (*grid_batch, dim_s, dim_k)
+    )
+    stacked = dynamics._rotate_planes(model, blocks, grids)
+    assert stacked.shape == (*block_batch, *grid_batch, dim_s, dim_k)
+    vectors = grids.reshape(-1, dim_s * dim_k)
+    for index in np.ndindex(*block_batch):
+        alone = dynamics._rotate_planes(model, blocks[index], grids)
+        assert alone.shape == grids.shape
+        np.testing.assert_array_equal(stacked[index], alone)
+        dense = dense_oracle.plane_map(model.phi, dim_k, blocks[index])
+        expected = (vectors @ dense.T).reshape(grids.shape)
+        assert numerics.max_abs(alone - expected) <= 1e-12
+
+
 # ---------------------------------------------------------------------------
 # correlating evolution and dynamic purification
 
@@ -535,6 +601,7 @@ def test_the_report_reads_the_correlation_from_its_own_evolution(dim, spare, see
 
 
 def test_one_verification_and_one_purification_evolve_twice_and_decompose_nothing(monkeypatch):
+    # the report turns its probes under both blocks in one pass
     spec = spectral_ensemble(density_matrix(random_ensemble(5, 4, np.random.default_rng(13))))
     model = build_model(spec.states, spec.rank)
     calls = Counter()
@@ -549,11 +616,11 @@ def test_one_verification_and_one_purification_evolve_twice_and_decompose_nothin
         monkeypatch.setattr(module, name, wrapper)
 
     counted(numerics, "hermitian_eig")
-    counted(dynamics, "evolution_numeric")
+    counted(dynamics, "_rotate_planes")
     report = verification_report(model, EvolutionParams.canonical())
     purify_via_dynamics(spec)
     assert report.passed()
-    assert calls["evolution_numeric"] == 2
+    assert calls["_rotate_planes"] == 2
     assert calls["hermitian_eig"] == 0
 
 
