@@ -54,9 +54,7 @@ from .purification import (
     steering_isometry,
 )
 from .qubit_gates import (
-    Gate,
     QubitDemoReport,
-    cnot,
     purification_circuit,
     qubit_demo,
     rotation,
@@ -71,7 +69,6 @@ __all__ = [
     "DynamicsReport",
     "Ensemble",
     "EvolutionParams",
-    "Gate",
     "HamiltonianModel",
     "MeasurementOutcome",
     "PowerIdentityReport",
@@ -81,7 +78,6 @@ __all__ = [
     "SteeringPlan",
     "are_equivalent",
     "build_model",
-    "cnot",
     "density_matrix",
     "errors",
     "evolution_closed_form",

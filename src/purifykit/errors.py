@@ -27,11 +27,6 @@ class NotHermitian(PurifyKitError):
     exit_status = 2
 
 
-class NotUnitary(PurifyKitError):
-    """A unitary matrix was required."""
-    exit_status = 2
-
-
 class DimensionMismatch(PurifyKitError):
     """Shapes or dimensions of the inputs do not fit together."""
 
@@ -86,10 +81,6 @@ class BasisNotOrthonormal(PurifyKitError):
 
 class IndexOutOfRange(PurifyKitError):
     """A term or basis index lies outside the valid range."""
-
-
-class ArityMismatch(PurifyKitError):
-    """A gate of different arity was required."""
 
 
 class ParseError(PurifyKitError):

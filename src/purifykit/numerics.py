@@ -51,7 +51,6 @@ class Tolerances:
     correlation: float = 1e-10
     quarter_turn: float = 1e-12
     # qubit circuit
-    gate_unitarity: float = 1e-12
     recovery: float = 1e-10
     circuit_vs_hamiltonian: float = 1e-10
 

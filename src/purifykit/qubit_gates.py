@@ -21,7 +21,7 @@ from .ensembles import (
     random_equivalent_ensemble,
     spectral_ensemble,
 )
-from .errors import ArityMismatch, NotFinite, NotUnitary, PurifyKitError
+from .errors import DimensionMismatch, NotFinite, PurifyKitError
 from .numerics import TOL
 from .purification import (
     BipartiteState,
@@ -32,75 +32,52 @@ from .purification import (
 )
 from .reports import Check, Report, format_matrix
 
-
-@dataclass
-class Gate:
-    """A 1- or 2-qubit unitary."""
-
-    arity: int
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        self.matrix = numerics.as_matrix(self.matrix)
-        if self.arity not in (1, 2):
-            raise ArityMismatch(f"arity must be 1 or 2, got {self.arity}")
-        side = 2**self.arity
-        if self.matrix.shape != (side, side):
-            raise ArityMismatch(
-                f"arity {self.arity} needs a {side}x{side} matrix, got {self.matrix.shape}"
-            )
-        residual = numerics.max_abs(
-            self.matrix @ numerics.dag(self.matrix) - np.eye(side)
-        )
-        if residual > TOL.gate_unitarity:
-            raise NotUnitary(f"gate deviates from unitarity by {residual}")
+# Controlled-NOT with the system qubit (first factor) as control.
+CNOT = np.array(
+    [
+        [1, 0, 0, 0],
+        [0, 1, 0, 0],
+        [0, 0, 0, 1],
+        [0, 0, 1, 0],
+    ],
+    dtype=complex,
+)
 
 
-def cnot() -> Gate:
-    """Controlled-NOT with the system qubit (first factor) as control."""
-    matrix = np.array(
-        [
-            [1, 0, 0, 0],
-            [0, 1, 0, 0],
-            [0, 0, 0, 1],
-            [0, 0, 1, 0],
-        ],
-        dtype=complex,
-    )
-    return Gate(arity=2, matrix=matrix)
+def _scalar(value, name: str) -> float:
+    """``value`` as one real number; anything else raises ``DimensionMismatch``."""
+    number = numerics.as_array(value, float)
+    if number.ndim != 0:
+        raise DimensionMismatch(f"{name} must be a single real number, got shape {number.shape}")
+    return float(number)
 
 
-def rotation(theta: float, phase: float = 0.0) -> Gate:
+def rotation(theta: float, phase: float = 0.0) -> np.ndarray:
     """Single-qubit rotation whose columns are the mixture basis x+/x-."""
+    theta = _scalar(theta, "theta")
+    phase = _scalar(phase, "phase")
     if not (np.isfinite(theta) and np.isfinite(phase)):
         raise NotFinite(f"rotation angles must be finite, got theta={theta}, phase={phase}")
     c = np.cos(theta)
     s = np.sin(theta)
-    matrix = np.array(
+    return np.array(
         [
             [c, -np.exp(-1j * phase) * s],
             [np.exp(1j * phase) * s, c],
         ],
         dtype=complex,
     )
-    return Gate(arity=1, matrix=matrix)
 
 
-def purification_circuit(r: Gate) -> Gate:
+def purification_circuit(theta: float, phase: float = 0.0) -> np.ndarray:
     """Rotate back, copy the label, rotate: (R (x) I) CNOT (R^+ (x) I).
 
     Leaves x+ (x) e_0 alone and sends x- (x) e_0 to x- (x) e_1, where
-    x+/x- are the columns of r.
+    x+/x- are the columns of R = rotation(theta, phase).
     """
-    if r.arity != 1:
-        raise ArityMismatch(f"rotation gate must have arity 1, got {r.arity}")
+    r = rotation(theta, phase)
     identity = np.eye(2, dtype=complex)
-    matrix = (
-        np.kron(r.matrix, identity)
-        @ cnot().matrix
-        @ np.kron(numerics.dag(r.matrix), identity)
-    )
-    return Gate(arity=2, matrix=matrix)
+    return np.kron(r, identity) @ CNOT @ np.kron(numerics.dag(r), identity)
 
 
 @dataclass
@@ -110,7 +87,7 @@ class QubitDemoReport(Report):
     q: float
     theta: float
     phase: float
-    circuit: Gate
+    circuit: np.ndarray
     purified: BipartiteState
     recovered: Ensemble
     recovered_weight_deviation: float
@@ -135,7 +112,7 @@ class QubitDemoReport(Report):
         lines = [
             f"inputs: q = {self.q:g}, theta = {self.theta:g}, phase = {self.phase:g}",
             "circuit matrix:",
-            format_matrix(self.circuit.matrix),
+            format_matrix(self.circuit),
             "recovered mixture (reference measured in the computational basis):",
         ]
         for w, state in zip(self.recovered.weights, self.recovered.states):
@@ -167,16 +144,15 @@ def qubit_demo(
     ensemble when omitted). The circuit action is cross-checked against
     the Hamiltonian propagator built from {x+, x-} on both initial states.
     """
+    q = _scalar(q, "q")
     if not 0.0 < q < 1.0:
         raise PurifyKitError(f"q must lie strictly between 0 and 1, got {q}")
-    r = rotation(theta, phase)
-    x_plus = r.matrix[:, 0]
-    x_minus = r.matrix[:, 1]
-    circuit = purification_circuit(r)
+    x_plus, x_minus = rotation(theta, phase).T
+    circuit = purification_circuit(theta, phase)
 
     ready = numerics.basis_state(2, 0)
     start = np.kron(np.sqrt(q) * x_plus + np.sqrt(1.0 - q) * x_minus, ready)
-    purified = BipartiteState(2, 2, circuit.matrix @ start)
+    purified = BipartiteState(2, 2, circuit @ start)
 
     outcomes = measure_reference(purified, np.eye(2, dtype=complex))
     recovered = Ensemble(
@@ -204,7 +180,7 @@ def qubit_demo(
     joints = [np.kron(state, ready) for state in (x_plus, x_minus)]
     evolved = evolution_numeric(model, EvolutionParams.canonical(), np.reshape(joints, (2, 2, 2)))
     fidelities = [
-        numerics.state_fidelity(circuit.matrix @ joint, moved.reshape(-1))
+        numerics.state_fidelity(circuit @ joint, moved.reshape(-1))
         for joint, moved in zip(joints, evolved)
     ]
 

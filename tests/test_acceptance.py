@@ -213,12 +213,10 @@ def test_criterion_8_qubit_circuit():
     for _ in range(50):
         theta = float(rng.uniform(-math.pi, math.pi))
         phase = float(rng.uniform(-math.pi, math.pi))
-        gate = rotation(theta, phase)
-        circuit = purification_circuit(gate)
-        x_plus = gate.matrix[:, 0]
-        x_minus = gate.matrix[:, 1]
-        kept = circuit.matrix @ np.kron(x_plus, ready)
-        moved = circuit.matrix @ np.kron(x_minus, ready)
+        circuit = purification_circuit(theta, phase)
+        x_plus, x_minus = rotation(theta, phase).T
+        kept = circuit @ np.kron(x_plus, ready)
+        moved = circuit @ np.kron(x_minus, ready)
         worst_map = max(
             worst_map,
             numerics.max_abs(kept - np.kron(x_plus, ready)),

@@ -458,7 +458,6 @@ def test_every_error_class_carries_a_taxonomy_status():
         errors.ContractViolation,
         errors.NotOrthonormal,
         errors.NotHermitian,
-        errors.NotUnitary,
         errors.NotSquare,
         errors.TooManyRows,
     }

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from purifykit import numerics
+from purifykit import errors, numerics
 from purifykit.errors import (
     DimensionMismatch,
     NotFinite,
@@ -402,19 +402,40 @@ def test_completion_matches_row_loop_oracle_at_steering_size():
 
 
 # ---------------------------------------------------------------------------
-# the tolerance table
+# the tolerance table and the error classes
+
+
+def package_nodes(skip=""):
+    """Every AST node of the package's modules, except the module ``skip``."""
+    for path in sorted(Path(numerics.__file__).parent.glob("*.py")):
+        if path.name != skip:
+            yield from ast.walk(ast.parse(path.read_text(encoding="utf-8")))
 
 
 def test_every_tolerance_is_read_in_the_package():
-    package = Path(numerics.__file__).parent
-    read = set()
-    for path in package.glob("*.py"):
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
-                if node.value.id == "TOL":
-                    read.add(node.attr)
+    read = {
+        node.attr
+        for node in package_nodes()
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+        and node.value.id == "TOL"
+    }
     unread = {f.name for f in dataclasses.fields(numerics.TOL)} - read
     assert not unread, f"tolerances no check reads: {sorted(unread)}"
+
+
+def test_every_error_class_is_used_outside_its_definition():
+    used = set()
+    for node in package_nodes(skip="errors.py"):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+    classes = {
+        name for name, value in vars(errors).items()
+        if isinstance(value, type) and value.__module__ == errors.__name__
+    }
+    unused = classes - {"PurifyKitError"} - used
+    assert not unused, f"error classes no module raises or names: {sorted(unused)}"
 
 
 def test_small_float_literals_live_only_in_the_tolerance_table():

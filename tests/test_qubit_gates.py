@@ -5,69 +5,77 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from purifykit import numerics
+from purifykit import dynamics, numerics
 from purifykit.ensembles import Ensemble
-from purifykit.errors import ArityMismatch, NotUnitary
-from purifykit.qubit_gates import (
-    Gate,
-    cnot,
-    purification_circuit,
-    qubit_demo,
-    rotation,
-)
+from purifykit.errors import DimensionMismatch, NotFinite, PurifyKitError
+from purifykit.qubit_gates import CNOT, purification_circuit, qubit_demo, rotation
 
 KET0 = np.array([1.0, 0.0], dtype=complex)
 KET1 = np.array([0.0, 1.0], dtype=complex)
 PLUS = np.array([1.0, 1.0], dtype=complex) / np.sqrt(2)
 MINUS = np.array([1.0, -1.0], dtype=complex) / np.sqrt(2)
 
-angles = st.floats(-np.pi, np.pi, allow_nan=False)
+SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]])
 
-
-def apply(gate, state):
-    return gate.matrix @ state
+# every angle the command line accepts
+angles = st.floats(allow_nan=False, allow_infinity=False)
 
 
 # ---------------------------------------------------------------------------
 # gates
 
 
-def test_gate_must_be_unitary():
-    with pytest.raises(NotUnitary):
-        Gate(1, np.array([[1.0, 1.0], [0.0, 1.0]]))
+@pytest.mark.parametrize("build", [rotation, purification_circuit])
+@pytest.mark.parametrize("position", ["theta", "phase"])
+@pytest.mark.parametrize(
+    "angle, error",
+    [
+        (0.5 + 0.1j, DimensionMismatch),
+        ("a", DimensionMismatch),
+        (None, NotFinite),
+        (np.array([0.1, 0.2]), DimensionMismatch),
+        (np.inf, NotFinite),
+    ],
+    ids=["complex", "text", "none", "two-element", "inf"],
+)
+def test_angles_must_be_single_finite_real_numbers(build, position, angle, error):
+    with pytest.raises(error):
+        build(**{"theta": 0.3, "phase": 0.2, position: angle})
+
+
+def test_a_boolean_angle_is_a_double_precision_rotation():
+    r = rotation(True)
+    assert numerics.max_abs(r @ numerics.dag(r) - np.eye(2)) <= 1e-15
+    np.testing.assert_array_equal(r, rotation(1.0))
 
 
 def test_cnot_keeps_control_zero():
-    np.testing.assert_allclose(
-        apply(cnot(), np.kron(KET0, KET0)), np.kron(KET0, KET0), atol=1e-15
-    )
+    np.testing.assert_allclose(CNOT @ np.kron(KET0, KET0), np.kron(KET0, KET0), atol=1e-15)
 
 
 def test_cnot_flips_target_for_control_one():
-    np.testing.assert_allclose(
-        apply(cnot(), np.kron(KET1, KET0)), np.kron(KET1, KET1), atol=1e-15
-    )
+    np.testing.assert_allclose(CNOT @ np.kron(KET1, KET0), np.kron(KET1, KET1), atol=1e-15)
 
 
 def test_cnot_is_an_involution():
-    np.testing.assert_allclose(cnot().matrix @ cnot().matrix, np.eye(4), atol=1e-15)
+    np.testing.assert_allclose(CNOT @ CNOT, np.eye(4), atol=1e-15)
 
 
 def test_rotation_at_zero_is_identity():
-    np.testing.assert_allclose(rotation(0.0).matrix, np.eye(2), atol=1e-15)
+    np.testing.assert_allclose(rotation(0.0), np.eye(2), atol=1e-15)
 
 
 def test_rotation_quarter_angle_builds_plus_state():
-    np.testing.assert_allclose(apply(rotation(np.pi / 4), KET0), PLUS, atol=1e-12)
+    np.testing.assert_allclose(rotation(np.pi / 4) @ KET0, PLUS, atol=1e-12)
     # the partner column is the minus state up to a global phase
-    assert numerics.state_fidelity(apply(rotation(np.pi / 4), KET1), MINUS) > 1 - 1e-12
+    assert numerics.state_fidelity(rotation(np.pi / 4) @ KET1, MINUS) > 1 - 1e-12
 
 
 @given(theta=angles, phase=angles)
 @settings(max_examples=80, deadline=None)
 def test_rotation_is_unitary(theta, phase):
-    gate = rotation(theta, phase)
-    residual = numerics.max_abs(gate.matrix @ numerics.dag(gate.matrix) - np.eye(2))
+    r = rotation(theta, phase)
+    residual = numerics.max_abs(r @ numerics.dag(r) - np.eye(2))
     assert residual <= 1e-12
 
 
@@ -76,23 +84,17 @@ def test_rotation_is_unitary(theta, phase):
 
 
 def test_circuit_with_identity_rotation_is_cnot():
-    circuit = purification_circuit(rotation(0.0))
-    np.testing.assert_allclose(circuit.matrix, cnot().matrix, atol=1e-15)
-
-
-def test_circuit_rejects_two_qubit_rotation():
-    with pytest.raises(ArityMismatch):
-        purification_circuit(cnot())
+    np.testing.assert_allclose(purification_circuit(0.0), CNOT, atol=1e-15)
 
 
 def test_circuit_on_the_plus_minus_basis():
-    circuit = purification_circuit(rotation(np.pi / 4))
-    kept = apply(circuit, np.kron(PLUS, KET0))
-    moved = apply(circuit, np.kron(MINUS, KET0))
+    circuit = purification_circuit(np.pi / 4)
+    kept = circuit @ np.kron(PLUS, KET0)
+    moved = circuit @ np.kron(MINUS, KET0)
     # oracle: explicit 4x4 product of the three gate matrices
-    r = rotation(np.pi / 4).matrix
-    oracle = np.kron(r, np.eye(2)) @ cnot().matrix @ np.kron(r.conj().T, np.eye(2))
-    np.testing.assert_allclose(circuit.matrix, oracle, atol=1e-14)
+    r = rotation(np.pi / 4)
+    oracle = np.kron(r, np.eye(2)) @ CNOT @ np.kron(r.conj().T, np.eye(2))
+    np.testing.assert_allclose(circuit, oracle, atol=1e-14)
     np.testing.assert_allclose(kept, np.kron(PLUS, KET0), atol=1e-12)
     np.testing.assert_allclose(moved, np.kron(MINUS, KET1), atol=1e-12)
 
@@ -100,18 +102,25 @@ def test_circuit_on_the_plus_minus_basis():
 @given(theta=angles, phase=angles)
 @settings(max_examples=80, deadline=None)
 def test_circuit_correlates_its_own_rotation_basis(theta, phase):
-    gate = rotation(theta, phase)
-    x_plus = gate.matrix[:, 0]
-    x_minus = gate.matrix[:, 1]
-    circuit = purification_circuit(gate)
-    residual = numerics.max_abs(
-        circuit.matrix @ numerics.dag(circuit.matrix) - np.eye(4)
-    )
+    x_plus, x_minus = rotation(theta, phase).T
+    circuit = purification_circuit(theta, phase)
+    residual = numerics.max_abs(circuit @ numerics.dag(circuit) - np.eye(4))
     assert residual <= 1e-10
-    kept = apply(circuit, np.kron(x_plus, KET0))
-    moved = apply(circuit, np.kron(x_minus, KET0))
+    kept = circuit @ np.kron(x_plus, KET0)
+    moved = circuit @ np.kron(x_minus, KET0)
     assert numerics.max_abs(kept - np.kron(x_plus, KET0)) <= 1e-12
     assert numerics.max_abs(moved - np.kron(x_minus, KET1)) <= 1e-12
+
+
+@given(theta=angles, phase=angles)
+@settings(max_examples=200, deadline=None)
+def test_circuit_is_the_plane_rotation_of_its_basis(theta, phase):
+    # (R (x) I) CNOT (R^+ (x) I) = I + P_- (x) (sigma_x - I), the projector (x)
+    # 2x2-block form of the correlating Hamiltonian, turned on the basis states
+    model = dynamics.build_model(rotation(theta, phase).T, 2)
+    images = dynamics._rotate_planes(model, SIGMA_X, np.eye(4).reshape(4, 2, 2))
+    plane_form = images.reshape(4, 4).T
+    assert numerics.max_abs(purification_circuit(theta, phase) - plane_form) <= 1e-15
 
 
 # ---------------------------------------------------------------------------
@@ -146,10 +155,9 @@ def test_demo_matches_hamiltonian_evolution():
 
 
 def test_demo_rejects_degenerate_weight():
-    with pytest.raises(ValueError):
-        qubit_demo(0.0, 0.1)
-    with pytest.raises(ValueError):
-        qubit_demo(1.0, 0.1)
+    for q in (0.0, 1.0, np.nan, 1j, "x", None, np.array([0.3, 0.4])):
+        with pytest.raises(PurifyKitError):
+            qubit_demo(q, 0.1)
 
 
 def test_demo_report_renders():

@@ -14,7 +14,7 @@ from purifykit import reports
 from purifykit.dynamics import CorrelationReport, DynamicsReport, PowerIdentityReport
 from purifykit.ensembles import Ensemble
 from purifykit.purification import BipartiteState, MeasurementOutcome, PreparationReport
-from purifykit.qubit_gates import QubitDemoReport, cnot
+from purifykit.qubit_gates import CNOT, QubitDemoReport
 
 NAN = float("nan")
 S = math.sqrt(0.5)
@@ -46,7 +46,7 @@ def dynamics(**changes):
 
 def qubit(**changes):
     fields = dict(
-        q=0.5, theta=0.0, phase=0.0, circuit=cnot(),
+        q=0.5, theta=0.0, phase=0.0, circuit=CNOT,
         purified=BipartiteState(2, 2, [S, 0.0, 0.0, S]),
         recovered=Ensemble(2, [0.5, 0.5], [[1.0, 0.0], [0.0, 1.0]]),
         recovered_weight_deviation=0.0, recovered_state_infidelity=1e-16,
