@@ -26,11 +26,10 @@ from .reports import Check, Report
 # Y_j restricted to its (e_0, e_j) plane, in that basis order. The sign
 # makes the quarter-turn kick send the ready slot to e_j with a +1 amplitude.
 PLANE_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
-PLANE_SQUARE = PLANE_Y @ PLANE_Y
 # Every propagator turns the same block, so it is decomposed once.
 PLANE_EIG = numerics.hermitian_eig(PLANE_Y)
 # The closed-form quarter-turn block I - Y^2 - iY.
-QUARTER_TURN = np.eye(2) - PLANE_SQUARE - 1j * PLANE_Y
+QUARTER_TURN = np.eye(2) - PLANE_Y @ PLANE_Y - 1j * PLANE_Y
 
 
 @dataclass
@@ -76,7 +75,7 @@ class HamiltonianModel:
 
     Constructing the model checks everything the propagators rely on, once:
     ``dim_s`` and ``dim_k`` are positive integers (``DimensionMismatch``),
-    ``phi`` is a finite 2-D stack of rows of width ``dim_s``, no more rows
+    ``phi`` is a finite 2-D stack of 1 or more rows of width ``dim_s``, no more
     than ``dim_k`` (``ReferenceTooSmall``: each needs its own reference
     direction), the rows are pairwise orthonormal (``NotOrthonormal``), and
     the cross-products vanish, so all pairs commute (see
@@ -94,6 +93,7 @@ class HamiltonianModel:
         self.dim_k = numerics.as_dimension(self.dim_k, DimensionMismatch, "dim_k")
         self.phi = numerics.as_matrix(self.phi)
         count, width = self.phi.shape
+        numerics.as_dimension(count, DimensionMismatch, "the number of states")
         if width != self.dim_s:
             raise DimensionMismatch(f"states of width {width} do not live in dim_s = {self.dim_s}")
         if count > self.dim_k:
@@ -172,10 +172,10 @@ class PowerIdentityReport(Report):
 def power_identities_check(phi, j: int) -> PowerIdentityReport:
     """Verify H^3 = H and H^2 = |phi_j><phi_j| (x) (e_0 e_0^+ + e_j e_j^+).
 
-    With P_j^2 = |phi_j|^2 P_j, the residuals are P_j (x) (|phi_j|^4 Y^3 - Y)
-    and P_j (x) (|phi_j|^2 Y^2 - I) on the (e_0, e_j) plane; the largest
-    entry of P_j is the squared largest amplitude of phi_j. For the
-    vanishing j = 0 term both identities degenerate to zero.
+    With P_j^2 = |phi_j|^2 P_j, Y^3 = Y and Y^2 = I on the (e_0, e_j)
+    plane, the residuals are m_j^2 ||phi_j|^4 - 1| and m_j^2 ||phi_j|^2 - 1|,
+    m_j the largest amplitude of phi_j. For the vanishing j = 0 term both
+    identities degenerate to zero.
     """
     phi = numerics.as_matrix(phi)
     if isinstance(j, bool) or not isinstance(j, (int, np.integer)) or not 0 <= j < len(phi):
@@ -183,12 +183,18 @@ def power_identities_check(phi, j: int) -> PowerIdentityReport:
     return _power_reports(phi)[j]
 
 
-def _power_reports(phi: np.ndarray) -> list[PowerIdentityReport]:
-    """:func:`power_identities_check` for every term of the 2-D ``phi``, in one pass."""
-    norm2 = np.array([np.vdot(row, row).real for row in phi])[:, np.newaxis, np.newaxis]
+def _gram(phi: np.ndarray) -> np.ndarray:
+    """The Gram matrix G = conj(phi) phi^T, entry [i, j] = <phi_i|phi_j>."""
+    return phi.conj() @ phi.T
+
+
+def _power_reports(phi: np.ndarray, gram: np.ndarray | None = None) -> list[PowerIdentityReport]:
+    """:func:`power_identities_check` for every term of the 2-D ``phi``, in one
+    pass, reading |phi_j|^2 from the diagonal of phi's Gram matrix ``gram``."""
+    norm2 = (_gram(phi) if gram is None else gram).diagonal().real
     scale = np.max(np.abs(phi), axis=1, initial=0.0) ** 2
-    odd = scale * np.max(np.abs(norm2**2 * PLANE_SQUARE @ PLANE_Y - PLANE_Y), axis=(1, 2))
-    even = scale * np.max(np.abs(norm2 * PLANE_SQUARE - np.eye(2)), axis=(1, 2))
+    odd = scale * np.abs(norm2**2 - 1.0)
+    even = scale * np.abs(norm2 - 1.0)
     odd[:1] = even[:1] = 0.0  # the j = 0 term is zero
     return [
         PowerIdentityReport(reference_index=j, odd_residual=o, even_residual=e)
@@ -196,47 +202,36 @@ def _power_reports(phi: np.ndarray) -> list[PowerIdentityReport]:
     ]
 
 
-def _rotate_planes(model: HamiltonianModel, blocks: np.ndarray, grids) -> np.ndarray:
-    """Apply I + sum_j P_j (x) (block - I) on (e_0, e_j), j >= 1, to each grid,
-    for each 2x2 block of the stack ``blocks`` shaped (..., 2, 2).
+def _rotate_planes(model: HamiltonianModel, block: np.ndarray, grids) -> np.ndarray:
+    """Apply I + sum_j P_j (x) (block - I) on (e_0, e_j), j >= 1, to each grid.
 
     ``grids`` is a stack of states shaped (..., dim_s, dim_k), entry
-    [s, k] the amplitude of e_s (x) e_k; the result is shaped
-    blocks.shape[:-2] + grids.shape, so one block keeps the grids' shape.
-    With C = conj(phi) Psi, the map is Psi -> Psi + phi^T (C' - C), where C'
-    rotates each pair (C[j, 0], C[j, j]) by the block. Only those pairs
-    change, so only they are formed, once for every block: the ready column
-    is column 0 and the partners are the contiguous columns 1..n-1.
+    [s, k] the amplitude of e_s (x) e_k, and ``block`` is one 2x2 block;
+    a NaN or infinite amplitude raises ``NotFinite``. With C = conj(phi) Psi,
+    the map is Psi -> Psi + phi^T (C' - C), where C' rotates each pair
+    (C[j, 0], C[j, j]) by the block. Only those pairs change, so only they
+    are formed: the ready column is column 0 and the partners are the
+    contiguous columns 1..n-1.
     """
     grids = numerics.as_array(grids)
+    if not np.all(np.isfinite(grids)):
+        raise NotFinite("state amplitudes must be finite")
     if grids.shape[-2:] != (model.dim_s, model.dim_k):
         raise DimensionMismatch(f"states must be {model.dim_s} x {model.dim_k} grids")
     count = model.phi.shape[0]
     phi = model.phi[1:]
     conj = phi.conj()
-    # one flat stack of states, so each block's products have the same shapes
     states = grids.reshape(-1, model.dim_s, model.dim_k)
     pairs = np.empty((2, len(states), count - 1), dtype=complex)
     np.matmul(states[:, :, 0], conj.T, out=pairs[0])
     np.einsum("js,tsj->tj", conj, states[:, :, 1:count], out=pairs[1])
     flat = pairs.reshape(2, -1)
-    stack = np.reshape(blocks, (-1, 2, 2))
-    # block @ pairs - pairs keeps the rounding of the single-block pass;
-    # (block - I) @ pairs would round differently
-    change = (stack @ flat - flat).reshape(len(stack), *pairs.shape)
-    out = np.empty((len(stack), *states.shape), dtype=complex)
-    out[...] = states
-    out[..., 0] += change[:, 0] @ phi
-    out[..., 1:count] += phi.T * change[:, 1][..., np.newaxis, :]
-    return out.reshape(np.shape(blocks)[:-2] + grids.shape)
-
-
-def _finite(grids) -> np.ndarray:
-    """``grids`` as a complex array; a NaN or infinite amplitude raises ``NotFinite``."""
-    grids = numerics.as_array(grids)
-    if not np.all(np.isfinite(grids)):
-        raise NotFinite("state amplitudes must be finite")
-    return grids
+    # (block - I) @ pairs would round differently and move the output bytes
+    change = (block @ flat - flat).reshape(pairs.shape)
+    out = states.copy()
+    out[:, :, 0] += change[0] @ phi
+    out[:, :, 1:count] += phi.T * change[1][:, np.newaxis, :]
+    return out.reshape(grids.shape)
 
 
 def _numeric_block(params: EvolutionParams) -> np.ndarray:
@@ -249,22 +244,12 @@ def _numeric_block(params: EvolutionParams) -> np.ndarray:
 
 def evolution_closed_form(model: HamiltonianModel, grids) -> np.ndarray:
     """Quarter-turn propagator I - H_j^2 - i H_j, applied to a stack of finite states."""
-    return _rotate_planes(model, QUARTER_TURN, _finite(grids))
+    return _rotate_planes(model, QUARTER_TURN, grids)
 
 
 def evolution_numeric(model: HamiltonianModel, params: EvolutionParams, grids) -> np.ndarray:
     """exp(-i omega T H) on a stack of finite states, each plane turned by exp(-i omega T Y)."""
-    return _rotate_planes(model, _numeric_block(params), _finite(grids))
-
-
-def _probes(model: HamiltonianModel) -> np.ndarray:
-    """The stack of every phi_j (x) e_0, then of every phi_j (x) e_j."""
-    count = model.phi.shape[0]
-    index = np.arange(count)
-    grids = np.zeros((2 * count, model.dim_s, model.dim_k), dtype=complex)
-    grids[:count, :, 0] = model.phi
-    grids[count + index, :, index] = model.phi
-    return grids
+    return _rotate_planes(model, _numeric_block(params), grids)
 
 
 @dataclass
@@ -287,16 +272,30 @@ class CorrelationReport(Report):
 def verify_correlating_evolution(
     model: HamiltonianModel, params: EvolutionParams
 ) -> CorrelationReport:
-    """Apply the propagator to each phi_j (x) e_0 and compare with phi_j (x) e_j."""
-    count = len(model.phi)
-    probes = _probes(model)
-    return _correlation(evolution_numeric(model, params, probes[:count]), probes[count:])
+    """Fidelity of each phi_j (x) e_0, evolved for any finite omega*T, with
+    phi_j (x) e_j, read from phi's Gram matrix (see :func:`verification_report`)."""
+    return _correlation(_gram(model.phi), _numeric_block(params))
 
 
-def _correlation(evolved: np.ndarray, expected: np.ndarray) -> CorrelationReport:
-    """Fidelity of each evolved phi_j (x) e_0 with its phi_j (x) e_j."""
-    overlaps = np.einsum("jsk,jsk->j", expected.conj(), evolved)
-    return CorrelationReport(fidelities=np.abs(overlaps))
+def _correlation(gram: np.ndarray, block: np.ndarray) -> CorrelationReport:
+    """|<phi_j (x) e_j| U |phi_j (x) e_0>| for U the plane map of ``block``."""
+    diagonal = gram.diagonal().real
+    fidelities = abs(block[1, 0]) * diagonal**2
+    fidelities[0] = abs(diagonal[0] + (block[0, 0] - 1) * np.sum(np.abs(gram[1:, 0]) ** 2))
+    return CorrelationReport(fidelities=fidelities)
+
+
+def _plane_map_gap(phi: np.ndarray, gram: np.ndarray, delta: np.ndarray) -> float:
+    """Largest entry by which the plane maps of two blocks differing by
+    ``delta`` differ on the probes phi_i (x) e_0 and phi_i (x) e_i."""
+    rows, pairs = phi[1:], gram[1:]  # pairs[j - 1, i] = G_ji
+    peaks = np.max(np.abs(rows), axis=1, initial=0.0)
+    own = gram.diagonal()[1:].real * peaks
+    return float(max(
+        abs(delta[0, 0]) * numerics.max_abs(pairs.T @ rows),
+        abs(delta[1, 0]) * numerics.max_abs(np.abs(pairs) * peaks[:, np.newaxis]),
+        max(abs(delta[0, 1]), abs(delta[1, 1])) * numerics.max_abs(own),
+    ))
 
 
 def purify_via_dynamics(
@@ -340,22 +339,23 @@ class DynamicsReport(Report):
 def verification_report(model: HamiltonianModel, params: EvolutionParams) -> DynamicsReport:
     """Run every dynamics check on one model at the given parameters.
 
-    The closed form and the numeric propagator both leave every state
-    orthogonal to the planes span{phi_j (x) e_0, phi_j (x) e_j} unchanged,
-    so comparing them on the states phi_j (x) e_0 and phi_j (x) e_j covers
-    every place where they can differ. One pass turns these probes under
-    both blocks, and the evolved phi_j (x) e_0 also give the correlation
-    fidelities of :func:`verify_correlating_evolution`.
+    Both propagators change only the planes of phi_j (x) e_0 and phi_j (x) e_j (j >= 1), so
+    no probe is formed: phi_i (x) e_0 has the pairs (G_ji, 0), phi_i (x) e_i the pair (0, G_ii).
+    G_ji = <phi_j|phi_i>, m_j = max_s |phi_j[s]|, N the numeric block, dB = QUARTER_TURN - N:
+    - phi_i (x) e_0 differs by dB_00 sum_j G_ji phi_j on e_0: |dB_00| max |phi_{1:}^T G_{1:}|.
+    - phi_i (x) e_0 differs by dB_10 G_ji phi_j on e_j: |dB_10| max_{j, i} |G_ji| m_j.
+    - phi_i (x) e_i differs by dB_01 G_ii phi_i on e_0: |dB_01| max_i G_ii m_i.
+    - phi_i (x) e_i differs by dB_11 G_ii phi_i on e_i: |dB_11| max_i G_ii m_i.
+    - Fidelity, j >= 1: <phi_j (x) e_j| N_10 G_jj phi_j (x) e_j> = N_10 G_jj^2.
+    - Fidelity, j = 0: <phi_0| phi_0 + (N_00 - 1) sum_i G_i0 phi_i> on e_0, with i >= 1.
     """
     params.require_correlating()
-    count = len(model.phi)
-    probes = _probes(model)
-    blocks = np.array([QUARTER_TURN, _numeric_block(params)])
-    closed, numeric = _rotate_planes(model, blocks, probes)
+    gram = _gram(model.phi)
+    block = _numeric_block(params)
     return DynamicsReport(
-        correlation=_correlation(numeric[:count], probes[count:]),
-        power_reports=_power_reports(model.phi),
+        correlation=_correlation(gram, block),
+        power_reports=_power_reports(model.phi, gram),
         commutator_maximum=model.cross_product_maximum,
         cross_product_maximum=model.cross_product_maximum,
-        closed_vs_numeric=numerics.max_abs(closed - numeric),
+        closed_vs_numeric=_plane_map_gap(model.phi, gram, QUARTER_TURN - block),
     )

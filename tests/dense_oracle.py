@@ -79,3 +79,31 @@ def as_matrix(apply, dim_s, dim_k):
     side = dim_s * dim_k
     images = apply(np.eye(side, dtype=complex).reshape(side, dim_s, dim_k))
     return images.reshape(side, side).T
+
+
+# I - Y^2 - iY for Y = sigma_y, the quarter-turn block
+QUARTER_TURN = np.array([[0.0, -1.0], [1.0, 0.0]], dtype=complex)
+
+
+def probe_report(phi, dim_k, block):
+    """Evolve every phi_j (x) e_0 and phi_j (x) e_j under the dense plane map of
+    ``block`` and of the quarter turn. Returns the fidelities
+    |<phi_j (x) e_j| U |phi_j (x) e_0>|, the largest entry by which the two
+    maps' images differ, and the (odd, even) power residuals of every term."""
+    phi = np.asarray(phi, dtype=complex)
+    count = len(phi)
+    slots = np.eye(dim_k)
+    ready = np.array([np.kron(row, slots[0]) for row in phi])
+    moved = np.array([np.kron(row, slots[j]) for j, row in enumerate(phi)])
+    probes = np.concatenate([ready, moved])
+    evolved = probes @ plane_map(phi, dim_k, block).T
+    closed = probes @ plane_map(phi, dim_k, QUARTER_TURN).T
+    fidelities = np.abs(np.sum(moved.conj() * evolved[:count], axis=1))
+    powers = [power_residuals(j, phi, dim_k) for j in range(count)]
+    return fidelities, max_abs(closed - evolved), powers
+
+
+def plane_block(phase):
+    """exp(-i phase sigma_y) = cos(phase) I - i sin(phase) sigma_y."""
+    c, s = np.cos(phase), np.sin(phase)
+    return np.array([[c, -s], [s, c]], dtype=complex)

@@ -338,6 +338,8 @@ def test_the_model_checks_its_dimensions_where_it_is_built():
         HamiltonianModel(dim_s=3.0, dim_k=3, phi=np.eye(3))
     with pytest.raises(DimensionMismatch):
         HamiltonianModel(dim_s=3, dim_k=3, phi=np.eye(3)[0])
+    with pytest.raises(DimensionMismatch):
+        build_model(np.zeros((0, 3)), 2)
     with pytest.raises(NotOrthonormal):
         HamiltonianModel(dim_s=2, dim_k=2, phi=[[1.0, 0.0], [1.0, 0.0]])
     with pytest.raises(NotFinite):
@@ -498,38 +500,29 @@ def test_the_pulse_separates_s_from_k(dim_s, rank, spare, phases, seed):
     dim_s=st.integers(1, 5),
     rank=st.integers(1, 5),
     spare=st.integers(0, 2),
-    block_batch=st.lists(st.integers(1, 3), max_size=2),
     grid_batch=st.lists(st.integers(1, 3), max_size=2),
     seed=st.integers(0, 2**32 - 1),
 )
-@example(dim_s=3, rank=1, spare=2, block_batch=[2], grid_batch=[3], seed=0)
-@example(dim_s=4, rank=4, spare=0, block_batch=[], grid_batch=[], seed=1)
-@example(dim_s=3, rank=3, spare=0, block_batch=[2], grid_batch=[], seed=0)
-@example(dim_s=5, rank=3, spare=2, block_batch=[2, 3], grid_batch=[2, 1], seed=2)
+@example(dim_s=3, rank=1, spare=2, grid_batch=[3], seed=0)
+@example(dim_s=4, rank=4, spare=0, grid_batch=[], seed=1)
+@example(dim_s=5, rank=3, spare=2, grid_batch=[2, 1], seed=2)
 @settings(max_examples=40, deadline=None)
-def test_one_pass_over_a_stack_of_blocks_equals_a_pass_per_block(
-    dim_s, rank, spare, block_batch, grid_batch, seed
+def test_one_pass_over_a_stack_of_grids_matches_the_dense_plane_map(
+    dim_s, rank, spare, grid_batch, seed
 ):
     rng = np.random.default_rng(seed)
     rank = min(rank, dim_s)
     dim_k = rank + spare
     model = build_model(orthonormal_family(dim_s, rank, rng), dim_k)
-    blocks = rng.standard_normal((*block_batch, 2, 2)) + 1j * rng.standard_normal(
-        (*block_batch, 2, 2)
-    )
+    block = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
     grids = rng.standard_normal((*grid_batch, dim_s, dim_k)) + 1j * rng.standard_normal(
         (*grid_batch, dim_s, dim_k)
     )
-    stacked = dynamics._rotate_planes(model, blocks, grids)
-    assert stacked.shape == (*block_batch, *grid_batch, dim_s, dim_k)
-    vectors = grids.reshape(-1, dim_s * dim_k)
-    for index in np.ndindex(*block_batch):
-        alone = dynamics._rotate_planes(model, blocks[index], grids)
-        assert alone.shape == grids.shape
-        np.testing.assert_array_equal(stacked[index], alone)
-        dense = dense_oracle.plane_map(model.phi, dim_k, blocks[index])
-        expected = (vectors @ dense.T).reshape(grids.shape)
-        assert numerics.max_abs(alone - expected) <= 1e-12
+    turned = dynamics._rotate_planes(model, block, grids)
+    assert turned.shape == grids.shape
+    dense = dense_oracle.plane_map(model.phi, dim_k, block)
+    expected = (grids.reshape(-1, dim_s * dim_k) @ dense.T).reshape(grids.shape)
+    assert numerics.max_abs(turned - expected) <= 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -600,8 +593,89 @@ def test_the_report_reads_the_correlation_from_its_own_evolution(dim, spare, see
     np.testing.assert_allclose(report.correlation.fidelities, alone.fidelities, rtol=0, atol=1e-15)
 
 
-def test_one_verification_and_one_purification_evolve_twice_and_decompose_nothing(monkeypatch):
-    # the report turns its probes under both blocks in one pass
+@given(
+    dim_s=st.integers(1, 12),
+    rank=st.integers(1, 12),
+    spare=st.integers(0, 2),
+    push=st.floats(0.0, 5e-11),
+    turns=st.integers(-3, 3),
+    phase=st.floats(-10.0, 10.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(dim_s=1, rank=1, spare=0, push=0.0, turns=0, phase=0.3, seed=0)
+@example(dim_s=12, rank=12, spare=2, push=5e-11, turns=3, phase=-2.0, seed=12)
+@settings(max_examples=30, deadline=None)
+def test_the_gram_formulas_match_the_probe_evolution(
+    dim_s, rank, spare, push, turns, phase, seed
+):
+    rng = np.random.default_rng(seed)
+    dim_k = rank + spare
+    phi = orthonormal_family(max(dim_s, rank), rank, rng)
+    model = build_model(phi, dim_k)
+    if rank > 2:
+        # lean the last state toward phi_1 inside the Gram gate; the model's
+        # cross-product gate would refuse it, but the formulas hold for any
+        # rows, so the leaned rows replace the validated ones
+        leaned = phi.copy()
+        leaned[-1] += push * phi[1]
+        leaned[-1] /= np.linalg.norm(leaned[-1])
+        model.phi = leaned
+    quarter = EvolutionParams(1.0, math.pi / 2 + 2 * math.pi * turns)
+    report = verification_report(model, quarter)
+    fidelities, gap, powers = dense_oracle.probe_report(
+        model.phi, dim_k, dense_oracle.plane_block(quarter.phase())
+    )
+    np.testing.assert_allclose(report.correlation.fidelities, fidelities, rtol=0, atol=1e-14)
+    assert abs(report.closed_vs_numeric - gap) <= 1e-14
+    np.testing.assert_allclose(
+        [(r.odd_residual, r.even_residual) for r in report.power_reports],
+        powers,
+        rtol=0,
+        atol=1e-14,
+    )
+    if rank == 1:  # no planes: both maps are the identity
+        assert report.closed_vs_numeric == gap == 0.0
+    params = EvolutionParams(1.0, phase)
+    fidelities, _, _ = dense_oracle.probe_report(
+        model.phi, dim_k, dense_oracle.plane_block(phase)
+    )
+    alone = verify_correlating_evolution(model, params)
+    np.testing.assert_allclose(alone.fidelities, fidelities, rtol=0, atol=1e-14)
+
+
+@given(
+    dim_s=st.integers(1, 8),
+    rank=st.integers(1, 8),
+    spare=st.integers(0, 2),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=40, deadline=None)
+def test_the_gram_formulas_hold_for_any_rows_and_any_block(dim_s, rank, spare, seed):
+    # rows of norms 0.5-1.5 with O(1) overlaps and a block with four distinct
+    # entries, so each term of each formula shows
+    rng = np.random.default_rng(seed)
+    rows = rng.standard_normal((rank, dim_s)) + 1j * rng.standard_normal((rank, dim_s))
+    rows *= rng.uniform(0.5, 1.5, (rank, 1)) / np.linalg.norm(rows, axis=1, keepdims=True)
+    block = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+    fidelities, gap, powers = dense_oracle.probe_report(rows, rank + spare, block)
+    gram = dynamics._gram(rows)
+    np.testing.assert_allclose(
+        dynamics._correlation(gram, block).fidelities, fidelities, rtol=1e-13, atol=1e-14
+    )
+    delta = dynamics.QUARTER_TURN - block
+    np.testing.assert_allclose(
+        dynamics._plane_map_gap(rows, gram, delta), gap, rtol=1e-13, atol=1e-14
+    )
+    np.testing.assert_allclose(
+        [(r.odd_residual, r.even_residual) for r in dynamics._power_reports(rows, gram)],
+        powers,
+        rtol=1e-13,
+        atol=1e-14,
+    )
+
+
+def test_one_verification_and_one_purification_evolve_once_and_decompose_nothing(monkeypatch):
+    # the report reads phi's Gram matrix; only the purification evolves a state
     spec = spectral_ensemble(density_matrix(random_ensemble(5, 4, np.random.default_rng(13))))
     model = build_model(spec.states, spec.rank)
     calls = Counter()
@@ -620,7 +694,7 @@ def test_one_verification_and_one_purification_evolve_twice_and_decompose_nothin
     report = verification_report(model, EvolutionParams.canonical())
     purify_via_dynamics(spec)
     assert report.passed()
-    assert calls["_rotate_planes"] == 2
+    assert calls["_rotate_planes"] == 1
     assert calls["hermitian_eig"] == 0
 
 
@@ -656,3 +730,19 @@ def test_memory_follows_the_factored_size():
         tracemalloc.stop()
     assert report.passed()
     assert peak < 64 * 2**20, f"peak {peak / 2**20:.1f} MB after {elapsed:.2f} s"
+
+
+def test_the_report_memory_follows_phi():
+    # G and phi^T G take 0.5 MB at this size; 2n probe grids of dim_s x dim_k would take 338 MB
+    model = build_model(orthonormal_family(128, 128, np.random.default_rng(128)), 128)
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        report = verification_report(model, EvolutionParams.canonical())
+        elapsed = time.perf_counter() - start
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.passed()
+    assert peak < 4 * 2**20, f"peak {peak / 2**20:.1f} MB"
+    assert elapsed < 1.0, f"{elapsed:.2f} s"
