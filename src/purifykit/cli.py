@@ -122,8 +122,7 @@ def _cmd_dynamics(config: RunConfig) -> int:
     report = verification_report(model, params)
     text = report.render()
     if config.output:
-        with open(config.output, "w", encoding="utf-8") as handle:
-            handle.write(text + "\n")
+        fileio.write_text(config.output, text + "\n")
     config.emit(text)
     return 0 if report.passed() else 2
 

@@ -80,12 +80,14 @@ class HamiltonianModel:
     direction), the rows are pairwise orthonormal (``NotOrthonormal``), and
     the cross-products vanish, so all pairs commute (see
     :func:`commutator_max`). The cross-product maximum, which is also the
-    commutator maximum, is kept as validated, for the verification report.
+    commutator maximum, and the Gram matrix G = conj(phi) phi^T behind the
+    orthonormality check are kept as validated, for the verification report.
     """
 
     dim_s: int
     dim_k: int
     phi: np.ndarray
+    gram: np.ndarray = field(init=False, repr=False)
     cross_product_maximum: float = field(init=False)
 
     def __post_init__(self):
@@ -100,8 +102,8 @@ class HamiltonianModel:
             raise ReferenceTooSmall(
                 f"reference dimension {self.dim_k} cannot host {count} correlated directions"
             )
-        gram = self.phi @ numerics.dag(self.phi)
-        if numerics.max_abs(gram - np.eye(count)) > TOL.orthonormality:
+        self.gram = _gram(self.phi)
+        if numerics.max_abs(self.gram - np.eye(count)) > TOL.orthonormality:
             raise NotOrthonormal("phi rows must be pairwise orthonormal")
         self.cross_product_maximum = _cross_product_max(self.phi)
         if self.cross_product_maximum > TOL.commutator:
@@ -274,7 +276,7 @@ def verify_correlating_evolution(
 ) -> CorrelationReport:
     """Fidelity of each phi_j (x) e_0, evolved for any finite omega*T, with
     phi_j (x) e_j, read from phi's Gram matrix (see :func:`verification_report`)."""
-    return _correlation(_gram(model.phi), _numeric_block(params))
+    return _correlation(model.gram, _numeric_block(params))
 
 
 def _correlation(gram: np.ndarray, block: np.ndarray) -> CorrelationReport:
@@ -350,12 +352,11 @@ def verification_report(model: HamiltonianModel, params: EvolutionParams) -> Dyn
     - Fidelity, j = 0: <phi_0| phi_0 + (N_00 - 1) sum_i G_i0 phi_i> on e_0, with i >= 1.
     """
     params.require_correlating()
-    gram = _gram(model.phi)
     block = _numeric_block(params)
     return DynamicsReport(
-        correlation=_correlation(gram, block),
-        power_reports=_power_reports(model.phi, gram),
+        correlation=_correlation(model.gram, block),
+        power_reports=_power_reports(model.phi, model.gram),
         commutator_maximum=model.cross_product_maximum,
         cross_product_maximum=model.cross_product_maximum,
-        closed_vs_numeric=_plane_map_gap(model.phi, gram, QUARTER_TURN - block),
+        closed_vs_numeric=_plane_map_gap(model.phi, model.gram, QUARTER_TURN - block),
     )

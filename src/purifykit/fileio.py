@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import os
 
 import numpy as np
 
@@ -34,10 +35,25 @@ def _render(value) -> str:
     return template % tuple(values.ravel().tolist())
 
 
+def write_text(path, text: str) -> None:
+    """Write ``text`` to ``path`` as UTF-8, overwriting an existing file in place.
+
+    The package's one file writer. It opens the path without ``O_TRUNC``,
+    since on ext4 a truncating open, like a rename over the file, waits for
+    writeback; it writes from the start and cuts the old tail only when the
+    file was longer. The inode, links, mode and symlinks stay; a device or
+    pipe has ``st_size`` 0, so ``truncate``, which raises there, is not called.
+    """
+    data = text.encode("utf-8")
+    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as handle:
+        handle.write(data)
+        if os.fstat(handle.fileno()).st_size > len(data):
+            handle.truncate(len(data))
+
+
 def _write_document(path, fields: dict) -> None:
     body = ",\n".join(f'  {json.dumps(k)}: {_render(v)}' for k, v in fields.items())
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write("{\n" + body + "\n}\n")
+    write_text(path, "{\n" + body + "\n}\n")
 
 
 _FORMS = {

@@ -75,7 +75,11 @@ def purification_circuit(theta: float, phase: float = 0.0) -> np.ndarray:
     Leaves x+ (x) e_0 alone and sends x- (x) e_0 to x- (x) e_1, where
     x+/x- are the columns of R = rotation(theta, phase).
     """
-    r = rotation(theta, phase)
+    return _circuit(rotation(theta, phase))
+
+
+def _circuit(r: np.ndarray) -> np.ndarray:
+    """:func:`purification_circuit` of an already checked rotation ``r``."""
     identity = np.eye(2, dtype=complex)
     return np.kron(r, identity) @ CNOT @ np.kron(numerics.dag(r), identity)
 
@@ -147,8 +151,9 @@ def qubit_demo(
     q = _scalar(q, "q")
     if not 0.0 < q < 1.0:
         raise PurifyKitError(f"q must lie strictly between 0 and 1, got {q}")
-    x_plus, x_minus = rotation(theta, phase).T
-    circuit = purification_circuit(theta, phase)
+    r = rotation(theta, phase)
+    x_plus, x_minus = r.T
+    circuit = _circuit(r)
 
     ready = numerics.basis_state(2, 0)
     start = np.kron(np.sqrt(q) * x_plus + np.sqrt(1.0 - q) * x_minus, ready)

@@ -542,3 +542,72 @@ def test_steering_showcase_script_runs(tmp_path):
     )
     assert result.returncode == 0, result.stderr
     assert "FAIL" not in result.stdout and "PASS" in result.stdout
+
+
+# ---------------------------------------------------------------------------
+# --out overwrites in place
+
+OUT_COMMANDS = {
+    "purify": lambda files: ["purify", str(files / "mix01.ens")],
+    "steer": lambda files: ["steer", str(files / "mix01.ens"), str(files / "mixpm.ens")],
+    "dynamics": lambda files: ["dynamics", str(files / "biased.ens")],
+    "random-equiv": lambda files: ["random-equiv", str(files / "rho.dm"), "--count", "2"],
+}
+
+
+def test_the_dynamics_report_over_a_longer_file_leaves_exactly_the_new_bytes(files, capsys):
+    out = files / "report.txt"
+    out.write_bytes(b"x" * 100_000)
+    assert main([*OUT_COMMANDS["dynamics"](files), "--out", str(out)]) == 0
+    assert out.read_text() == capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command", OUT_COMMANDS)
+def test_out_to_dev_null_exits_0_with_stdout_unchanged(files, command, capsys):
+    argv = OUT_COMMANDS[command](files)
+    assert main(argv) == 0
+    expected = capsys.readouterr()
+    assert main([*argv, "--out", os.devnull]) == 0
+    assert capsys.readouterr() == expected
+
+
+def test_out_to_dev_stdout_writes_the_document_into_a_pipe(files, capsys):
+    env = dict(os.environ)
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    argv = OUT_COMMANDS["random-equiv"](files)
+    document = files / "drawn.ens"
+    assert main([*argv, "--out", str(document)]) == 0
+    check_line = capsys.readouterr().out.encode()
+    result = subprocess.run(
+        [sys.executable, "-m", "purifykit", *argv, "--out", "/dev/stdout"],
+        capture_output=True,
+        env=env,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == document.read_bytes() + check_line
+
+
+@pytest.mark.parametrize("command", OUT_COMMANDS)
+@pytest.mark.parametrize("out", [".", "missing/out"])
+def test_an_unwritable_out_exits_1_without_traceback(files, command, out, capsys):
+    assert main([*OUT_COMMANDS[command](files), "--out", str(files / out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_out_is_never_opened_with_o_trunc(files, monkeypatch):
+    flags = []
+    real_open = os.open
+
+    def recording_open(path, flag, *args, **kwargs):
+        flags.append(flag)
+        return real_open(path, flag, *args, **kwargs)
+
+    monkeypatch.setattr(os, "open", recording_open)
+    for command, make_argv in OUT_COMMANDS.items():
+        out = files / f"{command}.out"
+        for _ in range(2):  # create, then overwrite
+            assert main([*make_argv(files), "--out", str(out)]) == 0
+    assert len(flags) == 2 * len(OUT_COMMANDS)
+    assert not any(flag & os.O_TRUNC for flag in flags)

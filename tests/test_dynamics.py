@@ -355,6 +355,21 @@ def test_non_finite_family_is_rejected_before_the_gram_check():
         build_model(np.array([1.0, 0.0]))
 
 
+
+def test_the_readers_use_the_gram_matrix_the_model_validated(monkeypatch):
+    phi = spectral_ensemble(density_matrix(random_ensemble(5, 3, np.random.default_rng(4)))).states
+    model = build_model(phi, 4)
+    np.testing.assert_array_equal(model.gram, phi.conj() @ phi.T)
+    expected = verification_report(model, EvolutionParams.canonical()).render()
+
+    def formed_again(_):
+        raise AssertionError("the Gram matrix was formed again")
+
+    monkeypatch.setattr(dynamics, "_gram", formed_again)
+    assert verification_report(model, EvolutionParams.canonical()).render() == expected
+    verify_correlating_evolution(model, EvolutionParams(omega=0.3))
+
+
 # ---------------------------------------------------------------------------
 # evolution, closed form vs numeric vs the dense oracle
 

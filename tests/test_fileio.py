@@ -1,6 +1,9 @@
 """Round-trip and parse-failure tests for the structured text files."""
 
+import ast
 import json
+import os
+import pathlib
 
 import numpy as np
 import pytest
@@ -407,6 +410,87 @@ def test_rewriting_a_document_is_byte_identical(tmp_path, kind):
     write(first, make())
     write(second, read(first))
     assert first.read_bytes() == second.read_bytes()
+
+
+
+# ---------------------------------------------------------------------------
+# the in-place writer
+
+
+@pytest.mark.parametrize("kind", DOCUMENTS)
+def test_a_shorter_document_over_a_longer_file_leaves_exactly_the_new_bytes(tmp_path, kind):
+    write, _, make = DOCUMENTS[kind]
+    fresh, reused = tmp_path / "fresh", tmp_path / "reused"
+    write(fresh, make())
+    reused.write_bytes(b"x" * (3 * fresh.stat().st_size))
+    write(reused, make())
+    assert reused.read_bytes() == fresh.read_bytes()
+
+
+def test_an_overwrite_keeps_the_inode_its_links_and_its_mode(tmp_path):
+    path, link = tmp_path / "doc", tmp_path / "link"
+    fileio.write_text(path, "a longer first version\n")
+    os.chmod(path, 0o640)
+    os.link(path, link)
+    before = path.stat()
+    fileio.write_text(path, "short\n")
+    after = path.stat()
+    assert (after.st_ino, after.st_nlink, after.st_mode) == (before.st_ino, 2, before.st_mode)
+    assert link.read_bytes() == path.read_bytes() == b"short\n"
+
+
+def test_an_overwrite_writes_through_a_symlink_and_keeps_it(tmp_path):
+    target, link = tmp_path / "target", tmp_path / "link"
+    target.write_text("the old, longer contents\n")
+    link.symlink_to(target)
+    fileio.write_text(link, "new\n")
+    assert link.is_symlink() and os.readlink(link) == str(target)
+    assert target.read_bytes() == b"new\n"
+
+
+def test_write_text_creates_a_file_with_the_umask_mode(tmp_path):
+    reference = tmp_path / "reference"
+    with open(reference, "w"):
+        pass
+    fileio.write_text(tmp_path / "created", "\u03c6\n")
+    assert (tmp_path / "created").stat().st_mode == reference.stat().st_mode
+    assert (tmp_path / "created").read_bytes() == "\u03c6\n".encode("utf-8")
+
+
+def _writes_files(call: ast.Call) -> bool:
+    """``open(..., "w"|"a"|"x"|"+" ...)`` or any ``os.open``, which takes flags."""
+    func = call.func
+    if getattr(func, "id", getattr(func, "attr", None)) != "open":
+        return False
+    if isinstance(func, ast.Attribute) and getattr(func.value, "id", None) == "os":
+        return True
+    modes = [*call.args[1:2], *(k.value for k in call.keywords if k.arg == "mode")]
+    return any(
+        isinstance(m, ast.Constant) and isinstance(m.value, str) and set(m.value) & set("wax+")
+        for m in modes
+    )
+
+
+def test_the_package_writes_files_only_through_write_text():
+    package = pathlib.Path(fileio.__file__).parent
+    writers = []
+    for source in sorted(package.glob("*.py")):
+        tree = ast.parse(source.read_text())
+        scopes = {
+            id(inner): f"{source.stem}.{node.name}"
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            for inner in ast.walk(node)
+        }
+        for node in ast.walk(tree):
+            truncates = isinstance(node, (ast.Name, ast.Attribute)) and "O_TRUNC" in (
+                getattr(node, "id", None),
+                getattr(node, "attr", None),
+            )
+            if truncates or (isinstance(node, ast.Call) and _writes_files(node)):
+                writers.append((scopes.get(id(node), source.stem), node.lineno, truncates))
+    assert {scope for scope, _, _ in writers} == {"fileio.write_text"}, writers
+    assert not any(truncates for _, _, truncates in writers), writers
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from purifykit import dynamics, numerics
+from purifykit import dynamics, numerics, qubit_gates
 from purifykit.ensembles import Ensemble
 from purifykit.errors import DimensionMismatch, NotFinite, PurifyKitError
 from purifykit.qubit_gates import CNOT, purification_circuit, qubit_demo, rotation
@@ -167,3 +167,15 @@ def test_demo_report_renders():
     assert "recovered" in text
     assert "(tol" in text
     assert "FAIL" not in text
+
+
+def test_demo_builds_the_rotation_once(monkeypatch):
+    calls = []
+
+    def counted(theta, phase=0.0):
+        calls.append((theta, phase))
+        return rotation(theta, phase)
+
+    monkeypatch.setattr(qubit_gates, "rotation", counted)
+    qubit_demo(0.3, 0.4, 0.5)
+    assert calls == [(0.4, 0.5)]
