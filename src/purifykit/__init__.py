@@ -37,7 +37,6 @@ from .numerics import (
     gram_schmidt_complete,
     haar_unitary,
     hermitian_eig,
-    mat_exp_hermitian,
     partial_trace_k,
     state_fidelity,
 )
@@ -85,7 +84,6 @@ __all__ = [
     "gram_schmidt_complete",
     "haar_unitary",
     "hermitian_eig",
-    "mat_exp_hermitian",
     "measure_reference",
     "measured_ensemble",
     "partial_trace_k",

@@ -36,11 +36,6 @@ class NotOrthonormal(PurifyKitError):
     exit_status = 2
 
 
-class TooManyRows(PurifyKitError):
-    """More rows were supplied than the target dimension holds."""
-    exit_status = 2
-
-
 class NotNormalized(PurifyKitError):
     """A unit-norm state vector was required."""
 

@@ -17,7 +17,6 @@ from .errors import (
     NotHermitian,
     NotNormalized,
     NotSquare,
-    TooManyRows,
 )
 
 
@@ -122,13 +121,6 @@ def as_state(v) -> np.ndarray:
     return vec
 
 
-def basis_state(dim: int, index: int) -> np.ndarray:
-    """Standard basis column e_index in the given dimension."""
-    vec = np.zeros(dim, dtype=complex)
-    vec[index] = 1.0
-    return vec
-
-
 def state_fidelity(a, b) -> float:
     """|<a|b>| for unit vectors; equals 1 iff the states agree up to a global phase."""
     return float(abs(np.vdot(as_array(a), as_array(b))))
@@ -169,33 +161,21 @@ def exp_from_eig(values, vectors, scale: float = 1.0) -> np.ndarray:
     return (vectors * np.exp(-1j * scale * values)) @ dag(vectors)
 
 
-def mat_exp_hermitian(h, scale: float = 1.0) -> np.ndarray:
-    """exp(-i * scale * h) for Hermitian h, computed spectrally."""
-    return exp_from_eig(*hermitian_eig(h), scale)
-
-
-def gram_schmidt_complete(rows, target_dim: int) -> np.ndarray:
-    """Complete n rows to a target_dim x target_dim matrix.
+def gram_schmidt_complete(block: np.ndarray) -> np.ndarray:
+    """Complete the n rows of a finite n x d ``block``, n <= d, to a d x d matrix.
 
     The given rows are kept verbatim as the leading rows of the output.
     The rest are the conjugated trailing columns of Q in one complete QR
-    factorization A^H = QR of the rows A; A Q[:, n:] = R^H[:, n:] = 0, so
+    factorization A^H = QR of the block A; A Q[:, n:] = R^H[:, n:] = 0, so
     for any finite rows they are orthonormal and orthogonal to each row.
-    The result is unitary exactly when the rows are orthonormal, which
-    ``SteeringPlan`` checks. The completed rows are deterministic, but
-    only their span is fixed by the rows. No rows give the identity.
+    The result is unitary exactly when the rows are orthonormal. The block
+    is ``SteeringPlan``'s zero-padded isometry, which the plan has already
+    checked to be finite with orthonormal rows, so none of that is checked
+    again here. The completed rows are deterministic, but only their span
+    is fixed by the rows. No rows give the identity.
     """
-    given = [as_array(row) for row in rows]
-    if len(given) > target_dim:
-        raise TooManyRows(f"{len(given)} rows cannot fit in dimension {target_dim}")
-    for row in given:
-        if row.shape != (target_dim,):
-            raise DimensionMismatch(f"every row must have length {target_dim}")
-    if not given:
-        return np.eye(target_dim, dtype=complex)
-    block = as_matrix(given)
     q, _ = np.linalg.qr(dag(block), mode="complete")
-    return np.concatenate([block, dag(q[:, len(given):])])
+    return np.concatenate([block, dag(q[:, len(block):])])
 
 
 def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:

@@ -75,7 +75,7 @@ class _Unitary:
         if plan is None:
             return None  # the dataclass default: no unitary given
         if plan._unitary is None:
-            completed = numerics.gram_schmidt_complete(plan._padded_isometry(), plan.dim_k)
+            completed = numerics.gram_schmidt_complete(plan._padded_isometry())
             plan._check_unitary(completed)
             plan._unitary = completed
         return plan._unitary

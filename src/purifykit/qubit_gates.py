@@ -1,10 +1,13 @@
-"""Qubit-gate realization of the purification for two-level systems.
+"""Qubit-circuit realization of the purification for two-level systems.
 
-Three gates do the whole job: rotate the system so its mixture basis
-lands on the computational basis, copy the basis label onto the
-reference with a controlled-NOT, and rotate back. The system qubit is
-the first tensor factor and the control; the reference qubit is the
-second factor and the target.
+The paper's circuit rotates the system so its mixture basis {x+, x-}
+lands on the computational basis, copies the basis label onto the
+reference with a controlled-NOT, and rotates back. That product is
+I + P_- (x) (sigma_x - I): the Hamiltonian model of :mod:`dynamics` on
+{x+, x-}, with its (e_0, e_1) plane turned by sigma_x in place of
+exp(-i omega T Y). So the circuit is built as that plane map and no
+Kronecker product is formed. The system qubit is the first tensor factor,
+the reference qubit the second.
 """
 
 from __future__ import annotations
@@ -14,7 +17,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import numerics
-from .dynamics import EvolutionParams, build_model, evolution_numeric
+from .dynamics import (
+    EvolutionParams,
+    HamiltonianModel,
+    _rotate_planes,
+    build_model,
+    evolution_numeric,
+)
 from .ensembles import (
     Ensemble,
     density_matrix,
@@ -32,16 +41,8 @@ from .purification import (
 )
 from .reports import Check, Report, format_matrix
 
-# Controlled-NOT with the system qubit (first factor) as control.
-CNOT = np.array(
-    [
-        [1, 0, 0, 0],
-        [0, 1, 0, 0],
-        [0, 0, 0, 1],
-        [0, 0, 1, 0],
-    ],
-    dtype=complex,
-)
+# The controlled-NOT's flip of the reference, on its (e_0, e_1) plane.
+_SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]])
 
 
 def _scalar(value, name: str) -> float:
@@ -70,18 +71,18 @@ def rotation(theta: float, phase: float = 0.0) -> np.ndarray:
 
 
 def purification_circuit(theta: float, phase: float = 0.0) -> np.ndarray:
-    """Rotate back, copy the label, rotate: (R (x) I) CNOT (R^+ (x) I).
+    """The 4x4 matrix of the circuit for R = rotation(theta, phase).
 
     Leaves x+ (x) e_0 alone and sends x- (x) e_0 to x- (x) e_1, where
-    x+/x- are the columns of R = rotation(theta, phase).
+    x+/x- are the columns of R.
     """
-    return _circuit(rotation(theta, phase))
+    return _circuit(build_model(rotation(theta, phase).T, 2))
 
 
-def _circuit(r: np.ndarray) -> np.ndarray:
-    """:func:`purification_circuit` of an already checked rotation ``r``."""
-    identity = np.eye(2, dtype=complex)
-    return np.kron(r, identity) @ CNOT @ np.kron(numerics.dag(r), identity)
+def _circuit(model: HamiltonianModel) -> np.ndarray:
+    """The 4x4 matrix of I + P_- (x) (sigma_x - I) for the model on {x+, x-}:
+    its images of the basis states, as columns."""
+    return _rotate_planes(model, _SIGMA_X, np.eye(4).reshape(4, 2, 2)).reshape(4, 4).T
 
 
 @dataclass
@@ -145,19 +146,23 @@ def qubit_demo(
     Starts from sqrt(q) x+ (x) e_0 + sqrt(1-q) x- (x) e_0, applies the
     circuit, measures the reference to recover the input mixture, then
     steers the purified state into ``target`` (a seeded random equivalent
-    ensemble when omitted). The circuit action is cross-checked against
-    the Hamiltonian propagator built from {x+, x-} on both initial states.
+    ensemble when omitted). The circuit's images of x+ (x) e_0 and
+    x- (x) e_0 are cross-checked against the Hamiltonian propagator of
+    the same model on {x+, x-}.
     """
     q = _scalar(q, "q")
     if not 0.0 < q < 1.0:
         raise PurifyKitError(f"q must lie strictly between 0 and 1, got {q}")
     r = rotation(theta, phase)
     x_plus, x_minus = r.T
-    circuit = _circuit(r)
+    model = build_model(r.T, 2)
+    circuit = _circuit(model)
 
-    ready = numerics.basis_state(2, 0)
-    start = np.kron(np.sqrt(q) * x_plus + np.sqrt(1.0 - q) * x_minus, ready)
-    purified = BipartiteState(2, 2, circuit @ start)
+    # x+, x- and the input superposition, each beside the ready reference e_0
+    ready = np.zeros((3, 2, 2), dtype=complex)
+    ready[:, :, 0] = [x_plus, x_minus, np.sqrt(q) * x_plus + np.sqrt(1.0 - q) * x_minus]
+    mapped = ready.reshape(3, 4) @ circuit.T
+    purified = BipartiteState(2, 2, mapped[2])
 
     outcomes = measure_reference(purified, np.eye(2, dtype=complex))
     recovered = Ensemble(
@@ -181,12 +186,10 @@ def qubit_demo(
         target = random_equivalent_ensemble(rho, count=3, seed=seed)
     _, steering_outcomes, steering_report = prepare_ensemble(spectral, target)
 
-    model = build_model(np.array([x_plus, x_minus]), 2)
-    joints = [np.kron(state, ready) for state in (x_plus, x_minus)]
-    evolved = evolution_numeric(model, EvolutionParams.canonical(), np.reshape(joints, (2, 2, 2)))
+    evolved = evolution_numeric(model, EvolutionParams.canonical(), ready[:2])
     fidelities = [
-        numerics.state_fidelity(circuit @ joint, moved.reshape(-1))
-        for joint, moved in zip(joints, evolved)
+        numerics.state_fidelity(image, moved.reshape(-1))
+        for image, moved in zip(mapped[:2], evolved)
     ]
 
     return QubitDemoReport(

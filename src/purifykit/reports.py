@@ -41,7 +41,13 @@ class Report:
         return "\n".join(check.line for check in self.checks())
 
 
-def format_matrix(m: np.ndarray, precision: int = 6) -> str:
-    return np.array2string(
-        np.asarray(m), precision=precision, suppress_small=True, separator=", "
-    )
+def format_matrix(m: np.ndarray) -> str:
+    """Each complex entry as ``%+.6f%+.6fj``, one bracketed line per row.
+
+    No entry is padded to the width of another, so a rounding-level sign
+    flip changes only that entry's sign, not the layout around it.
+    """
+    m = np.asarray(m, dtype=complex)
+    if m.ndim > 1:
+        return "\n".join(format_matrix(row) for row in m)
+    return "[" + ", ".join("%+.6f%+.6fj" % (z.real, z.imag) for z in m.tolist()) + "]"

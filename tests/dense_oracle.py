@@ -1,14 +1,18 @@
-"""Dense reference evaluation of the correlating Hamiltonian, for the tests only.
+"""Dense reference evaluations, for the tests only.
 
-Each term is built as a full (dim_s * dim_k)^2 matrix with ``np.kron`` and
-the propagator is the spectral exponential of their sum through
-``np.linalg.eigh``. The library stores the same model in factored form and
-never builds these matrices, so comparing the two checks one evaluation
-against an independent one. Sizes stay small: the cost grows as rank^2
-products of side (dim_s * dim_k).
+Each term of the correlating Hamiltonian is built as a full
+(dim_s * dim_k)^2 matrix with ``np.kron`` and the propagator is the
+spectral exponential of their sum through ``np.linalg.eigh``; the qubit
+circuit is the three-gate product (R (x) I) CNOT (R^+ (x) I). The library
+stores the same operators in factored form and never builds these
+matrices, so comparing the two checks one evaluation against an
+independent one. Sizes stay small: the cost grows as rank^2 products of
+side (dim_s * dim_k).
 """
 
 import numpy as np
+
+from purifykit import numerics
 
 
 def build_term(j, phi, dim_k):
@@ -55,6 +59,19 @@ def power_residuals(j, phi, dim_k):
     square = term @ term
     expected = np.kron(np.outer(phi[j], phi[j].conj()), reference)
     return max_abs(square @ term - term), max_abs(square - expected)
+
+
+def basis_state(dim, index):
+    """Standard basis column e_index in the given dimension."""
+    vec = np.zeros(dim, dtype=complex)
+    vec[index] = 1.0
+    return vec
+
+
+def mat_exp_hermitian(h, scale=1.0):
+    """exp(-i scale h) for Hermitian h, from a fresh library decomposition;
+    a non-Hermitian h raises ``NotHermitian``."""
+    return numerics.exp_from_eig(*numerics.hermitian_eig(h), scale)
 
 
 def propagator(phi, dim_k, phase):
@@ -107,3 +124,20 @@ def plane_block(phase):
     """exp(-i phase sigma_y) = cos(phase) I - i sin(phase) sigma_y."""
     c, s = np.cos(phase), np.sin(phase)
     return np.array([[c, -s], [s, c]], dtype=complex)
+
+
+# Controlled-NOT with the system qubit (first factor) as control.
+CNOT = np.array(
+    [
+        [1, 0, 0, 0],
+        [0, 1, 0, 0],
+        [0, 0, 0, 1],
+        [0, 0, 1, 0],
+    ],
+    dtype=complex,
+)
+
+
+def three_gate_circuit(r):
+    """The paper's qubit circuit (R (x) I) CNOT (R^+ (x) I) for a 2x2 rotation r."""
+    return np.kron(r, np.eye(2)) @ CNOT @ np.kron(r.conj().T, np.eye(2))

@@ -459,7 +459,6 @@ def test_every_error_class_carries_a_taxonomy_status():
         errors.NotOrthonormal,
         errors.NotHermitian,
         errors.NotSquare,
-        errors.TooManyRows,
     }
     semantic = {errors.NotEquivalent, errors.TargetOutsideSupport}
     assert {c for c in classes if c.exit_status == 2} == numerical

@@ -264,7 +264,7 @@ def test_terms_commute_and_annihilate_each_other(dim, seed):
     assert cross_product_max(phi) <= 1e-12
     # every other term annihilates phi_j (x) e_0
     terms = build_terms(phi, dim)
-    ready = numerics.basis_state(dim, 0)
+    ready = dense_oracle.basis_state(dim, 0)
     for j in range(dim):
         joint = np.kron(phi[j], ready)
         for k in range(dim):
@@ -469,7 +469,7 @@ def test_the_plane_block_decomposed_once_gives_the_spectral_exponential(theta, s
     rng = np.random.default_rng(seed)
     model = build_model(orthonormal_family(4, 3, rng), 5)
     grids = rng.standard_normal((3, 4, 5)) + 1j * rng.standard_normal((3, 4, 5))
-    block = numerics.mat_exp_hermitian(PLANE_Y, theta)
+    block = dense_oracle.mat_exp_hermitian(PLANE_Y, theta)
     np.testing.assert_array_equal(numerics.exp_from_eig(*dynamics.PLANE_EIG, theta), block)
     np.testing.assert_array_equal(
         evolution_numeric(model, EvolutionParams(1.0, theta), grids),

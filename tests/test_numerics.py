@@ -6,18 +6,19 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from dense_oracle import basis_state, mat_exp_hermitian
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from purifykit import errors, numerics
 from purifykit.errors import (
+    ContractViolation,
     DimensionMismatch,
     NotFinite,
     NotHermitian,
-    NotOrthonormal,
     NotSquare,
-    TooManyRows,
 )
+from purifykit.purification import SteeringPlan
 
 # ---------------------------------------------------------------------------
 # independent oracles
@@ -50,23 +51,29 @@ def partial_trace_loop(m, dim_s, dim_k):
 COMPLETION_FLOOR = 1e-8
 
 
+class UnfitRows(ValueError):
+    """The rows the sweep was given cannot be completed."""
+
+
 def gram_schmidt_complete_loop(rows, target_dim):
     """Row-by-row standard-basis sweep: a former implementation, kept as the reference."""
     stack = [np.asarray(row, dtype=complex) for row in rows]
     if len(stack) > target_dim:
-        raise TooManyRows(f"{len(stack)} rows cannot fit in dimension {target_dim}")
+        raise UnfitRows(f"{len(stack)} rows cannot fit in dimension {target_dim}")
     for row in stack:
         if row.shape != (target_dim,):
-            raise DimensionMismatch(f"every row must have length {target_dim}")
+            raise UnfitRows(f"every row must have length {target_dim}")
     if stack:
         given = np.array(stack)
+        if not np.all(np.isfinite(given)):
+            raise UnfitRows("row entries must be finite")
         tol = numerics.TOL.orthonormality
         if numerics.max_abs(given @ numerics.dag(given) - np.eye(len(stack))) > tol:
-            raise NotOrthonormal(f"input rows are not pairwise orthonormal within {tol}")
+            raise UnfitRows(f"input rows are not pairwise orthonormal within {tol}")
     for index in range(target_dim):
         if len(stack) == target_dim:
             break
-        candidate = numerics.basis_state(target_dim, index)
+        candidate = basis_state(target_dim, index)
         for _ in range(2):  # second sweep keeps fp drift below the unitarity check
             for row in stack:
                 candidate = candidate - row * np.vdot(row, candidate)
@@ -114,8 +121,6 @@ def test_coercion_raises_library_errors_instead_of_numpy_ones(values, error):
     for coerce in (numerics.as_array, numerics.as_matrix, numerics.as_state):
         with pytest.raises(error):
             coerce(values)
-    with pytest.raises(error):
-        numerics.gram_schmidt_complete(values, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -236,30 +241,30 @@ def test_partial_trace_of_factorized_operator(dim_s, dim_k, seed):
 
 
 # ---------------------------------------------------------------------------
-# mat_exp_hermitian
+# mat_exp_hermitian, the dense oracle's exponential
 
 
 def test_exp_zero_generator():
     np.testing.assert_allclose(
-        numerics.mat_exp_hermitian(np.zeros((3, 3))), np.eye(3), atol=1e-15
+        mat_exp_hermitian(np.zeros((3, 3))), np.eye(3), atol=1e-15
     )
 
 
 def test_exp_diagonal_generator():
-    got = numerics.mat_exp_hermitian(np.diag([np.pi, 0.0]), scale=1.0)
+    got = mat_exp_hermitian(np.diag([np.pi, 0.0]), scale=1.0)
     np.testing.assert_allclose(got, np.diag([-1.0 + 0j, 1.0 + 0j]), atol=1e-12)
 
 
 def test_exp_matches_taylor_oracle():
     rng = np.random.default_rng(23)
     h = random_hermitian(6, rng)
-    got = numerics.mat_exp_hermitian(h, scale=0.37)
+    got = mat_exp_hermitian(h, scale=0.37)
     np.testing.assert_allclose(got, taylor_exp_minus_i(h, 0.37), atol=1e-9)
 
 
 def test_exp_rejects_non_hermitian():
     with pytest.raises(NotHermitian):
-        numerics.mat_exp_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]))
+        mat_exp_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
 @given(
@@ -272,10 +277,10 @@ def test_exp_rejects_non_hermitian():
 def test_exp_unitary_and_semigroup(dim, seed, a, b):
     rng = np.random.default_rng(seed)
     h = random_hermitian(dim, rng)
-    u = numerics.mat_exp_hermitian(h, scale=a)
+    u = mat_exp_hermitian(h, scale=a)
     assert numerics.max_abs(u @ numerics.dag(u) - np.eye(dim)) <= 1e-10
-    combined = numerics.mat_exp_hermitian(h, scale=a + b)
-    split = u @ numerics.mat_exp_hermitian(h, scale=b)
+    combined = mat_exp_hermitian(h, scale=a + b)
+    split = u @ mat_exp_hermitian(h, scale=b)
     assert numerics.max_abs(combined - split) <= 1e-9
 
 
@@ -284,27 +289,27 @@ def test_exp_unitary_and_semigroup(dim, seed, a, b):
 
 
 def test_completion_canonical():
-    got = numerics.gram_schmidt_complete([np.array([1.0, 0.0])], 2)
+    got = numerics.gram_schmidt_complete(np.array([[1.0, 0.0]]))
     np.testing.assert_allclose(got, np.eye(2), atol=1e-15)
 
 
 def test_completion_of_plus_state():
     row = np.array([1.0, 1.0]) / np.sqrt(2)
-    got = numerics.gram_schmidt_complete([row], 2)
+    got = numerics.gram_schmidt_complete(row[np.newaxis])
     np.testing.assert_array_equal(got[0], row)
     assert numerics.max_abs(got @ numerics.dag(got) - np.eye(2)) <= 1e-10
 
 
 def test_completion_of_full_basis_is_noop():
     rows = np.eye(3)[::-1]  # permuted standard basis
-    got = numerics.gram_schmidt_complete(rows, 3)
+    got = numerics.gram_schmidt_complete(rows)
     np.testing.assert_array_equal(got, rows)
 
 
 def test_completion_sweeps_deterministically():
     row = np.array([1.0, 1.0]) / np.sqrt(2)
-    first = numerics.gram_schmidt_complete([row], 2)
-    second = numerics.gram_schmidt_complete([row], 2)
+    first = numerics.gram_schmidt_complete(row[np.newaxis])
+    second = numerics.gram_schmidt_complete(row[np.newaxis])
     np.testing.assert_array_equal(first, second)
 
 
@@ -318,15 +323,10 @@ def test_completion_yields_unitary(dim, n_rows, seed):
     n_rows = min(n_rows, dim)
     rng = np.random.default_rng(seed)
     rows = numerics.haar_unitary(dim, rng)[:n_rows, :]
-    got = numerics.gram_schmidt_complete(rows, dim)
+    got = numerics.gram_schmidt_complete(rows)
     assert got.shape == (dim, dim)
     np.testing.assert_array_equal(got[:n_rows], rows)
     assert numerics.max_abs(got @ numerics.dag(got) - np.eye(dim)) <= 1e-10
-
-
-def test_completion_rejects_too_many_rows():
-    with pytest.raises(TooManyRows):
-        numerics.gram_schmidt_complete(np.eye(3), 2)
 
 
 @given(dim=st.integers(1, 16), data=st.data(), seed=st.integers(0, 2**32 - 1))
@@ -343,7 +343,7 @@ def test_completion_of_any_finite_rows_is_orthonormal_and_orthogonal_to_them(dim
             rows[i] = scale * (rng.standard_normal(dim) + 1j * rng.standard_normal(dim))
         elif kind == "repeat":
             rows[i] = rows[data.draw(st.integers(0, i - 1), label="repeated row")]
-    got = numerics.gram_schmidt_complete(rows, dim)
+    got = numerics.gram_schmidt_complete(rows)
     assert got.shape == (dim, dim)
     assert got[:n_rows].tobytes() == rows.tobytes()
     completed = got[n_rows:]
@@ -352,16 +352,26 @@ def test_completion_of_any_finite_rows_is_orthonormal_and_orthogonal_to_them(dim
     assert numerics.max_abs(rows @ numerics.dag(completed)) <= 1e-12 * largest
 
 
+# The completion checks nothing: its one caller, a plan's unitary, hands it
+# the isometry that SteeringPlan has already checked, so bad rows stop there.
+
+
+def test_completion_rejects_too_many_rows():
+    # three rows of width two cannot be orthonormal
+    with pytest.raises(ContractViolation, match="orthonormality"):
+        SteeringPlan(np.eye(3, 1), np.eye(3, 2), dim_k=2).unitary
+
+
 @pytest.mark.parametrize("rows", [[[1.0, 0.0, 0.0]], [[1.0, 0.0], [0.0, 1.0, 0.0]]])
 def test_completion_rejects_rows_of_the_wrong_length(rows):
     with pytest.raises(DimensionMismatch):
-        numerics.gram_schmidt_complete(rows, 2)
+        SteeringPlan(np.eye(len(rows), 1), rows, dim_k=2).unitary
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_completion_rejects_non_finite_rows(bad):
     with pytest.raises(NotFinite):
-        numerics.gram_schmidt_complete([[bad, 0.0]], 2)
+        SteeringPlan([[1.0]], [[bad, 0.0]], dim_k=2).unitary
 
 
 def complement_projector(unitary, n_rows):
@@ -371,7 +381,7 @@ def complement_projector(unitary, n_rows):
 
 
 def assert_matches_row_loop_oracle(rows, dim):
-    got = numerics.gram_schmidt_complete(rows, dim)
+    got = numerics.gram_schmidt_complete(rows)
     oracle = gram_schmidt_complete_loop(rows, dim)
     np.testing.assert_array_equal(got[: len(rows)], rows)
     assert numerics.max_abs(
@@ -449,3 +459,18 @@ def test_small_float_literals_live_only_in_the_tolerance_table():
                 if 0 < abs(node.value) < 1e-6:
                     strays.append(f"{path.name}:{node.lineno}: {node.value!r}")
     assert not strays, "tolerance literals outside numerics.TOL:\n" + "\n".join(strays)
+
+
+def test_no_module_forms_a_kronecker_product():
+    # operators on S (x) K stay factored as projector (x) 2x2 block; the
+    # dense Kronecker forms live in the tests, as oracles
+    package = Path(numerics.__file__).parent
+    products = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call) and "kron" in (
+                getattr(node.func, "id", None),
+                getattr(node.func, "attr", None),
+            ):
+                products.append(f"{path.name}:{node.lineno}")
+    assert not products, f"np.kron calls: {products}"

@@ -34,6 +34,7 @@ from purifykit.errors import (
 )
 from purifykit.purification import (
     BipartiteState,
+    SteeringPlan,
     measure_reference,
     measured_ensemble,
     prepare_ensemble,
@@ -258,8 +259,9 @@ def test_measure_rejects_a_non_finite_basis(bad):
     [
         lambda: measure_reference(BipartiteState(1, 2, [1, 0]), [[1, 0], [0]]),
         lambda: measure_reference(BipartiteState(1, 2, [1, 0]), [["a", 0], [0, 1]]),
-        lambda: numerics.gram_schmidt_complete([[1, "x"]], 2),
-        lambda: numerics.gram_schmidt_complete([[1, [0]]], 2),
+        # the plan checks the rows its unitary completion reads
+        lambda: SteeringPlan([[1.0]], [[1, "x"]]).unitary,
+        lambda: SteeringPlan([[1.0]], [[1, [0]]]).unitary,
     ],
     ids=["measure-ragged", "measure-text", "complete-text", "complete-ragged-row"],
 )
@@ -565,9 +567,9 @@ def counted_completion(monkeypatch, skew=0.0):
     calls = Counter()
     original = numerics.gram_schmidt_complete
 
-    def completion(rows, target_dim):
+    def completion(block):
         calls["complete"] += 1
-        completed = original(rows, target_dim)
+        completed = original(block)
         completed[-1] *= 1.0 + skew
         return completed
 

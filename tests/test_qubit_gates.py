@@ -2,20 +2,19 @@
 
 import numpy as np
 import pytest
+from dense_oracle import CNOT, three_gate_circuit
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from purifykit import dynamics, numerics, qubit_gates
+from purifykit import numerics, qubit_gates
 from purifykit.ensembles import Ensemble
 from purifykit.errors import DimensionMismatch, NotFinite, PurifyKitError
-from purifykit.qubit_gates import CNOT, purification_circuit, qubit_demo, rotation
+from purifykit.qubit_gates import purification_circuit, qubit_demo, rotation
 
 KET0 = np.array([1.0, 0.0], dtype=complex)
 KET1 = np.array([0.0, 1.0], dtype=complex)
 PLUS = np.array([1.0, 1.0], dtype=complex) / np.sqrt(2)
 MINUS = np.array([1.0, -1.0], dtype=complex) / np.sqrt(2)
-
-SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]])
 
 # every angle the command line accepts
 angles = st.floats(allow_nan=False, allow_infinity=False)
@@ -92,8 +91,7 @@ def test_circuit_on_the_plus_minus_basis():
     kept = circuit @ np.kron(PLUS, KET0)
     moved = circuit @ np.kron(MINUS, KET0)
     # oracle: explicit 4x4 product of the three gate matrices
-    r = rotation(np.pi / 4)
-    oracle = np.kron(r, np.eye(2)) @ CNOT @ np.kron(r.conj().T, np.eye(2))
+    oracle = three_gate_circuit(rotation(np.pi / 4))
     np.testing.assert_allclose(circuit, oracle, atol=1e-14)
     np.testing.assert_allclose(kept, np.kron(PLUS, KET0), atol=1e-12)
     np.testing.assert_allclose(moved, np.kron(MINUS, KET1), atol=1e-12)
@@ -115,12 +113,10 @@ def test_circuit_correlates_its_own_rotation_basis(theta, phase):
 @given(theta=angles, phase=angles)
 @settings(max_examples=200, deadline=None)
 def test_circuit_is_the_plane_rotation_of_its_basis(theta, phase):
-    # (R (x) I) CNOT (R^+ (x) I) = I + P_- (x) (sigma_x - I), the projector (x)
-    # 2x2-block form of the correlating Hamiltonian, turned on the basis states
-    model = dynamics.build_model(rotation(theta, phase).T, 2)
-    images = dynamics._rotate_planes(model, SIGMA_X, np.eye(4).reshape(4, 2, 2))
-    plane_form = images.reshape(4, 4).T
-    assert numerics.max_abs(purification_circuit(theta, phase) - plane_form) <= 1e-15
+    # the library builds I + P_- (x) (sigma_x - I), the projector (x) 2x2-block
+    # form of the correlating Hamiltonian; it is the three-gate product
+    oracle = three_gate_circuit(rotation(theta, phase))
+    assert numerics.max_abs(purification_circuit(theta, phase) - oracle) <= 1e-15
 
 
 # ---------------------------------------------------------------------------

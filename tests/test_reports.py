@@ -5,19 +5,23 @@ its tolerance, one NaN) and must render to the literal text below, with a
 verdict that agrees with its own lines.
 """
 
+import importlib.util
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
+from dense_oracle import CNOT
 
 from purifykit import reports
 from purifykit.dynamics import CorrelationReport, DynamicsReport, PowerIdentityReport
 from purifykit.ensembles import Ensemble
 from purifykit.purification import BipartiteState, MeasurementOutcome, PreparationReport
-from purifykit.qubit_gates import CNOT, QubitDemoReport
+from purifykit.qubit_gates import QubitDemoReport
 
 NAN = float("nan")
 S = math.sqrt(0.5)
+SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "cli_byte_check.py"
 
 
 def preparation(**changes):
@@ -153,18 +157,18 @@ GOLDEN = {
     "qubit-pass": (
         "inputs: q = 0.5, theta = 0, phase = 0",
         "circuit matrix:",
-        "[[1.+0.j, 0.+0.j, 0.+0.j, 0.+0.j],",
-        " [0.+0.j, 1.+0.j, 0.+0.j, 0.+0.j],",
-        " [0.+0.j, 0.+0.j, 0.+0.j, 1.+0.j],",
-        " [0.+0.j, 0.+0.j, 1.+0.j, 0.+0.j]]",
+        "[+1.000000+0.000000j, +0.000000+0.000000j, +0.000000+0.000000j, +0.000000+0.000000j]",
+        "[+0.000000+0.000000j, +1.000000+0.000000j, +0.000000+0.000000j, +0.000000+0.000000j]",
+        "[+0.000000+0.000000j, +0.000000+0.000000j, +0.000000+0.000000j, +1.000000+0.000000j]",
+        "[+0.000000+0.000000j, +0.000000+0.000000j, +1.000000+0.000000j, +0.000000+0.000000j]",
         "recovered mixture (reference measured in the computational basis):",
-        "  weight 0.500000000000  state [1.+0.j, 0.+0.j]",
-        "  weight 0.500000000000  state [0.+0.j, 1.+0.j]",
+        "  weight 0.500000000000  state [+1.000000+0.000000j, +0.000000+0.000000j]",
+        "  weight 0.500000000000  state [+0.000000+0.000000j, +1.000000+0.000000j]",
         "recovered weight deviation: 0.000e+00 (tol 1.0e-10): PASS",
         "recovered state infidelity: 1.000e-16 (tol 1.0e-10): PASS",
         "steered equivalent mixture (2 states):",
-        "  outcome 0: probability 0.500000000000  state [0.707107+0.j, 0.707107+0.j]",
-        "  outcome 1: probability 0.500000000000  state [ 0.707107+0.j, -0.707107+0.j]",
+        "  outcome 0: probability 0.500000000000  state [+0.707107+0.000000j, +0.707107+0.000000j]",
+        "  outcome 1: probability 0.500000000000  state [+0.707107+0.000000j, -0.707107+0.000000j]",
         "max weight deviation: 1.000e-13 (tol 1.0e-09): PASS",
         "max state infidelity: 2.000e-14 (tol 1.0e-09): PASS",
         "isometry residual: 3.000e-15 (tol 1.0e-09): PASS",
@@ -174,18 +178,18 @@ GOLDEN = {
     "qubit-fail": (
         "inputs: q = 0.5, theta = 0, phase = 0",
         "circuit matrix:",
-        "[[1.+0.j, 0.+0.j, 0.+0.j, 0.+0.j],",
-        " [0.+0.j, 1.+0.j, 0.+0.j, 0.+0.j],",
-        " [0.+0.j, 0.+0.j, 0.+0.j, 1.+0.j],",
-        " [0.+0.j, 0.+0.j, 1.+0.j, 0.+0.j]]",
+        "[+1.000000+0.000000j, +0.000000+0.000000j, +0.000000+0.000000j, +0.000000+0.000000j]",
+        "[+0.000000+0.000000j, +1.000000+0.000000j, +0.000000+0.000000j, +0.000000+0.000000j]",
+        "[+0.000000+0.000000j, +0.000000+0.000000j, +0.000000+0.000000j, +1.000000+0.000000j]",
+        "[+0.000000+0.000000j, +0.000000+0.000000j, +1.000000+0.000000j, +0.000000+0.000000j]",
         "recovered mixture (reference measured in the computational basis):",
-        "  weight 0.500000000000  state [1.+0.j, 0.+0.j]",
-        "  weight 0.500000000000  state [0.+0.j, 1.+0.j]",
+        "  weight 0.500000000000  state [+1.000000+0.000000j, +0.000000+0.000000j]",
+        "  weight 0.500000000000  state [+0.000000+0.000000j, +1.000000+0.000000j]",
         "recovered weight deviation: 0.000e+00 (tol 1.0e-10): PASS",
         "recovered state infidelity: 3.000e-10 (tol 1.0e-10): FAIL",
         "steered equivalent mixture (2 states):",
-        "  outcome 0: probability 0.500000000000  state [0.707107+0.j, 0.707107+0.j]",
-        "  outcome 1: probability 0.500000000000  state [ 0.707107+0.j, -0.707107+0.j]",
+        "  outcome 0: probability 0.500000000000  state [+0.707107+0.000000j, +0.707107+0.000000j]",
+        "  outcome 1: probability 0.500000000000  state [+0.707107+0.000000j, -0.707107+0.000000j]",
         "max weight deviation: 1.000e-13 (tol 1.0e-09): PASS",
         "max state infidelity: 2.000e-14 (tol 1.0e-09): PASS",
         "isometry residual: 3.000e-15 (tol 1.0e-09): PASS",
@@ -195,18 +199,18 @@ GOLDEN = {
     "qubit-nan": (
         "inputs: q = 0.5, theta = 0, phase = 0",
         "circuit matrix:",
-        "[[1.+0.j, 0.+0.j, 0.+0.j, 0.+0.j],",
-        " [0.+0.j, 1.+0.j, 0.+0.j, 0.+0.j],",
-        " [0.+0.j, 0.+0.j, 0.+0.j, 1.+0.j],",
-        " [0.+0.j, 0.+0.j, 1.+0.j, 0.+0.j]]",
+        "[+1.000000+0.000000j, +0.000000+0.000000j, +0.000000+0.000000j, +0.000000+0.000000j]",
+        "[+0.000000+0.000000j, +1.000000+0.000000j, +0.000000+0.000000j, +0.000000+0.000000j]",
+        "[+0.000000+0.000000j, +0.000000+0.000000j, +0.000000+0.000000j, +1.000000+0.000000j]",
+        "[+0.000000+0.000000j, +0.000000+0.000000j, +1.000000+0.000000j, +0.000000+0.000000j]",
         "recovered mixture (reference measured in the computational basis):",
-        "  weight 0.500000000000  state [1.+0.j, 0.+0.j]",
-        "  weight 0.500000000000  state [0.+0.j, 1.+0.j]",
+        "  weight 0.500000000000  state [+1.000000+0.000000j, +0.000000+0.000000j]",
+        "  weight 0.500000000000  state [+0.000000+0.000000j, +1.000000+0.000000j]",
         "recovered weight deviation: 0.000e+00 (tol 1.0e-10): PASS",
         "recovered state infidelity: 1.000e-16 (tol 1.0e-10): PASS",
         "steered equivalent mixture (2 states):",
-        "  outcome 0: probability 0.500000000000  state [0.707107+0.j, 0.707107+0.j]",
-        "  outcome 1: probability 0.500000000000  state [ 0.707107+0.j, -0.707107+0.j]",
+        "  outcome 0: probability 0.500000000000  state [+0.707107+0.000000j, +0.707107+0.000000j]",
+        "  outcome 1: probability 0.500000000000  state [+0.707107+0.000000j, -0.707107+0.000000j]",
         "max weight deviation: 1.000e-13 (tol 1.0e-09): PASS",
         "max state infidelity: 2.000e-14 (tol 1.0e-09): PASS",
         "isometry residual: 3.000e-15 (tol 1.0e-09): PASS",
@@ -226,6 +230,32 @@ def test_verdict_agrees_with_rendered_lines(name):
     report = CASES[name]
     assert report.passed() == ("FAIL" not in report.render())
     assert report.passed() == name.endswith("-pass")
+
+
+def number_pattern():
+    """The pattern the golden CLI check masks numbers with."""
+    spec = importlib.util.spec_from_file_location("cli_byte_check", SCRIPT)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.NUMBER
+
+
+def test_a_rounding_level_sign_flip_moves_no_whitespace():
+    def rendered(sign):
+        tiny = sign * 1e-17
+        return qubit(
+            circuit=CNOT + tiny * (1 - 1j) * (CNOT == 0),
+            recovered=Ensemble(2, [0.5, 0.5], [[1.0, tiny], [tiny * 1j, 1.0]]),
+            steering_outcomes=[
+                MeasurementOutcome(0, 0.5, [S + tiny * 1j, S - tiny]),
+                MeasurementOutcome(1, 0.5, [S, -S + tiny]),
+            ],
+        ).render()
+
+    plus, minus = rendered(1.0), rendered(-1.0)
+    assert plus != minus
+    number = number_pattern()
+    assert number.sub("#", plus) == number.sub("#", minus)
 
 
 @pytest.mark.parametrize(
