@@ -74,30 +74,29 @@ class HamiltonianModel:
     """H = sum_j P_j (x) Y_j on S (x) K, stored as the states phi_j.
 
     Constructing the model checks everything the propagators rely on, once:
-    ``dim_s`` and ``dim_k`` are positive integers (``DimensionMismatch``),
-    ``phi`` is a finite 2-D stack of 1 or more rows of width ``dim_s``, no more
-    than ``dim_k`` (``ReferenceTooSmall``: each needs its own reference
-    direction), the rows are pairwise orthonormal (``NotOrthonormal``), and
-    the cross-products vanish, so all pairs commute (see
-    :func:`commutator_max`). The cross-product maximum, which is also the
+    ``phi`` is a finite 2-D stack of 1 or more rows of width ``dim_s`` >= 1
+    (``DimensionMismatch``); ``dim_k``, by default the number of rows, is a
+    positive integer (``DimensionMismatch``) no smaller than that number
+    (``ReferenceTooSmall``: each row needs its own reference direction); the
+    rows are pairwise orthonormal (``NotOrthonormal``); and the cross-products
+    vanish, so all pairs commute (see :func:`commutator_max`). The cross-product maximum, which is also the
     commutator maximum, and the Gram matrix G = conj(phi) phi^T behind the
     orthonormality check are kept as validated, for the verification report.
     """
 
-    dim_s: int
-    dim_k: int
     phi: np.ndarray
+    dim_k: int | None = None
     gram: np.ndarray = field(init=False, repr=False)
     cross_product_maximum: float = field(init=False)
 
     def __post_init__(self):
-        self.dim_s = numerics.as_dimension(self.dim_s, DimensionMismatch, "dim_s")
-        self.dim_k = numerics.as_dimension(self.dim_k, DimensionMismatch, "dim_k")
         self.phi = numerics.as_matrix(self.phi)
         count, width = self.phi.shape
         numerics.as_dimension(count, DimensionMismatch, "the number of states")
-        if width != self.dim_s:
-            raise DimensionMismatch(f"states of width {width} do not live in dim_s = {self.dim_s}")
+        numerics.as_dimension(width, DimensionMismatch, "dim_s")
+        if self.dim_k is None:
+            self.dim_k = count
+        self.dim_k = numerics.as_dimension(self.dim_k, DimensionMismatch, "dim_k")
         if count > self.dim_k:
             raise ReferenceTooSmall(
                 f"reference dimension {self.dim_k} cannot host {count} correlated directions"
@@ -110,6 +109,10 @@ class HamiltonianModel:
             raise ContractViolation(
                 f"nonzero cross-product between terms: {self.cross_product_maximum}"
             )
+
+    @property
+    def dim_s(self) -> int:
+        return self.phi.shape[1]
 
 
 def cross_product_max(phi) -> float:
@@ -148,11 +151,7 @@ def build_model(phi, dim_k: int | None = None) -> HamiltonianModel:
     ``dim_k`` defaults to the family size; :class:`HamiltonianModel`
     checks it and the family.
     """
-    phi = numerics.as_array(phi)
-    if phi.ndim != 2:
-        raise NotOrthonormal("phi must be a 2-D array of row states")
-    count, width = phi.shape
-    return HamiltonianModel(dim_s=width, dim_k=count if dim_k is None else dim_k, phi=phi)
+    return HamiltonianModel(phi, dim_k)
 
 
 @dataclass
@@ -284,7 +283,7 @@ def _correlation(gram: np.ndarray, block: np.ndarray) -> CorrelationReport:
     diagonal = gram.diagonal().real
     fidelities = abs(block[1, 0]) * diagonal**2
     fidelities[0] = abs(diagonal[0] + (block[0, 0] - 1) * np.sum(np.abs(gram[1:, 0]) ** 2))
-    return CorrelationReport(fidelities=fidelities)
+    return CorrelationReport(fidelities=np.minimum(fidelities, 1.0))
 
 
 def _plane_map_gap(phi: np.ndarray, gram: np.ndarray, delta: np.ndarray) -> float:

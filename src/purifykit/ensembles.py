@@ -111,27 +111,20 @@ class DensityMatrix:
 
 
 @dataclass
-class SpectralEnsemble:
+class SpectralEnsemble(Ensemble):
     """The canonical ensemble: eigenvalues with orthonormal eigenvectors.
 
-    Compared with a plain :class:`Ensemble`, the states are pairwise
-    orthonormal and the weights are sorted in non-increasing order.
-    Degenerate eigenspaces admit any orthonormal basis, so equality of
-    spectral ensembles is only meaningful projector-wise.
+    An :class:`Ensemble` whose states are also pairwise orthonormal and
+    whose weights are sorted in non-increasing order. Degenerate
+    eigenspaces admit any orthonormal basis, so equality of spectral
+    ensembles is only meaningful projector-wise.
     """
 
-    base: Ensemble
-    rank: int
-
     def __post_init__(self):
-        if self.rank != self.base.size:
-            raise InvalidEnsemble(
-                f"rank {self.rank} must equal the number of states {self.base.size}"
-            )
-        w = self.base.weights
-        if np.any(np.diff(w) > 0):
+        super().__post_init__()
+        if np.any(np.diff(self.weights) > 0):
             raise InvalidEnsemble("weights must be sorted in non-increasing order")
-        gram = self.base.states @ numerics.dag(self.base.states)
+        gram = self.states @ numerics.dag(self.states)
         residual = numerics.max_abs(gram - np.eye(self.rank))
         if residual > TOL.orthonormality:
             raise InvalidEnsemble(
@@ -140,16 +133,8 @@ class SpectralEnsemble:
             )
 
     @property
-    def dim(self) -> int:
-        return self.base.dim
-
-    @property
-    def weights(self) -> np.ndarray:
-        return self.base.weights
-
-    @property
-    def states(self) -> np.ndarray:
-        return self.base.states
+    def rank(self) -> int:
+        return self.size
 
 
 def _weighted_projector_sum(ensemble: Ensemble) -> np.ndarray:
@@ -179,10 +164,7 @@ def spectral_ensemble(rho: DensityMatrix) -> SpectralEnsemble:
     keep = rho.eigenvalues > TOL.spectral_cutoff
     if not np.any(keep):
         raise NotADensityMatrix("no eigenvalue above the cutoff")
-    weights = rho.eigenvalues[keep]
-    states = rho.eigenvectors[:, keep].T
-    base = Ensemble(rho.dim, weights, states)
-    return SpectralEnsemble(base, rank=int(weights.size))
+    return SpectralEnsemble(rho.dim, rho.eigenvalues[keep], rho.eigenvectors[:, keep].T)
 
 
 def density_deviation(e1: Ensemble, e2: Ensemble) -> float:

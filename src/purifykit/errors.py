@@ -52,7 +52,7 @@ class CountTooSmall(PurifyKitError):
     """Requested ensemble size is below the rank of the density matrix."""
 
 
-class ReferenceTooSmall(PurifyKitError):
+class ReferenceTooSmall(DimensionMismatch):
     """The reference space is too small to carry the construction."""
 
 

@@ -122,8 +122,9 @@ def as_state(v) -> np.ndarray:
 
 
 def state_fidelity(a, b) -> float:
-    """|<a|b>| for unit vectors; equals 1 iff the states agree up to a global phase."""
-    return float(abs(np.vdot(as_array(a), as_array(b))))
+    """|<a|b>| for unit vectors, at most 1 (a NaN stays NaN); equals 1 iff
+    the states agree up to a global phase."""
+    return float(np.minimum(abs(np.vdot(as_array(a), as_array(b))), 1.0))
 
 
 def hermitian_eig(m) -> tuple[np.ndarray, np.ndarray]:

@@ -19,6 +19,7 @@ joint amplitudes are stored row-major, (s, k) -> s * dim_k + k.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -94,7 +95,8 @@ class SteeringPlan:
     :func:`prepare_ensemble` measures with. ``unitary`` embeds the
     zero-padded isometry as its leading rows; its conjugated columns are
     the measurement basis of K. ``dim_k`` defaults to the side of a given
-    unitary, else to the isometry's width.
+    unitary, else to the isometry's width, and a smaller ``dim_k`` raises
+    ``ReferenceTooSmall``.
 
     This is the one place a plan's orthonormality is checked: the isometry
     rows within ``TOL.isometry`` at construction, and the unitary by
@@ -130,7 +132,7 @@ class SteeringPlan:
         elif self.dim_k is None:
             self.dim_k = width
         elif self.dim_k < width:
-            raise DimensionMismatch(
+            raise ReferenceTooSmall(
                 f"isometry has {width} columns, more than the reference dimension {self.dim_k}"
             )
 
@@ -176,8 +178,7 @@ class SteeringPlan:
         return self._isometry_residual
 
 
-@dataclass
-class MeasurementOutcome:
+class MeasurementOutcome(NamedTuple):
     """One projective outcome on the reference: index, probability, post-state of S.
 
     A plain record; :func:`measure_reference` or :class:`SteeringPlan`
@@ -187,9 +188,6 @@ class MeasurementOutcome:
     index: int
     probability: float
     post_state: np.ndarray
-
-    def __post_init__(self):
-        self.post_state = numerics.as_array(self.post_state)
 
 
 @dataclass
@@ -237,7 +235,7 @@ def steering_coefficients(
     state must lie in the span of the spectral states up to ``tol``,
     which equivalence guarantees mathematically.
     """
-    if not are_equivalent(spectral.base, target, tol):
+    if not are_equivalent(spectral, target, tol):
         raise NotEquivalent(
             f"target ensemble does not match the spectral density matrix within {tol}"
         )
@@ -262,22 +260,13 @@ def steering_isometry(
 
     The isometry entry [i, j] is sqrt(p_j / d_i) times coeffs[j, i]; its
     rows are orthonormal because both ensembles share one density matrix.
-    :class:`SteeringPlan` checks the rows. The plan completes the rows,
-    zero-padded to ``dim_k``, to a unitary only when its ``unitary`` or
-    ``basis`` is read. The purified state has no amplitude on e_k from
+    :class:`SteeringPlan` checks the rows and ``dim_k``. The plan completes
+    the rows, zero-padded to ``dim_k``, to a unitary only when its
+    ``unitary`` or ``basis`` is read. The purified state has no amplitude on e_k from
     the rank onward, so no outcome depends on how the completion fills
     the unitary's rows k >= rank.
     """
     coeffs = steering_coefficients(spectral, target, tol)
-    n_rows = spectral.rank
-    n_cols = target.size
-    if dim_k is None:
-        dim_k = max(n_rows, n_cols)
-    if dim_k < max(n_rows, n_cols):
-        raise ReferenceTooSmall(
-            f"reference dimension {dim_k} is below max(rank, target size) = "
-            f"{max(n_rows, n_cols)}"
-        )
     ratios = np.sqrt(target.weights)[None, :] / np.sqrt(spectral.weights)[:, None]
     return SteeringPlan(coeffs=coeffs, isometry=ratios * coeffs.T, dim_k=dim_k)
 
@@ -326,7 +315,7 @@ def _measure(grid: np.ndarray, columns: np.ndarray) -> tuple[np.ndarray, np.ndar
 
 def _outcomes(kept, probs, posts) -> list[MeasurementOutcome]:
     """One record per kept outcome, from the arrays :func:`_measure` returns."""
-    return [MeasurementOutcome(int(j), float(p), post) for j, p, post in zip(kept, probs, posts)]
+    return list(map(MeasurementOutcome, kept.tolist(), probs.tolist(), posts))
 
 
 def measured_ensemble(psi: BipartiteState, basis) -> Ensemble:
@@ -361,7 +350,7 @@ def prepare_ensemble(
 
     # |<post_j|tau_j>| over the reached outcomes; a target weight below the
     # outcome floor leaves its outcome unreached
-    overlaps = np.abs(np.sum(posts.conj() * target.states[kept], axis=1))
+    overlaps = np.minimum(np.abs(np.sum(posts.conj() * target.states[kept], axis=1)), 1.0)
     infidelity = np.max(1.0 - overlaps, initial=0.0)
 
     # sum_j sqrt(p_j) tau_j (x) B_j on the rank columns: B_j restricted to

@@ -241,17 +241,17 @@ def test_criterion_9_negative_control(tmp_path):
     rho = density_matrix(Ensemble(2, [0.6, 0.4], [KET0, KET1]))
     partner = random_equivalent_ensemble(rho, 2, seed=99)
     spectral = spectral_ensemble(rho)
-    assert are_equivalent(spectral.base, partner, 1e-9)
+    assert are_equivalent(spectral, partner, 1e-9)
 
     weights = partner.weights.copy()
     weights[0] += 1e-3
     weights[1] -= 1e-3
     perturbed = Ensemble(2, weights, partner.states)
-    flipped = not are_equivalent(spectral.base, perturbed, 1e-6)
+    flipped = not are_equivalent(spectral, perturbed, 1e-6)
 
     src = tmp_path / "spec.ens"
     tgt = tmp_path / "perturbed.ens"
-    fileio.write_ensemble(src, spectral.base)
+    fileio.write_ensemble(src, spectral)
     fileio.write_ensemble(tgt, perturbed)
     status = run(RunConfig("steer", inputs=(str(src), str(tgt)), tol=1e-6))
 

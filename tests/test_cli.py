@@ -304,7 +304,7 @@ def test_perturbed_weight_flips_equivalence_and_steer_exits_3(files):
     spectral = spectral_ensemble(rho)
     src = files / "spec.ens"
     tgt = files / "perturbed.ens"
-    fileio.write_ensemble(src, spectral.base)
+    fileio.write_ensemble(src, spectral)
     fileio.write_ensemble(tgt, perturbed)
     status = run(RunConfig("steer", inputs=(str(src), str(tgt)), tol=1e-6))
     assert status == 3

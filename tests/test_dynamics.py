@@ -66,8 +66,7 @@ def orthonormal_family(dim, count, rng):
 
 
 def balanced_spectral():
-    base = Ensemble(2, np.array([0.5, 0.5]), np.array([KET0, KET1]))
-    return SpectralEnsemble(base, rank=2)
+    return SpectralEnsemble(2, np.array([0.5, 0.5]), np.array([KET0, KET1]))
 
 
 def per_term_power_check(phi, j):
@@ -326,24 +325,26 @@ def test_the_model_checks_its_dimensions_where_it_is_built():
     for dim_k in (3.7, np.float64(4.0), True, "4", 0, -1):
         with pytest.raises(DimensionMismatch):
             build_model(np.eye(3), dim_k)
-    model = build_model(np.eye(3), np.int64(4))
-    assert (model.dim_s, model.dim_k) == (3, 4) and type(model.dim_k) is int
+    model = build_model(np.eye(5)[:3], np.int64(4))
+    assert (model.dim_s, model.dim_k) == (5, 4) and type(model.dim_k) is int
+    model = HamiltonianModel(np.eye(3)[:2])
+    assert (model.dim_s, model.dim_k) == (3, 2)
+    model.phi = np.eye(4)[:2]  # dim_s is phi's width, not a second copy of it
+    assert model.dim_s == 4
     with pytest.raises(ReferenceTooSmall):
         build_model(np.eye(3), 2)
     with pytest.raises(ReferenceTooSmall):
-        HamiltonianModel(dim_s=3, dim_k=2, phi=np.eye(3))
+        HamiltonianModel(np.eye(3), 2)
     with pytest.raises(DimensionMismatch):
-        HamiltonianModel(dim_s=5, dim_k=3, phi=np.eye(3))
-    with pytest.raises(DimensionMismatch):
-        HamiltonianModel(dim_s=3.0, dim_k=3, phi=np.eye(3))
-    with pytest.raises(DimensionMismatch):
-        HamiltonianModel(dim_s=3, dim_k=3, phi=np.eye(3)[0])
+        HamiltonianModel(np.eye(3)[0], 3)
     with pytest.raises(DimensionMismatch):
         build_model(np.zeros((0, 3)), 2)
+    with pytest.raises(DimensionMismatch):
+        build_model(np.zeros((2, 0)))
     with pytest.raises(NotOrthonormal):
-        HamiltonianModel(dim_s=2, dim_k=2, phi=[[1.0, 0.0], [1.0, 0.0]])
+        HamiltonianModel([[1.0, 0.0], [1.0, 0.0]], 2)
     with pytest.raises(NotFinite):
-        HamiltonianModel(dim_s=2, dim_k=2, phi=np.full((2, 2), np.nan))
+        HamiltonianModel(np.full((2, 2), np.nan), 2)
 
 
 def test_non_finite_family_is_rejected_before_the_gram_check():
@@ -351,7 +352,7 @@ def test_non_finite_family_is_rejected_before_the_gram_check():
     for bad in (np.nan, np.inf):
         with pytest.raises(NotFinite):
             build_model(np.full((2, 2), bad))
-    with pytest.raises(NotOrthonormal):
+    with pytest.raises(DimensionMismatch):
         build_model(np.array([1.0, 0.0]))
 
 
@@ -674,8 +675,12 @@ def test_the_gram_formulas_hold_for_any_rows_and_any_block(dim_s, rank, spare, s
     block = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
     fidelities, gap, powers = dense_oracle.probe_report(rows, rank + spare, block)
     gram = dynamics._gram(rows)
+    # like every fidelity of the package, the report's are clamped at 1
     np.testing.assert_allclose(
-        dynamics._correlation(gram, block).fidelities, fidelities, rtol=1e-13, atol=1e-14
+        dynamics._correlation(gram, block).fidelities,
+        np.minimum(fidelities, 1.0),
+        rtol=1e-13,
+        atol=1e-14,
     )
     delta = dynamics.QUARTER_TURN - block
     np.testing.assert_allclose(

@@ -119,12 +119,12 @@ def test_density_matrix_type_rejects_negative_eigenvalue():
 
 def test_spectral_type_requires_orthonormal_states():
     with pytest.raises(InvalidEnsemble):
-        SpectralEnsemble(mix((0.5, KET0), (0.5, PLUS)), rank=2)
+        SpectralEnsemble(2, [0.5, 0.5], [KET0, PLUS])
 
 
 def test_spectral_type_requires_sorted_weights():
     with pytest.raises(InvalidEnsemble):
-        SpectralEnsemble(mix((0.3, KET0), (0.7, KET1)), rank=2)
+        SpectralEnsemble(2, [0.3, 0.7], [KET0, KET1])
 
 
 # ---------------------------------------------------------------------------
@@ -202,7 +202,7 @@ def test_spectral_round_trip_dim3():
     rng = np.random.default_rng(3)
     ens = random_ensemble(3, 4, rng)
     rho = density_matrix(ens)
-    rebuilt = density_matrix(spectral_ensemble(rho).base)
+    rebuilt = density_matrix(spectral_ensemble(rho))
     assert numerics.max_abs(rebuilt.matrix - rho.matrix) <= 1e-9
 
 
@@ -212,7 +212,8 @@ def test_spectral_round_trip_and_weight_vector(dim, count, seed):
     rng = np.random.default_rng(seed)
     rho = density_matrix(random_ensemble(dim, count, rng))
     spec = spectral_ensemble(rho)
-    rebuilt = density_matrix(spec.base)
+    assert isinstance(spec, Ensemble) and spec.rank == spec.size
+    rebuilt = density_matrix(spec)
     assert numerics.max_abs(rebuilt.matrix - rho.matrix) <= 1e-9
     assert np.all(spec.weights > 0)
     assert np.all(np.diff(spec.weights) <= 0)
@@ -356,7 +357,7 @@ def test_many_ensembles_one_density_matrix(dim, count, seed):
     assert ens.size == rank + count
     assert numerics.max_abs(density_matrix(ens).matrix - rho.matrix) <= 1e-9
     spectral = spectral_ensemble(rho)
-    assert are_equivalent(ens, spectral.base, 1e-9)
+    assert are_equivalent(ens, spectral, 1e-9)
 
 
 def test_random_equivalent_gives_up_with_a_contract_violation(monkeypatch):

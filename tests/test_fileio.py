@@ -51,11 +51,13 @@ def awkward_ensemble():
 
 def test_ensemble_round_trip_is_exact(tmp_path):
     path = tmp_path / "mix.ens"
-    original = awkward_ensemble()
-    fileio.write_ensemble(path, original)
-    loaded = fileio.read_ensemble(path)
-    np.testing.assert_array_equal(loaded.weights, original.weights)
-    np.testing.assert_array_equal(loaded.states, original.states)
+    awkward = awkward_ensemble()
+    # a SpectralEnsemble is an Ensemble, so the writer takes it as it is
+    for original in (awkward, spectral_ensemble(density_matrix(awkward))):
+        fileio.write_ensemble(path, original)
+        loaded = fileio.read_ensemble(path)
+        np.testing.assert_array_equal(loaded.weights, original.weights)
+        np.testing.assert_array_equal(loaded.states, original.states)
 
 
 def test_density_matrix_round_trip(tmp_path):
@@ -109,7 +111,7 @@ GOLDEN_HADAMARD_PLAN = """{
 def hadamard_plan():
     # (1/2, |0>; 1/2, |1>) into (1/2, |+>; 1/2, |->) with dim_k = 2: the
     # isometry fills the unitary, so no completion digits enter a plan file
-    spec = SpectralEnsemble(Ensemble(2, [0.5, 0.5], [[1, 0], [0, 1]]), rank=2)
+    spec = SpectralEnsemble(2, [0.5, 0.5], [[1, 0], [0, 1]])
     plus, minus = np.array([1, 1]) / np.sqrt(2), np.array([1, -1]) / np.sqrt(2)
     return steering_isometry(spec, Ensemble(2, [0.5, 0.5], [plus, minus]), dim_k=2)
 

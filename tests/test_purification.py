@@ -34,6 +34,7 @@ from purifykit.errors import (
 )
 from purifykit.purification import (
     BipartiteState,
+    MeasurementOutcome,
     SteeringPlan,
     measure_reference,
     measured_ensemble,
@@ -53,8 +54,7 @@ HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2)
 def balanced_spectral():
     # built directly: the degenerate density matrix I/2 leaves the
     # eigenbasis free, and these checks pin the computational one
-    base = Ensemble(2, np.array([0.5, 0.5]), np.array([KET0, KET1]))
-    return SpectralEnsemble(base, rank=2)
+    return SpectralEnsemble(2, np.array([0.5, 0.5]), np.array([KET0, KET1]))
 
 
 def contraction_oracle(psi, basis):
@@ -143,7 +143,7 @@ def test_reduced_system_matches_partial_trace_of_projector(dim_s, rank, extra, s
 
 def test_coefficients_of_spectral_target_are_identity():
     spec = balanced_spectral()
-    coeffs = steering_coefficients(spec, spec.base)
+    coeffs = steering_coefficients(spec, spec)
     np.testing.assert_allclose(coeffs, np.eye(2), atol=1e-12)
 
 
@@ -176,7 +176,7 @@ def test_coefficients_reject_target_outside_support():
 
 def test_isometry_of_spectral_target_is_identity_block():
     spec = balanced_spectral()
-    plan = steering_isometry(spec, spec.base)
+    plan = steering_isometry(spec, spec)
     np.testing.assert_allclose(plan.isometry, np.eye(2), atol=1e-12)
     np.testing.assert_allclose(plan.basis, np.eye(2), atol=1e-12)
 
@@ -191,7 +191,7 @@ def test_isometry_of_hadamard_target_is_hadamard():
 
 def test_isometry_rectangular_case():
     spec = balanced_spectral()
-    target = random_equivalent_ensemble(density_matrix(spec.base), 3, seed=5)
+    target = random_equivalent_ensemble(density_matrix(spec), 3, seed=5)
     np.testing.assert_allclose(target.weights.sum(), 1.0)
     plan = steering_isometry(spec, target)
     assert plan.isometry.shape == (2, 3)
@@ -207,10 +207,12 @@ def test_isometry_rectangular_case():
 def test_measure_product_state_single_outcome():
     psi = BipartiteState(2, 2, np.kron(PLUS, KET0))
     outcomes = measure_reference(psi, np.eye(2))
-    assert len(outcomes) == 1
+    assert len(outcomes) == 1 and isinstance(outcomes[0], tuple)
     assert outcomes[0].index == 0
     assert outcomes[0].probability == pytest.approx(1.0, abs=1e-12)
     assert numerics.state_fidelity(outcomes[0].post_state, PLUS) > 1 - 1e-12
+    given = [0.6, 0.8]  # a record: it keeps what it is given, uncoerced
+    assert MeasurementOutcome(0, 1.0, given).post_state is given
 
 
 def test_measure_bell_state_in_standard_basis():
@@ -309,7 +311,7 @@ def test_state_infidelity_is_the_per_state_loop_maximum(dim, extra, seed):
 
 
 def test_state_infidelity_skips_a_target_outcome_below_the_floor():
-    pure = SpectralEnsemble(Ensemble(2, [1.0], [KET0]), rank=1)
+    pure = SpectralEnsemble(2, [1.0], [KET0])
     target = Ensemble(2, [1.0 - 1e-13, 1e-13], [KET0, KET0])
     _, outcomes, report = prepare_ensemble(pure, target)
     assert [o.index for o in outcomes] == [0]
@@ -322,9 +324,9 @@ def test_state_infidelity_is_zero_when_no_target_outcome_is_reached(monkeypatch)
         purification, "TOL", dataclasses.replace(numerics.TOL, outcome_floor=2.0)
     )
     spec = balanced_spectral()
-    _, outcomes, report = prepare_ensemble(spec, spec.base)
+    _, outcomes, report = prepare_ensemble(spec, spec)
     assert outcomes == []
-    assert report.state_infidelity == 0.0 == steering_oracle.state_infidelity(outcomes, spec.base)
+    assert report.state_infidelity == 0.0 == steering_oracle.state_infidelity(outcomes, spec)
     assert report.weight_deviation == 0.5
 
 
@@ -364,7 +366,7 @@ def test_any_complete_basis_measures_an_equivalent_ensemble(dim, count, seed):
 
 def test_prepare_spectral_target_recovers_it_exactly():
     spec = spectral_ensemble(DensityMatrix(2, np.diag([0.7, 0.3])))
-    plan, outcomes, report = prepare_ensemble(spec, spec.base)
+    plan, outcomes, report = prepare_ensemble(spec, spec)
     assert [o.index for o in outcomes] == [0, 1]
     np.testing.assert_allclose(
         [o.probability for o in outcomes], [0.7, 0.3], atol=1e-12
@@ -386,7 +388,7 @@ def test_prepare_hadamard_target():
 
 def test_prepare_rejects_small_reference():
     spec = balanced_spectral()
-    target = random_equivalent_ensemble(density_matrix(spec.base), 4, seed=3)
+    target = random_equivalent_ensemble(density_matrix(spec), 4, seed=3)
     with pytest.raises(ReferenceTooSmall):
         prepare_ensemble(spec, target, dim_k=3)
 
@@ -469,9 +471,9 @@ def ill_conditioned_pair(seed):
 @pytest.mark.parametrize("seed", [4, 29, 34])
 def test_isometry_residual_between_the_two_orthonormality_tolerances_steers(seed, tmp_path):
     spec, target = ill_conditioned_pair(seed)
-    deviation = density_deviation(spec.base, target)
+    deviation = density_deviation(spec, target)
     expected = numerics.max_abs(
-        steering_oracle.weighted_projector_sum(spec.base)
+        steering_oracle.weighted_projector_sum(spec)
         - steering_oracle.weighted_projector_sum(target)
     )
     assert abs(deviation - expected) <= 1e-13
@@ -480,7 +482,7 @@ def test_isometry_residual_between_the_two_orthonormality_tolerances_steers(seed
     assert numerics.TOL.orthonormality < report.isometry_residual <= numerics.TOL.isometry
     assert report.passed()
     source, drawn = tmp_path / "spec.ens", tmp_path / "target.ens"
-    fileio.write_ensemble(source, spec.base)
+    fileio.write_ensemble(source, spec)
     fileio.write_ensemble(drawn, target)
     assert cli.main(["equiv", str(source), str(drawn)]) == 0
     assert cli.main(["steer", str(source), str(drawn)]) == 0
@@ -488,7 +490,7 @@ def test_isometry_residual_between_the_two_orthonormality_tolerances_steers(seed
 
 def test_preparation_report_renders_tolerance_labels():
     spec = balanced_spectral()
-    _, _, report = prepare_ensemble(spec, spec.base)
+    _, _, report = prepare_ensemble(spec, spec)
     text = report.render()
     assert "(tol" in text
     assert text.count("PASS") == 4
@@ -599,14 +601,14 @@ def test_only_reading_the_unitary_completes_it_and_only_once(monkeypatch, tmp_pa
 
 def test_a_completion_that_is_not_unitary_fails_where_the_unitary_is_read(monkeypatch, tmp_path):
     spec = balanced_spectral()
-    target = random_equivalent_ensemble(density_matrix(spec.base), 3, seed=5)
+    target = random_equivalent_ensemble(density_matrix(spec), 3, seed=5)
     counted_completion(monkeypatch, skew=1e-6)  # row 2 of 3 is a completed row
     plan, _, report = prepare_ensemble(spec, target)
     assert report.passed()
     with pytest.raises(ContractViolation, match="unitarity"):
         plan.unitary
     source, drawn, out = tmp_path / "spec.ens", tmp_path / "target.ens", tmp_path / "plan.plan"
-    fileio.write_ensemble(source, spec.base)
+    fileio.write_ensemble(source, spec)
     fileio.write_ensemble(drawn, target)
     assert cli.main(["steer", str(source), str(drawn)]) == 0
     assert cli.main(["steer", str(source), str(drawn), "--out", str(out)]) == 2

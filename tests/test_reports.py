@@ -13,8 +13,17 @@ import numpy as np
 import pytest
 from dense_oracle import CNOT
 
-from purifykit import reports
-from purifykit.dynamics import CorrelationReport, DynamicsReport, PowerIdentityReport
+from purifykit import numerics, reports
+from purifykit.dynamics import (
+    QUARTER_TURN,
+    CorrelationReport,
+    DynamicsReport,
+    EvolutionParams,
+    PowerIdentityReport,
+    build_model,
+    _correlation,
+    verify_correlating_evolution,
+)
 from purifykit.ensembles import Ensemble
 from purifykit.purification import BipartiteState, MeasurementOutcome, PreparationReport
 from purifykit.qubit_gates import QubitDemoReport
@@ -280,3 +289,28 @@ def test_check_verdict_and_line(value, tol, line):
 def test_reports_derive_their_verdict_from_the_shared_base(cls):
     assert issubclass(cls, reports.Report)
     assert "passed" not in vars(cls)
+
+
+def test_a_fidelity_that_rounds_above_one_prints_a_zero_infidelity():
+    # |phi_1|^2 = 1 + 1e-12 passes the Gram gate; unclamped, it printed -2.000e-12
+    phi = np.eye(2)
+    phi[1] *= math.sqrt(1.0 + 1e-12)
+    report = verify_correlating_evolution(build_model(phi), EvolutionParams.canonical())
+    assert report.render().splitlines()[1] == (
+        "correlation infidelity, state 1: 0.000e+00 (tol 1.0e-10): PASS"
+    )
+    third = np.ones(3) / math.sqrt(3.0)  # <third|third> rounds to 1 + 2**-52
+    assert abs(np.vdot(third, third)) > 1.0
+    fidelity = numerics.state_fidelity(third, third)
+    assert reports.Check("overlap", 1.0 - fidelity, 1e-10).line == (
+        "overlap: 0.000e+00 (tol 1.0e-10): PASS"
+    )
+    # the clamp keeps a NaN, so it still fails
+    nan_fidelity = numerics.state_fidelity([NAN, 0.0], [1.0, 0.0])
+    assert reports.Check("overlap", 1.0 - nan_fidelity, 1e-10).line == (
+        "overlap: nan (tol 1.0e-10): FAIL"
+    )
+    nan_report = _correlation(np.full((2, 2), NAN), QUARTER_TURN)
+    assert nan_report.render().splitlines() == [
+        f"correlation infidelity, state {j}: nan (tol 1.0e-10): FAIL" for j in (0, 1)
+    ]
