@@ -75,16 +75,14 @@ class Ensemble:
 class DensityMatrix:
     """Hermitian, positive-semidefinite, trace-one operator.
 
-    Validation decomposes the matrix once and keeps the result:
-    ``eigenvalues`` in descending order with the matching orthonormal
-    ``eigenvectors`` as columns, ordered as :func:`numerics.hermitian_eig`
-    orders them.
+    Validation decomposes the matrix once and keeps its canonical ensemble
+    as ``spectral`` (eigenvalues above ``TOL.spectral_cutoff``, descending,
+    with their eigenvectors), so an ``InvalidEnsemble`` from it surfaces here.
     """
 
     dim: int
     matrix: np.ndarray
-    eigenvalues: np.ndarray = field(init=False, repr=False)
-    eigenvectors: np.ndarray = field(init=False, repr=False)
+    spectral: SpectralEnsemble = field(init=False, repr=False)
 
     def __post_init__(self):
         self.dim = numerics.as_dimension(self.dim, NotADensityMatrix, "dim")
@@ -106,8 +104,9 @@ class DensityMatrix:
             raise NotADensityMatrix(
                 f"smallest eigenvalue {smallest} is below {TOL.eigenvalue_floor}"
             )
-        self.eigenvalues = values[::-1].copy()
-        self.eigenvectors = np.ascontiguousarray(vectors[:, ::-1])
+        values, vectors = values[::-1], vectors[:, ::-1]
+        keep = values > TOL.spectral_cutoff
+        self.spectral = SpectralEnsemble(self.dim, values[keep], vectors[:, keep].T)
 
 
 @dataclass
@@ -152,19 +151,16 @@ def density_matrix(ensemble: Ensemble) -> DensityMatrix:
 
 
 def spectral_ensemble(rho: DensityMatrix) -> SpectralEnsemble:
-    """Eigendecompose a density matrix into its canonical ensemble.
+    """The canonical ensemble of a density matrix.
 
     Eigenvalues at or below ``TOL.spectral_cutoff`` are discarded, which
     keeps every retained weight safely away from zero for later weight
-    ratios. The decomposition is the one :class:`DensityMatrix` stored
-    when it validated ``rho``.
+    ratios. The ensemble is the one :class:`DensityMatrix` built and
+    validated when it admitted ``rho``.
     """
     if not isinstance(rho, DensityMatrix):
         raise NotADensityMatrix("expected a DensityMatrix")
-    keep = rho.eigenvalues > TOL.spectral_cutoff
-    if not np.any(keep):
-        raise NotADensityMatrix("no eigenvalue above the cutoff")
-    return SpectralEnsemble(rho.dim, rho.eigenvalues[keep], rho.eigenvectors[:, keep].T)
+    return rho.spectral
 
 
 def density_deviation(e1: Ensemble, e2: Ensemble) -> float:

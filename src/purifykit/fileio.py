@@ -16,8 +16,7 @@ import numpy as np
 
 from . import numerics
 from .ensembles import DensityMatrix, Ensemble
-from .errors import ContractViolation, ParseError
-from .numerics import TOL
+from .errors import ParseError
 from .purification import BipartiteState, SteeringPlan
 
 
@@ -158,20 +157,11 @@ def write_plan(path, plan: SteeringPlan) -> None:
         "coeffs": plan.coeffs,
         "isometry": plan.isometry,
         "unitary": plan.unitary,
-        "basis": plan.basis,
     })
 
 
 def read_plan(path) -> SteeringPlan:
-    fields = ("coeffs", "isometry", "unitary", "basis")
+    fields = ("coeffs", "isometry", "unitary")
     doc = _load_document(path, fields)
     matrices = {name: _parse_numbers(doc[name], 3, f"{path}: {name}") for name in fields}
-    basis = numerics.as_matrix(matrices.pop("basis"))
-    plan = SteeringPlan(**matrices)
-    adjoint = plan.basis
-    if basis.shape != adjoint.shape or numerics.max_abs(basis - adjoint) > TOL.orthonormality:
-        raise ContractViolation(
-            f"{path}: basis is not the conjugate transpose of the unitary "
-            f"within {TOL.orthonormality}"
-        )
-    return plan
+    return SteeringPlan(**matrices)

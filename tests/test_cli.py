@@ -4,6 +4,7 @@ import ast
 import contextlib
 import inspect
 import io
+import json
 import math
 import os
 import subprocess
@@ -516,6 +517,19 @@ def test_negative_dimension_exits_1_without_traceback(files, capsys):
     bad.write_text('{"dim": -2, "entries": [[0.5, 0], [0, 0], [0, 0], [0.5, 0]]}')
     assert main(["random-equiv", str(bad), "--count", "2"]) == 1
     assert capsys.readouterr().err == f"error: {bad}: dim must be a positive integer, got -2\n"
+
+
+def test_a_density_matrix_whose_discarded_mass_exceeds_the_weight_slack_exits_1(files, capsys):
+    # the three eigenvalues at or below the cutoff hold 2.7e-10 of the trace
+    u = numerics.haar_unitary(6, np.random.default_rng(0))
+    values = np.array([0.6, 0.4 - 2.7e-10, 9e-11, 9e-11, 9e-11, 0.0])
+    entries = [[z.real, z.imag] for z in ((u * values) @ numerics.dag(u)).ravel().tolist()]
+    path = files / "discarded.dm"
+    path.write_text(json.dumps({"dim": 6, "entries": entries}))
+    assert main(["random-equiv", str(path), "--count", "8"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: weights sum to 0.99999999973")
+    assert err.endswith(", must equal 1 within 1e-10\n")
 
 
 def test_random_equiv_give_up_is_a_contract_failure(files, monkeypatch, capsys):

@@ -166,10 +166,37 @@ def test_spectral_of_degenerate_density():
 
 
 def test_density_matrix_keeps_the_decomposition_hermitian_eig_returns():
+    # rank 3 of 5: the two null eigenvalues fall at or below the cutoff
     rho = random_density_matrix(5, 3, np.random.default_rng(5))
     values, vectors = numerics.hermitian_eig(rho.matrix)
-    np.testing.assert_array_equal(rho.eigenvalues, values)
-    np.testing.assert_array_equal(rho.eigenvectors, vectors)
+    keep = values > numerics.TOL.spectral_cutoff
+    assert rho.spectral.rank == np.count_nonzero(keep) == 3
+    np.testing.assert_array_equal(rho.spectral.weights, values[keep])
+    np.testing.assert_array_equal(rho.spectral.states, vectors[:, keep].T)
+
+
+def test_spectral_ensemble_returns_the_ensemble_built_at_admission(monkeypatch):
+    built = []
+    validate = SpectralEnsemble.__post_init__
+
+    def counting(self):
+        built.append(self)
+        validate(self)
+
+    monkeypatch.setattr(SpectralEnsemble, "__post_init__", counting)
+    rho = random_density_matrix(6, 4, np.random.default_rng(6))
+    assert built == [rho.spectral]
+    assert spectral_ensemble(rho) is spectral_ensemble(rho) is rho.spectral
+    assert len(built) == 1
+
+
+def test_density_matrix_refuses_a_spectrum_whose_discarded_mass_exceeds_the_weight_slack():
+    # trace and floor pass, but the three eigenvalues at or below the cutoff
+    # hold 2.7e-10 of the trace, more than an ensemble's weights may miss
+    u = numerics.haar_unitary(6, np.random.default_rng(0))
+    values = np.array([0.6, 0.4 - 2.7e-10, 9e-11, 9e-11, 9e-11, 0.0])
+    with pytest.raises(InvalidEnsemble, match=r"weights sum to 0\.99999999973"):
+        DensityMatrix(6, (u * values) @ numerics.dag(u))
 
 
 def test_spectral_ensemble_reuses_the_stored_decomposition(monkeypatch):
@@ -398,4 +425,7 @@ def test_random_ensemble_lifts_one_dirichlet_draw_above_the_floor():
 def test_random_density_matrix_keeps_every_eigenvalue_above_the_floor():
     # at rank 60 most plain Dirichlet draws have a weight below 1e-3
     rho = random_density_matrix(60, 60, np.random.default_rng(4))
-    assert rho.eigenvalues.min() >= 1e-3 - 1e-12
+    values, vectors = numerics.hermitian_eig(rho.matrix)
+    np.testing.assert_array_equal(rho.spectral.weights, values)
+    np.testing.assert_array_equal(rho.spectral.states, vectors.T)
+    assert rho.spectral.weights.min() >= 1e-3 - 1e-12

@@ -27,7 +27,6 @@ from purifykit.errors import (
     ContractViolation,
     DimensionMismatch,
     InvalidEnsemble,
-    NotFinite,
     NotNormalized,
     NotSquare,
     ParseError,
@@ -94,16 +93,14 @@ def test_plan_round_trip(tmp_path):
     np.testing.assert_array_equal(loaded.coeffs, plan.coeffs)
 
 
-# the exact bytes of write_plan(hadamard_plan()); "basis" is written from SteeringPlan.basis
+# the exact bytes of write_plan(hadamard_plan())
 GOLDEN_HADAMARD_PLAN = """{
   "coeffs": [[[0.70710678118654746, 0], [0.70710678118654746, 0]], \
 [[0.70710678118654746, 0], [-0.70710678118654746, 0]]],
   "isometry": [[[0.70710678118654746, 0], [0.70710678118654746, 0]], \
 [[0.70710678118654746, 0], [-0.70710678118654746, 0]]],
   "unitary": [[[0.70710678118654746, 0], [0.70710678118654746, 0]], \
-[[0.70710678118654746, 0], [-0.70710678118654746, 0]]],
-  "basis": [[[0.70710678118654746, -0], [0.70710678118654746, -0]], \
-[[0.70710678118654746, -0], [-0.70710678118654746, -0]]]
+[[0.70710678118654746, 0], [-0.70710678118654746, 0]]]
 }
 """
 
@@ -120,32 +117,6 @@ def test_plan_file_with_nothing_to_complete_is_golden(tmp_path):
     path = tmp_path / "hadamard.plan"
     fileio.write_plan(path, hadamard_plan())
     assert path.read_text(encoding="utf-8") == GOLDEN_HADAMARD_PLAN
-
-
-@pytest.mark.parametrize("edit", ["permuted", "truncated"])
-def test_read_plan_requires_basis_to_be_the_unitary_adjoint(tmp_path, edit):
-    # both edits leave the basis rows orthonormal
-    rho = random_density_matrix(3, 2, np.random.default_rng(12))
-    plan = steering_isometry(spectral_ensemble(rho), random_equivalent_ensemble(rho, 4, seed=2))
-    path = tmp_path / "plan.plan"
-    fileio.write_plan(path, plan)
-    doc = json.loads(path.read_text())
-    doc["basis"] = doc["basis"][::-1] if edit == "permuted" else doc["basis"][:-1]
-    path.write_text(json.dumps(doc))
-    with pytest.raises(ContractViolation):
-        fileio.read_plan(path)
-
-
-@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-def test_read_plan_rejects_a_non_finite_basis(tmp_path, bad):
-    # JSON readers accept NaN and Infinity; the basis comparison alone would not see NaN
-    path = tmp_path / "plan.plan"
-    fileio.write_plan(path, hadamard_plan())
-    doc = json.loads(path.read_text())
-    doc["basis"][0][0][1] = bad
-    path.write_text(json.dumps(doc))
-    with pytest.raises(NotFinite):
-        fileio.read_plan(path)
 
 
 def test_read_bipartite_state_rejects_norm_off_one(tmp_path):
@@ -255,13 +226,8 @@ def test_read_rejects_non_integer_dimensions(tmp_path, reader, text):
 
 
 def test_read_plan_rejects_a_non_square_unitary(tmp_path):
-    # orthonormal rows, and basis is the conjugate transpose, but 2x3 completes nothing
-    plan = {
-        "coeffs": np.eye(2),
-        "isometry": np.eye(2),
-        "unitary": np.eye(3)[:2],
-        "basis": np.eye(3)[:, :2],
-    }
+    # orthonormal rows, but 2x3 completes nothing
+    plan = {"coeffs": np.eye(2), "isometry": np.eye(2), "unitary": np.eye(3)[:2]}
     path = tmp_path / "wide.plan"
     path.write_text(
         json.dumps({name: [[[x, 0.0] for x in row] for row in m] for name, m in plan.items()})
@@ -273,15 +239,15 @@ def test_read_plan_rejects_a_non_square_unitary(tmp_path):
 
 
 def test_read_plan_rejects_a_unitary_that_does_not_embed_the_isometry(tmp_path):
-    # the identity is unitary and its adjoint is the basis, but its leading
-    # rows are not the isometry, so it would measure another ensemble
+    # the identity is unitary, but its leading rows are not the isometry,
+    # so it would measure another ensemble
     rho = random_density_matrix(3, 2, np.random.default_rng(12))
     plan = steering_isometry(spectral_ensemble(rho), random_equivalent_ensemble(rho, 4, seed=2))
     path = tmp_path / "plan.plan"
     fileio.write_plan(path, plan)
     doc = json.loads(path.read_text())
     identity = [[[float(i == j), 0.0] for j in range(4)] for i in range(4)]
-    doc["unitary"] = doc["basis"] = identity
+    doc["unitary"] = identity
     path.write_text(json.dumps(doc))
     with pytest.raises(ContractViolation, match="isometry"):
         fileio.read_plan(path)
@@ -379,13 +345,30 @@ def test_render_matches_the_recursive_renderer(data):
         values = values.astype(complex)
         values.imag = imag  # assigned, not added, so -0.0 parts survive
     if data.draw(st.booleans(), label="transposed"):
-        values = values.T  # a strided view, as SteeringPlan.basis is
+        values = values.T  # a strided view, not C-contiguous
     assert fileio._render(values) == render_oracle.render(render_oracle.nested(values))
 
 
 def plan_with_completed_unitary():
     rho = random_density_matrix(3, 2, np.random.default_rng(12))
     return steering_isometry(spectral_ensemble(rho), random_equivalent_ensemble(rho, 4, seed=2))
+
+
+@pytest.mark.parametrize("basis", ["adjoint", "permuted", "nan"])
+def test_read_plan_ignores_the_basis_field_of_older_files(tmp_path, basis):
+    # older writers also stored basis, the adjoint of unitary; a reader skips
+    # it like any unknown field, whatever it holds
+    plan = plan_with_completed_unitary()
+    path = tmp_path / "plan.plan"
+    fileio.write_plan(path, plan)
+    doc = json.loads(path.read_text())
+    without = fileio.read_plan(path)
+    rows = {"adjoint": plan.basis, "permuted": plan.basis[::-1], "nan": plan.basis * np.nan}
+    doc["basis"] = [[[z.real, z.imag] for z in row] for row in rows[basis].tolist()]
+    path.write_text(json.dumps(doc))
+    loaded = fileio.read_plan(path)
+    for name in ("coeffs", "isometry", "unitary"):
+        np.testing.assert_array_equal(getattr(loaded, name), getattr(without, name))
 
 
 DOCUMENTS = {
@@ -529,7 +512,7 @@ READERS = {
         "dim_k": "dimension",
         "amplitudes": "pairs",
     },
-    fileio.read_plan: {name: "rows" for name in ("coeffs", "isometry", "unitary", "basis")},
+    fileio.read_plan: {name: "rows" for name in ("coeffs", "isometry", "unitary")},
 }
 
 

@@ -52,7 +52,7 @@ def correlation(*fidelities):
 
 def dynamics(**changes):
     fields = dict(correlation=correlation(), power_reports=[power(reference_index=0), power()],
-                  commutator_maximum=0.0, cross_product_maximum=1e-17, closed_vs_numeric=3e-15)
+                  cross_product_maximum=1e-17, closed_vs_numeric=3e-15)
     fields.update(changes)
     return DynamicsReport(**fields)
 
@@ -82,7 +82,7 @@ CASES = {
     "correlation-fail": correlation(1.0, 1.0 - 1e-9),
     "correlation-nan": correlation(NAN, 1.0),
     "dynamics-pass": dynamics(),
-    "dynamics-fail": dynamics(commutator_maximum=3e-12),
+    "dynamics-fail": dynamics(cross_product_maximum=3e-12),
     "dynamics-nan": dynamics(power_reports=[power(odd_residual=NAN)]),
     "qubit-pass": qubit(),
     "qubit-fail": qubit(recovered_state_infidelity=3e-10),
@@ -139,7 +139,7 @@ GOLDEN = {
         "term 0: square-projector residual: 2.500e-16 (tol 1.0e-12): PASS",
         "term 2: cube-equals-self residual: 1.000e-16 (tol 1.0e-12): PASS",
         "term 2: square-projector residual: 2.500e-16 (tol 1.0e-12): PASS",
-        "commutator maximum: 0.000e+00 (tol 1.0e-12): PASS",
+        "commutator maximum: 1.000e-17 (tol 1.0e-12): PASS",
         "cross-product maximum: 1.000e-17 (tol 1.0e-12): PASS",
         "closed form vs numeric propagator: 3.000e-15 (tol 1.0e-10): PASS",
     ),
@@ -151,7 +151,7 @@ GOLDEN = {
         "term 2: cube-equals-self residual: 1.000e-16 (tol 1.0e-12): PASS",
         "term 2: square-projector residual: 2.500e-16 (tol 1.0e-12): PASS",
         "commutator maximum: 3.000e-12 (tol 1.0e-12): FAIL",
-        "cross-product maximum: 1.000e-17 (tol 1.0e-12): PASS",
+        "cross-product maximum: 3.000e-12 (tol 1.0e-12): FAIL",
         "closed form vs numeric propagator: 3.000e-15 (tol 1.0e-10): PASS",
     ),
     "dynamics-nan": (
@@ -159,7 +159,7 @@ GOLDEN = {
         "correlation infidelity, state 1: 1.000e-13 (tol 1.0e-10): PASS",
         "term 2: cube-equals-self residual: nan (tol 1.0e-12): FAIL",
         "term 2: square-projector residual: 2.500e-16 (tol 1.0e-12): PASS",
-        "commutator maximum: 0.000e+00 (tol 1.0e-12): PASS",
+        "commutator maximum: 1.000e-17 (tol 1.0e-12): PASS",
         "cross-product maximum: 1.000e-17 (tol 1.0e-12): PASS",
         "closed form vs numeric propagator: 3.000e-15 (tol 1.0e-10): PASS",
     ),
