@@ -3,6 +3,8 @@
 
     PYTHONPATH=src python scripts/cli_byte_check.py --out manifest.jsonl
     PYTHONPATH=src python scripts/cli_byte_check.py --golden --out tests/cli_golden.jsonl
+    PYTHONPATH=src python scripts/cli_byte_check.py --golden --only 'smoke-*' \
+        --out tests/cli_golden.jsonl
 
 Writes seeded input files with plain numpy and json, runs a fixed list of
 ``purifykit.cli.main`` commands over them (equivalence, steering,
@@ -19,11 +21,18 @@ number replaced by ``#`` and the numbers parsed out of it, so a test can
 compare text exactly and numbers within a bound. A full-size output file
 holds thousands of numbers; for it only the sha256 of its text and its
 count of numbers are kept.
+
+``--only PATTERN`` (shell-style, repeatable) rewrites in the existing
+``--out`` file only the runs whose name matches, and keeps every other line
+byte for byte, so a change that moves a few runs does not also record the
+host's rounding drift in all the others. Only the sizes of the matched
+runs are run.
 """
 
 from __future__ import annotations
 
 import argparse
+import fnmatch
 import hashlib
 import io
 import json
@@ -226,7 +235,13 @@ def golden(sizes=tuple(SIZES), keep: Path | None = None) -> list[dict]:
     return records
 
 
-def main() -> int:
+def splice(lines: list[str], records: list[dict]) -> list[str]:
+    """``lines`` with the line of each run in ``records`` replaced by its record."""
+    fresh = {record["run"]: json.dumps(record, sort_keys=True) for record in records}
+    return [fresh.get(json.loads(line)["run"], line) for line in lines]
+
+
+def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--size", choices=[*SIZES, "both"], default="both")
     parser.add_argument("--out", help="manifest path (default: stdout)")
@@ -234,15 +249,38 @@ def main() -> int:
     parser.add_argument(
         "--golden", action="store_true", help="record text and numbers in place of hashes"
     )
-    args = parser.parse_args()
+    parser.add_argument(
+        "--only",
+        action="append",
+        metavar="PATTERN",
+        help="rewrite only the matching runs of the existing --out file (repeatable)",
+    )
+    args = parser.parse_args(argv)
 
     keep = None
     if args.keep:
         keep = Path(args.keep).resolve()
         keep.mkdir(parents=True, exist_ok=True)
     sizes = tuple(SIZES) if args.size == "both" else (args.size,)
+    if args.only:
+        if not args.out:
+            parser.error("--only rewrites runs of an --out file")
+        kept = Path(args.out).read_text(encoding="utf-8").splitlines()
+        names = [json.loads(line)["run"] for line in kept]
+        matched = set()
+        for pattern in args.only:
+            hits = fnmatch.filter(names, pattern)
+            if not hits:
+                parser.error(f"--only {pattern!r} matches no run of {args.out}")
+            matched.update(hits)
+        needed = tuple(s for s in SIZES if any(name.startswith(f"{s}-") for name in matched))
+        if not set(needed) <= set(sizes):
+            parser.error(f"--size {args.size} leaves out runs that --only matches")
+        sizes = needed
     records = (golden if args.golden else manifest)(sizes, keep=keep)
     lines = [json.dumps(r, sort_keys=True) for r in records]
+    if args.only:
+        lines = splice(kept, [r for r in records if r["run"] in matched])
     text = "\n".join(lines) + "\n"
     if args.out:
         Path(args.out).write_text(text, encoding="utf-8")

@@ -79,14 +79,17 @@ class HamiltonianModel:
     positive integer (``DimensionMismatch``) no smaller than that number
     (``ReferenceTooSmall``: each row needs its own reference direction); the
     rows are pairwise orthonormal (``NotOrthonormal``); and the cross-products
-    vanish, so all pairs commute (see :func:`commutator_max`). The cross-product maximum, which is also the
-    commutator maximum, and the Gram matrix G = conj(phi) phi^T behind the
-    orthonormality check are kept as validated, for the verification report.
+    vanish, so all pairs commute (see :func:`commutator_max`). The
+    cross-product maximum, which is also the commutator maximum, the Gram
+    matrix G = conj(phi) phi^T behind the orthonormality check, and the row
+    peaks m_j = max_s |phi_j[s]| are kept as validated, for the verification
+    report.
     """
 
     phi: np.ndarray
     dim_k: int | None = None
     gram: np.ndarray = field(init=False, repr=False)
+    peaks: np.ndarray = field(init=False, repr=False)
     cross_product_maximum: float = field(init=False)
 
     def __post_init__(self):
@@ -104,11 +107,8 @@ class HamiltonianModel:
         self.gram = _gram(self.phi)
         if numerics.max_abs(self.gram - np.eye(count)) > TOL.orthonormality:
             raise NotOrthonormal("phi rows must be pairwise orthonormal")
-        self.cross_product_maximum = _cross_product_max(self.phi)
-        if self.cross_product_maximum > TOL.commutator:
-            raise ContractViolation(
-                f"nonzero cross-product between terms: {self.cross_product_maximum}"
-            )
+        self.peaks = _row_peaks(self.phi)
+        self.cross_product_maximum = _commuting_cross_product_max(self.phi, self.peaks)
 
     @property
     def dim_s(self) -> int:
@@ -123,16 +123,29 @@ def cross_product_max(phi) -> float:
     and m_j the largest amplitude of phi_j. The j = 0 term is zero.
     ``phi`` must be a finite 2-D array (``DimensionMismatch``, ``NotFinite``).
     """
-    return _cross_product_max(numerics.as_matrix(phi))
+    phi = numerics.as_matrix(phi)
+    return _cross_product_max(phi, _row_peaks(phi))
 
 
-def _cross_product_max(phi: np.ndarray) -> float:
-    """:func:`cross_product_max` of an already validated 2-D ``phi``."""
-    phi = phi[1:]
-    peaks = np.max(np.abs(phi), axis=1, initial=0.0)
-    products = np.abs(phi @ numerics.dag(phi)) * np.outer(peaks, peaks)
+def _row_peaks(phi: np.ndarray) -> np.ndarray:
+    """m_j = max_s |phi_j[s]|, the largest amplitude of each row."""
+    return np.max(np.abs(phi), axis=1, initial=0.0)
+
+
+def _cross_product_max(phi: np.ndarray, peaks: np.ndarray) -> float:
+    """:func:`cross_product_max` of an already validated 2-D ``phi`` with row peaks ``peaks``."""
+    phi, peaks = phi[1:], peaks[1:]
+    products = np.abs(phi @ numerics.dag(phi)) * (peaks[:, np.newaxis] * peaks)
     np.fill_diagonal(products, 0.0)
     return numerics.max_abs(products)
+
+
+def _commuting_cross_product_max(phi: np.ndarray, peaks: np.ndarray) -> float:
+    """:func:`_cross_product_max`; above ``TOL.commutator`` it raises ``ContractViolation``."""
+    maximum = _cross_product_max(phi, peaks)
+    if maximum > TOL.commutator:
+        raise ContractViolation(f"nonzero cross-product between terms: {maximum}")
+    return maximum
 
 
 def commutator_max(phi) -> float:
@@ -181,7 +194,7 @@ def power_identities_check(phi, j: int) -> PowerIdentityReport:
     phi = numerics.as_matrix(phi)
     if isinstance(j, bool) or not isinstance(j, (int, np.integer)) or not 0 <= j < len(phi):
         raise IndexOutOfRange(f"index {j!r} has no matching state (only {len(phi)})")
-    return _power_reports(phi)[j]
+    return _power_reports(_gram(phi), _row_peaks(phi))[j]
 
 
 def _gram(phi: np.ndarray) -> np.ndarray:
@@ -189,11 +202,11 @@ def _gram(phi: np.ndarray) -> np.ndarray:
     return phi.conj() @ phi.T
 
 
-def _power_reports(phi: np.ndarray, gram: np.ndarray | None = None) -> list[PowerIdentityReport]:
-    """:func:`power_identities_check` for every term of the 2-D ``phi``, in one
-    pass, reading |phi_j|^2 from the diagonal of phi's Gram matrix ``gram``."""
-    norm2 = (_gram(phi) if gram is None else gram).diagonal().real
-    scale = np.max(np.abs(phi), axis=1, initial=0.0) ** 2
+def _power_reports(gram: np.ndarray, peaks: np.ndarray) -> list[PowerIdentityReport]:
+    """:func:`power_identities_check` for every term of phi, in one pass, from
+    phi's Gram matrix ``gram`` (|phi_j|^2 on its diagonal) and row peaks ``peaks``."""
+    norm2 = gram.diagonal().real
+    scale = peaks**2
     odd = scale * np.abs(norm2**2 - 1.0)
     even = scale * np.abs(norm2 - 1.0)
     odd[:1] = even[:1] = 0.0  # the j = 0 term is zero
@@ -203,26 +216,22 @@ def _power_reports(phi: np.ndarray, gram: np.ndarray | None = None) -> list[Powe
     ]
 
 
-def _rotate_planes(model: HamiltonianModel, block: np.ndarray, grids) -> np.ndarray:
+def _rotate_planes(phi: np.ndarray, block: np.ndarray, grids: np.ndarray) -> np.ndarray:
     """Apply I + sum_j P_j (x) (block - I) on (e_0, e_j), j >= 1, to each grid.
 
-    ``grids`` is a stack of states shaped (..., dim_s, dim_k), entry
-    [s, k] the amplitude of e_s (x) e_k, and ``block`` is one 2x2 block;
-    a NaN or infinite amplitude raises ``NotFinite``. With C = conj(phi) Psi,
-    the map is Psi -> Psi + phi^T (C' - C), where C' rotates each pair
+    The kernel of every propagator; it checks nothing. ``phi`` is a model's
+    validated n x dim_s family, ``block`` one 2x2 block and ``grids`` a
+    finite complex stack of states shaped (..., dim_s, dim_k), dim_k >= n,
+    entry [s, k] the amplitude of e_s (x) e_k. With C = conj(phi) Psi, the
+    map is Psi -> Psi + phi^T (C' - C), where C' rotates each pair
     (C[j, 0], C[j, j]) by the block. Only those pairs change, so only they
     are formed: the ready column is column 0 and the partners are the
     contiguous columns 1..n-1.
     """
-    grids = numerics.as_array(grids)
-    if not np.all(np.isfinite(grids)):
-        raise NotFinite("state amplitudes must be finite")
-    if grids.shape[-2:] != (model.dim_s, model.dim_k):
-        raise DimensionMismatch(f"states must be {model.dim_s} x {model.dim_k} grids")
-    count = model.phi.shape[0]
-    phi = model.phi[1:]
+    count = phi.shape[0]
+    phi = phi[1:]
     conj = phi.conj()
-    states = grids.reshape(-1, model.dim_s, model.dim_k)
+    states = grids.reshape(-1, *grids.shape[-2:])
     pairs = np.empty((2, len(states), count - 1), dtype=complex)
     np.matmul(states[:, :, 0], conj.T, out=pairs[0])
     np.einsum("js,tsj->tj", conj, states[:, :, 1:count], out=pairs[1])
@@ -235,6 +244,18 @@ def _rotate_planes(model: HamiltonianModel, block: np.ndarray, grids) -> np.ndar
     return out.reshape(grids.shape)
 
 
+def _model_grids(model: HamiltonianModel, grids) -> np.ndarray:
+    """``grids`` as a finite complex stack of dim_s x dim_k states of ``model``;
+    a NaN or infinite amplitude raises ``NotFinite``, another shape
+    ``DimensionMismatch``."""
+    grids = numerics.as_array(grids)
+    if not np.all(np.isfinite(grids)):
+        raise NotFinite("state amplitudes must be finite")
+    if grids.shape[-2:] != (model.dim_s, model.dim_k):
+        raise DimensionMismatch(f"states must be {model.dim_s} x {model.dim_k} grids")
+    return grids
+
+
 def _numeric_block(params: EvolutionParams) -> np.ndarray:
     """exp(-i omega T Y) on one plane; a non-finite omega*T raises ``NotFinite``."""
     phase = params.phase()
@@ -245,12 +266,12 @@ def _numeric_block(params: EvolutionParams) -> np.ndarray:
 
 def evolution_closed_form(model: HamiltonianModel, grids) -> np.ndarray:
     """Quarter-turn propagator I - H_j^2 - i H_j, applied to a stack of finite states."""
-    return _rotate_planes(model, QUARTER_TURN, grids)
+    return _rotate_planes(model.phi, QUARTER_TURN, _model_grids(model, grids))
 
 
 def evolution_numeric(model: HamiltonianModel, params: EvolutionParams, grids) -> np.ndarray:
     """exp(-i omega T H) on a stack of finite states, each plane turned by exp(-i omega T Y)."""
-    return _rotate_planes(model, _numeric_block(params), grids)
+    return _rotate_planes(model.phi, _numeric_block(params), _model_grids(model, grids))
 
 
 @dataclass
@@ -286,11 +307,13 @@ def _correlation(gram: np.ndarray, block: np.ndarray) -> CorrelationReport:
     return CorrelationReport(fidelities=np.minimum(fidelities, 1.0))
 
 
-def _plane_map_gap(phi: np.ndarray, gram: np.ndarray, delta: np.ndarray) -> float:
+def _plane_map_gap(
+    phi: np.ndarray, gram: np.ndarray, peaks: np.ndarray, delta: np.ndarray
+) -> float:
     """Largest entry by which the plane maps of two blocks differing by
-    ``delta`` differ on the probes phi_i (x) e_0 and phi_i (x) e_i."""
-    rows, pairs = phi[1:], gram[1:]  # pairs[j - 1, i] = G_ji
-    peaks = np.max(np.abs(rows), axis=1, initial=0.0)
+    ``delta`` differ on the probes phi_i (x) e_0 and phi_i (x) e_i, from
+    phi, its Gram matrix and its row peaks."""
+    rows, pairs, peaks = phi[1:], gram[1:], peaks[1:]  # pairs[j - 1, i] = G_ji
     own = gram.diagonal()[1:].real * peaks
     return float(max(
         abs(delta[0, 0]) * numerics.max_abs(pairs.T @ rows),
@@ -307,13 +330,20 @@ def purify_via_dynamics(
     Matches the static construction of :func:`purification.purify` up to
     a global phase; the reference is truncated to the rank since higher
     terms act as zero on the initial state.
+
+    The terms are those of ``build_model(spectral.states, spectral.rank)``,
+    but no model is built: admission as a :class:`SpectralEnsemble` already
+    checked the states to be finite rows pairwise orthonormal within
+    ``TOL.orthonormality``, so only the quarter turn and the vanishing
+    cross-products (``ContractViolation``) are checked here.
     """
     params = EvolutionParams.canonical() if params is None else params
     params.require_correlating()
-    model = build_model(spectral.states, spectral.rank)
+    phi = spectral.states
+    _commuting_cross_product_max(phi, _row_peaks(phi))
     grid = np.zeros((spectral.dim, spectral.rank), dtype=complex)
-    grid[:, 0] = np.sqrt(spectral.weights) @ spectral.states
-    evolved = evolution_numeric(model, params, grid)
+    grid[:, 0] = np.sqrt(spectral.weights) @ phi
+    evolved = _rotate_planes(phi, _numeric_block(params), grid)
     return BipartiteState(spectral.dim, spectral.rank, evolved.reshape(-1))
 
 
@@ -353,7 +383,9 @@ def verification_report(model: HamiltonianModel, params: EvolutionParams) -> Dyn
     block = _numeric_block(params)
     return DynamicsReport(
         correlation=_correlation(model.gram, block),
-        power_reports=_power_reports(model.phi, model.gram),
+        power_reports=_power_reports(model.gram, model.peaks),
         cross_product_maximum=model.cross_product_maximum,
-        closed_vs_numeric=_plane_map_gap(model.phi, model.gram, QUARTER_TURN - block),
+        closed_vs_numeric=_plane_map_gap(
+            model.phi, model.gram, model.peaks, QUARTER_TURN - block
+        ),
     )

@@ -23,6 +23,10 @@ from .errors import (
 )
 from .numerics import TOL
 
+# Least weight of a drawn equivalent ensemble: it keeps the steering ratios
+# sqrt(p_j / d_i) away from zero.
+DRAWN_WEIGHT_FLOOR = 1e-6
+
 
 @dataclass
 class Ensemble:
@@ -184,21 +188,24 @@ def random_equivalent_ensemble(rho: DensityMatrix, count: int, seed: int) -> Ens
     Mixes the spectral components through a seeded Haar-random unitary:
     the j-th unnormalized state is sum_i sqrt(d_i) U_ij phi_i, and its
     squared norm becomes the j-th weight. Redraws (deterministically from
-    the same stream) while any weight falls below 1e-6, and raises
-    ``ContractViolation`` after 64 draws.
+    the same stream) while any weight falls below ``DRAWN_WEIGHT_FLOOR``,
+    and raises ``ContractViolation`` after 64 draws. A ``count`` of weights
+    that cannot all clear the floor raises ``InvalidEnsemble`` before any
+    draw.
     """
     spectral = spectral_ensemble(rho)
     if count < spectral.rank:
         raise CountTooSmall(
             f"count {count} is below the density-matrix rank {spectral.rank}"
         )
+    _require_floor_fits(count, DRAWN_WEIGHT_FLOOR)
     rng = np.random.default_rng(seed)
     roots = np.sqrt(spectral.weights)
     for _ in range(64):
         mixer = numerics.haar_unitary(count, rng)
         unnormalized = (roots[:, None] * mixer[: spectral.rank, :]).T @ spectral.states
         probs = np.linalg.norm(unnormalized, axis=1) ** 2
-        if float(probs.min()) >= 1e-6:
+        if float(probs.min()) >= DRAWN_WEIGHT_FLOOR:
             break
     else:
         raise ContractViolation("64 draws gave no ensemble whose weights are all at least 1e-6")
@@ -206,10 +213,16 @@ def random_equivalent_ensemble(rho: DensityMatrix, count: int, seed: int) -> Ens
     return Ensemble(rho.dim, probs, states)
 
 
-def _floored_weights(count: int, floor: float, rng: np.random.Generator) -> np.ndarray:
-    """``count`` random weights summing to 1, each at least ``floor``: one Dirichlet draw."""
+def _require_floor_fits(count: int, floor: float) -> None:
+    """``InvalidEnsemble`` unless ``count`` weights of at least ``floor`` can sum to 1
+    with room to vary."""
     if count * floor >= 1.0:
         raise InvalidEnsemble(f"{count} weights of at least {floor} cannot sum to 1")
+
+
+def _floored_weights(count: int, floor: float, rng: np.random.Generator) -> np.ndarray:
+    """``count`` random weights summing to 1, each at least ``floor``: one Dirichlet draw."""
+    _require_floor_fits(count, floor)
     return floor + (1.0 - count * floor) * rng.dirichlet(np.ones(count))
 
 

@@ -82,7 +82,8 @@ def purification_circuit(theta: float, phase: float = 0.0) -> np.ndarray:
 def _circuit(model: HamiltonianModel) -> np.ndarray:
     """The 4x4 matrix of I + P_- (x) (sigma_x - I) for the model on {x+, x-}:
     its images of the basis states, as columns."""
-    return _rotate_planes(model, _SIGMA_X, np.eye(4).reshape(4, 2, 2)).reshape(4, 4).T
+    basis = np.eye(4, dtype=complex).reshape(4, 2, 2)
+    return _rotate_planes(model.phi, _SIGMA_X, basis).reshape(4, 4).T
 
 
 @dataclass

@@ -532,6 +532,14 @@ def test_a_density_matrix_whose_discarded_mass_exceeds_the_weight_slack_exits_1(
     assert err.endswith(", must equal 1 within 1e-10\n")
 
 
+def test_random_equiv_refuses_a_count_the_weight_floor_rules_out(files, capsys):
+    out = files / "drawn.ens"
+    argv = ["random-equiv", str(files / "rho.dm"), "--count", "1000000", "--out", str(out)]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == "error: 1000000 weights of at least 1e-06 cannot sum to 1\n"
+    assert not out.exists()
+
+
 def test_random_equiv_give_up_is_a_contract_failure(files, monkeypatch, capsys):
     # an identity mixer gives the states past the rank zero weight in every draw
     monkeypatch.setattr(numerics, "haar_unitary", lambda dim, rng: np.eye(dim, dtype=complex))

@@ -5,8 +5,8 @@ The golden file is written by
 
     PYTHONPATH=src python scripts/cli_byte_check.py --golden --out tests/cli_golden.jsonl
 
-A change that moves it regenerates it with that command and lists each
-moved field in CHANGES.md.
+A change that moves it regenerates it with that command, or only the runs
+it moves with ``--only PATTERN``, and lists each moved field in CHANGES.md.
 """
 
 import importlib.util
@@ -16,6 +16,8 @@ import re
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 SCRIPT = ROOT / "scripts" / "cli_byte_check.py"
@@ -86,19 +88,50 @@ def numbers_match(got, golden):
     )
 
 
+def assert_record_matches(record, expected):
+    run = expected["run"]
+    assert (record["argv"], record["exit"]) == (expected["argv"], expected["exit"]), run
+    outputs = {"stdout": record["stdout"], "stderr": record["stderr"], **record["files"]}
+    wanted = {"stdout": expected["stdout"], "stderr": expected["stderr"], **expected["files"]}
+    assert outputs.keys() == wanted.keys(), run
+    for name, doc in wanted.items():
+        # text and verdict words exactly; a full-size file as text hash and number count
+        rest = {key: value for key, value in outputs[name].items() if key != "numbers"}
+        assert rest == {key: value for key, value in doc.items() if key != "numbers"}, (run, name)
+        if "numbers" in doc:
+            assert numbers_match(outputs[name]["numbers"], doc["numbers"]), (run, name)
+
+
 def test_cli_output_matches_the_golden_file():
     golden = [json.loads(line) for line in GOLDEN.read_text(encoding="utf-8").splitlines()]
     got = load_script().golden()
     assert [r["run"] for r in got] == [r["run"] for r in golden]
     for record, expected in zip(got, golden):
-        run = expected["run"]
-        assert (record["argv"], record["exit"]) == (expected["argv"], expected["exit"]), run
-        outputs = {"stdout": record["stdout"], "stderr": record["stderr"], **record["files"]}
-        wanted = {"stdout": expected["stdout"], "stderr": expected["stderr"], **expected["files"]}
-        assert outputs.keys() == wanted.keys(), run
-        for name, doc in wanted.items():
-            # text and verdict words exactly; a full-size file as text hash and number count
-            rest = {key: value for key, value in outputs[name].items() if key != "numbers"}
-            assert rest == {key: value for key, value in doc.items() if key != "numbers"}, (run, name)
-            if "numbers" in doc:
-                assert numbers_match(outputs[name]["numbers"], doc["numbers"]), (run, name)
+        assert_record_matches(record, expected)
+
+
+def test_only_rewrites_the_matched_runs_and_keeps_every_other_line(tmp_path):
+    committed = GOLDEN.read_text(encoding="utf-8").splitlines()
+    # stale smoke records, so a line left in place shows
+    stale = [
+        json.dumps({**json.loads(line), "exit": -1}, sort_keys=True)
+        if json.loads(line)["run"].startswith("smoke-") else line
+        for line in committed
+    ]
+    path = tmp_path / "golden.jsonl"
+    path.write_text("\n".join(stale) + "\n", encoding="utf-8")
+    script = load_script()
+    assert script.main(["--golden", "--only", "smoke-*", "--out", str(path)]) == 0
+    spliced = path.read_text(encoding="utf-8").splitlines()
+    assert len(spliced) == len(committed)
+    for line, before, expected in zip(spliced, stale, committed):
+        record, wanted = json.loads(line), json.loads(expected)
+        assert record["run"] == wanted["run"]
+        if wanted["run"].startswith("smoke-"):
+            assert_record_matches(record, wanted)
+        else:
+            assert line == before
+    # a pattern that names no run is refused before anything is written
+    with pytest.raises(SystemExit):
+        script.main(["--golden", "--only", "smoke-seed9-*", "--out", str(path)])
+    assert path.read_text(encoding="utf-8").splitlines() == spliced

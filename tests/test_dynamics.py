@@ -69,6 +69,12 @@ def balanced_spectral():
     return SpectralEnsemble(2, np.array([0.5, 0.5]), np.array([KET0, KET1]))
 
 
+def drawn_spectral(dim, rank, rng):
+    """``rank`` Haar rows of C^dim with descending Dirichlet weights, admitted by hand."""
+    weights = np.sort(rng.dirichlet(np.ones(rank)))[::-1]
+    return SpectralEnsemble(dim, weights, orthonormal_family(dim, rank, rng))
+
+
 def per_term_power_check(phi, j):
     """The power residuals of term j alone, with 2x2 block products: the
     per-term evaluation the library's one array pass replaced."""
@@ -236,7 +242,7 @@ def test_the_array_pass_gives_the_per_term_power_reports(rows, width, lean, seed
     phi /= np.linalg.norm(phi, axis=1, keepdims=True)
     phi *= 1.0 + lean * rng.random((rows, 1))
     expected = [per_term_power_check(phi, j) for j in range(rows)]
-    reports = dynamics._power_reports(phi)
+    reports = dynamics._power_reports(dynamics._gram(phi), dynamics._row_peaks(phi))
     assert [power_identities_check(phi, j) for j in range(rows)] == reports
     assert [r.reference_index for r in reports] == list(range(rows))
     # the pass squares with one correctly rounded product where the loop
@@ -474,7 +480,7 @@ def test_the_plane_block_decomposed_once_gives_the_spectral_exponential(theta, s
     np.testing.assert_array_equal(numerics.exp_from_eig(*dynamics.PLANE_EIG, theta), block)
     np.testing.assert_array_equal(
         evolution_numeric(model, EvolutionParams(1.0, theta), grids),
-        dynamics._rotate_planes(model, block, grids),
+        dynamics._rotate_planes(model.phi, block, grids),
     )
 
 
@@ -534,7 +540,7 @@ def test_one_pass_over_a_stack_of_grids_matches_the_dense_plane_map(
     grids = rng.standard_normal((*grid_batch, dim_s, dim_k)) + 1j * rng.standard_normal(
         (*grid_batch, dim_s, dim_k)
     )
-    turned = dynamics._rotate_planes(model, block, grids)
+    turned = dynamics._rotate_planes(model.phi, block, grids)
     assert turned.shape == grids.shape
     dense = dense_oracle.plane_map(model.phi, dim_k, block)
     expected = (grids.reshape(-1, dim_s * dim_k) @ dense.T).reshape(grids.shape)
@@ -581,7 +587,7 @@ def test_dynamic_purification_matches_static_on_balanced_mixture():
     assert numerics.state_fidelity(dynamic.amplitudes, static.amplitudes) >= 1 - 1e-9
 
 
-@given(dim=st.integers(2, 5), count=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))
+@given(dim=st.integers(2, 16), count=st.integers(1, 16), seed=st.integers(0, 2**32 - 1))
 @settings(max_examples=40, deadline=None)
 def test_dynamic_purification_matches_static_on_random_mixtures(dim, count, seed):
     rng = np.random.default_rng(seed)
@@ -589,6 +595,58 @@ def test_dynamic_purification_matches_static_on_random_mixtures(dim, count, seed
     dynamic = purify_via_dynamics(spec)
     static = purify(spec, spec.rank)
     assert numerics.state_fidelity(dynamic.amplitudes, static.amplitudes) >= 1 - 1e-9
+    # equal up to one global phase, entry by entry
+    overlap = np.vdot(static.amplitudes, dynamic.amplitudes)
+    aligned = overlap / abs(overlap) * static.amplitudes
+    assert numerics.max_abs(dynamic.amplitudes - aligned) <= 1e-12
+
+
+@given(
+    dim=st.integers(1, 16),
+    rank=st.integers(1, 16),
+    omega=st.sampled_from([1.0, 2.5, 0.1]),
+    turns=st.integers(0, 3),
+    from_rho=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=40, deadline=None)
+def test_dynamic_purification_is_the_model_propagator_bit_for_bit(
+    dim, rank, omega, turns, from_rho, seed
+):
+    # the oracle builds the model purify_via_dynamics no longer builds
+    rng = np.random.default_rng(seed)
+    rank = min(rank, dim)
+    if from_rho:
+        spec = spectral_ensemble(density_matrix(random_ensemble(dim, rank, rng)))
+    else:
+        spec = drawn_spectral(dim, rank, rng)
+    params = EvolutionParams(omega, (math.pi / 2 + 2 * math.pi * turns) / omega)
+    assert params.is_correlating()
+    grid = np.zeros((dim, spec.rank), dtype=complex)
+    grid[:, 0] = np.sqrt(spec.weights) @ spec.states
+    oracle = evolution_numeric(build_model(spec.states, spec.rank), params, grid)
+    psi = purify_via_dynamics(spec, params)
+    assert (psi.dim_s, psi.dim_k) == (dim, spec.rank)
+    np.testing.assert_array_equal(psi.amplitudes, oracle.reshape(-1))
+
+
+@given(dim=st.integers(3, 16), rank=st.integers(3, 16), seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=30, deadline=None)
+def test_dynamic_purification_refuses_the_cross_products_the_model_refuses(dim, rank, seed):
+    # row 2 leans 5e-11 toward row 1: admitted as a spectral ensemble, whose
+    # Gram gate is 1e-10, but its terms do not commute within 1e-12
+    rng = np.random.default_rng(seed)
+    rank = min(rank, dim)
+    spec = drawn_spectral(dim, rank, rng)
+    spec.states[2] += 5e-11 * spec.states[1]
+    spec.states[2] /= np.linalg.norm(spec.states[2])
+    spec = SpectralEnsemble(dim, spec.weights, spec.states)
+    assert cross_product_max(spec.states) > numerics.TOL.commutator
+    with pytest.raises(ContractViolation, match="cross-product") as refused_by_model:
+        build_model(spec.states, spec.rank)
+    with pytest.raises(ContractViolation) as refused_by_dynamics:
+        purify_via_dynamics(spec)
+    assert str(refused_by_dynamics.value) == str(refused_by_model.value)
 
 
 def test_verification_report_reads_the_validated_maxima():
@@ -673,7 +731,7 @@ def test_the_gram_formulas_hold_for_any_rows_and_any_block(dim_s, rank, spare, s
     rows *= rng.uniform(0.5, 1.5, (rank, 1)) / np.linalg.norm(rows, axis=1, keepdims=True)
     block = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
     fidelities, gap, powers = dense_oracle.probe_report(rows, rank + spare, block)
-    gram = dynamics._gram(rows)
+    gram, peaks = dynamics._gram(rows), dynamics._row_peaks(rows)
     # like every fidelity of the package, the report's are clamped at 1
     np.testing.assert_allclose(
         dynamics._correlation(gram, block).fidelities,
@@ -683,10 +741,10 @@ def test_the_gram_formulas_hold_for_any_rows_and_any_block(dim_s, rank, spare, s
     )
     delta = dynamics.QUARTER_TURN - block
     np.testing.assert_allclose(
-        dynamics._plane_map_gap(rows, gram, delta), gap, rtol=1e-13, atol=1e-14
+        dynamics._plane_map_gap(rows, gram, peaks, delta), gap, rtol=1e-13, atol=1e-14
     )
     np.testing.assert_allclose(
-        [(r.odd_residual, r.even_residual) for r in dynamics._power_reports(rows, gram)],
+        [(r.odd_residual, r.even_residual) for r in dynamics._power_reports(gram, peaks)],
         powers,
         rtol=1e-13,
         atol=1e-14,
@@ -694,25 +752,28 @@ def test_the_gram_formulas_hold_for_any_rows_and_any_block(dim_s, rank, spare, s
 
 
 def test_one_verification_and_one_purification_evolve_once_and_decompose_nothing(monkeypatch):
-    # the report reads phi's Gram matrix; only the purification evolves a state
+    # the report reads phi's Gram matrix; only the purification evolves a
+    # state, through the plane kernel, and it builds no second model
     spec = spectral_ensemble(density_matrix(random_ensemble(5, 4, np.random.default_rng(13))))
-    model = build_model(spec.states, spec.rank)
     calls = Counter()
 
-    def counted(module, name):
-        original = getattr(module, name)
+    def counted(owner, name):
+        original = getattr(owner, name)
 
         def wrapper(*args, **kwargs):
             calls[name] += 1
             return original(*args, **kwargs)
 
-        monkeypatch.setattr(module, name, wrapper)
+        monkeypatch.setattr(owner, name, wrapper)
 
     counted(numerics, "hermitian_eig")
     counted(dynamics, "_rotate_planes")
+    counted(HamiltonianModel, "__post_init__")
+    model = build_model(spec.states, spec.rank)
     report = verification_report(model, EvolutionParams.canonical())
     purify_via_dynamics(spec)
     assert report.passed()
+    assert calls["__post_init__"] == 1
     assert calls["_rotate_planes"] == 1
     assert calls["hermitian_eig"] == 0
 

@@ -1,5 +1,7 @@
 """Tests for the ensemble / density-matrix model and the equivalence relation."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,6 +10,7 @@ from hypothesis import strategies as st
 import steering_oracle
 from purifykit import numerics
 from purifykit.ensembles import (
+    DRAWN_WEIGHT_FLOOR,
     DensityMatrix,
     Ensemble,
     SpectralEnsemble,
@@ -385,6 +388,27 @@ def test_many_ensembles_one_density_matrix(dim, count, seed):
     assert numerics.max_abs(density_matrix(ens).matrix - rho.matrix) <= 1e-9
     spectral = spectral_ensemble(rho)
     assert are_equivalent(ens, spectral, 1e-9)
+
+
+def test_random_equivalent_refuses_a_count_the_floor_rules_out_before_drawing(monkeypatch):
+    # a million weights of at least 1e-6 cannot sum to 1; a draw would ask
+    # for a million-square complex matrix
+
+    def drawn(dim, rng):
+        raise AssertionError(f"a {dim} x {dim} unitary was drawn")
+
+    monkeypatch.setattr(numerics, "haar_unitary", drawn)
+    rho = DensityMatrix(2, np.diag([0.7, 0.3]))
+    count = round(1 / DRAWN_WEIGHT_FLOOR)
+    tracemalloc.start()
+    try:
+        with pytest.raises(InvalidEnsemble) as refused:
+            random_equivalent_ensemble(rho, count, seed=0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert str(refused.value) == "1000000 weights of at least 1e-06 cannot sum to 1"
+    assert peak < 2**20
 
 
 def test_random_equivalent_gives_up_with_a_contract_violation(monkeypatch):
