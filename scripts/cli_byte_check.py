@@ -9,7 +9,7 @@
 Writes seeded input files with plain numpy and json, runs a fixed list of
 ``purifykit.cli.main`` commands over them (equivalence, steering,
 purification, random draws, dynamics and the qubit demo, including exit
-codes 1 and 3) at each size and seed, and prints one JSON line per run:
+codes 1, 2 and 3) at each size and seed, and prints one JSON line per run:
 its argv, its exit code, and the sha256 of its stdout, its stderr and each
 file it wrote. The inputs do not depend on the library, so manifests made
 against two checkouts (point PYTHONPATH at each ``src``) can be compared
@@ -23,10 +23,11 @@ holds thousands of numbers; for it only the sha256 of its text and its
 count of numbers are kept.
 
 ``--only PATTERN`` (shell-style, repeatable) rewrites in the existing
-``--out`` file only the runs whose name matches, and keeps every other line
-byte for byte, so a change that moves a few runs does not also record the
-host's rounding drift in all the others. Only the sizes of the matched
-runs are run.
+``--out`` file only the runs whose name matches, inserts a matched run the
+file lacks in run order, and keeps every other line byte for byte, so a
+change that moves or adds a few runs does not also record the host's
+rounding drift in all the others. Only the sizes of the matched runs are
+run.
 """
 
 from __future__ import annotations
@@ -113,11 +114,36 @@ def write_inputs(seed: int, dim: int, rank: int, count: int, low_rank: int, **_)
     for name, doc in docs.items():
         Path(name).write_text(json.dumps(doc), encoding="utf-8")
     q, theta, phase = rng.uniform(0.2, 0.8), rng.uniform(0.1, 3.0), rng.uniform(0.0, 3.0)
+    write_disagreement(seed)
     return {"q": q, "theta": theta, "phase": phase}
 
 
+def write_disagreement(seed: int) -> None:
+    """Write the pair that ``equiv`` accepts and ``steer`` refuses, from a stream of its own.
+
+    The source has the spectrum {0.5, 0.3, 0.2, 1e-7} (normalized) on d=6;
+    the target is an 8-state equivalent ensemble with 1e-9 of weight moved
+    from state 0 to state 1. The density matrices agree within 1e-9, but
+    the steering ratios sqrt(p_j / d_i) lift the isometry residual above
+    its 1e-9 tolerance.
+    """
+    rng = np.random.default_rng([seed, 1])
+    weights = np.array([0.5, 0.3, 0.2, 1e-7])
+    weights /= weights.sum()
+    vectors = _haar_unitary(rng, 6)[:, :4].T
+    probs, states = _equivalent(rng, weights, vectors, 8)
+    probs[0] -= 1e-9
+    probs[1] += 1e-9
+    for name, doc in {
+        "gap_source.ens": _ensemble_doc(6, weights, vectors),
+        "gap_target.ens": _ensemble_doc(6, probs, states),
+    }.items():
+        Path(name).write_text(json.dumps(doc), encoding="utf-8")
+
+
 def commands(seed: int, count: int, kdim: int, angles: dict, **_) -> list[list[str]]:
-    """The benchmark's cli-files cycle, then runs that write more of each output kind."""
+    """The benchmark's cli-files cycle, runs that write more of each output kind,
+    then the pair of :func:`write_disagreement` through ``equiv`` and ``steer``."""
     demo = ["--q", repr(angles["q"]), "--theta", repr(angles["theta"]),
             "--phase", repr(angles["phase"])]
     return [
@@ -142,6 +168,23 @@ def commands(seed: int, count: int, kdim: int, angles: dict, **_) -> list[list[s
         ["dynamics", "low.ens", "--omega", "2.5", "--out", "dynamics.txt"],
         ["qubit-demo"],
         ["qubit-demo", "--q", "0.5", "--theta", "1.0", "--phase", "0.0", "--seed", str(seed)],
+        ["equiv", "gap_source.ens", "gap_target.ens"],
+        ["steer", "gap_source.ens", "gap_target.ens"],
+    ]
+
+
+def _run_name(size: str, seed: int, number: int) -> str:
+    return f"{size}-seed{seed}-{number:02d}"
+
+
+def run_names(sizes=tuple(SIZES)) -> list[str]:
+    """The name of every run, in run order."""
+    angles = {"q": 0.0, "theta": 0.0, "phase": 0.0}  # the count of commands does not use them
+    return [
+        _run_name(size, seed, number)
+        for size in sizes
+        for seed in SEEDS
+        for number in range(len(commands(seed, angles=angles, **SIZES[size])))
     ]
 
 
@@ -180,7 +223,7 @@ def runs(sizes=tuple(SIZES), keep: Path | None = None):
             with tempfile.TemporaryDirectory() as work, _inside(Path(work)):
                 angles = write_inputs(seed, **params)
                 for number, argv in enumerate(commands(seed, angles=angles, **params)):
-                    name = f"{size}-seed{seed}-{number:02d}"
+                    name = _run_name(size, seed, number)
                     status, out, err = _run(main, argv)
                     written = argv[argv.index("--out") + 1] if "--out" in argv else None
                     files = {}
@@ -235,10 +278,24 @@ def golden(sizes=tuple(SIZES), keep: Path | None = None) -> list[dict]:
     return records
 
 
-def splice(lines: list[str], records: list[dict]) -> list[str]:
-    """``lines`` with the line of each run in ``records`` replaced by its record."""
+def splice(lines: list[str], records: list[dict], order: list[str]) -> list[str]:
+    """``lines`` with the line of each run in ``records`` replaced by its record.
+
+    A run of ``records`` that ``lines`` lack goes after the last line of a
+    run before it in ``order``, the run order.
+    """
     fresh = {record["run"]: json.dumps(record, sort_keys=True) for record in records}
-    return [fresh.get(json.loads(line)["run"], line) for line in lines]
+    names = [json.loads(line)["run"] for line in lines]
+    spliced = [fresh.get(name, line) for name, line in zip(names, lines)]
+    position = {name: index for index, name in enumerate(order)}
+    for name in sorted(fresh.keys() - set(names), key=position.__getitem__):
+        earlier = [
+            i for i, held in enumerate(names) if position.get(held, math.inf) < position[name]
+        ]
+        at = earlier[-1] + 1 if earlier else 0
+        names.insert(at, name)
+        spliced.insert(at, fresh[name])
+    return spliced
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -253,7 +310,8 @@ def main(argv: list[str] | None = None) -> int:
         "--only",
         action="append",
         metavar="PATTERN",
-        help="rewrite only the matching runs of the existing --out file (repeatable)",
+        help="rewrite only the matching runs of the existing --out file, inserting "
+        "those it lacks (repeatable)",
     )
     args = parser.parse_args(argv)
 
@@ -266,12 +324,12 @@ def main(argv: list[str] | None = None) -> int:
         if not args.out:
             parser.error("--only rewrites runs of an --out file")
         kept = Path(args.out).read_text(encoding="utf-8").splitlines()
-        names = [json.loads(line)["run"] for line in kept]
+        order = run_names()
         matched = set()
         for pattern in args.only:
-            hits = fnmatch.filter(names, pattern)
+            hits = fnmatch.filter(order, pattern)
             if not hits:
-                parser.error(f"--only {pattern!r} matches no run of {args.out}")
+                parser.error(f"--only {pattern!r} matches no run")
             matched.update(hits)
         needed = tuple(s for s in SIZES if any(name.startswith(f"{s}-") for name in matched))
         if not set(needed) <= set(sizes):
@@ -280,7 +338,7 @@ def main(argv: list[str] | None = None) -> int:
     records = (golden if args.golden else manifest)(sizes, keep=keep)
     lines = [json.dumps(r, sort_keys=True) for r in records]
     if args.only:
-        lines = splice(kept, [r for r in records if r["run"] in matched])
+        lines = splice(kept, [r for r in records if r["run"] in matched], order)
     text = "\n".join(lines) + "\n"
     if args.out:
         Path(args.out).write_text(text, encoding="utf-8")

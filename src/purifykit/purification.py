@@ -231,16 +231,36 @@ def steering_coefficients(
 ) -> np.ndarray:
     """Expand each target state over the orthonormal spectral states.
 
-    Returns the matrix with entry [j, i] = <phi_i|tau_j>. Every target
-    state must lie in the span of the spectral states up to ``tol``,
-    which equivalence guarantees mathematically.
+    Returns the matrix C with entry [j, i] = <phi_i|tau_j>. The target must
+    share the spectral density matrix within ``tol`` (else
+    ``NotEquivalent``), and every target state must lie in the span of the
+    spectral states up to ``tol`` (else ``TargetOutsideSupport``), which
+    equivalence guarantees mathematically.
+
+    Equivalence is first proven in the rank space, from C and the
+    residuals r_j = ||tau_j - a_j|| of the projections a_j = sum_i C[j, i]
+    phi_i. With M = (C^T p) @ conj(C) and D = diag(d),
+
+        rho_s - rho_t = sum_ik (D - M)[i, k] |phi_i><phi_k|
+                        - sum_j p_j (|a_j><r_j| + |r_j><a_j| + |r_j><r_j|).
+
+    An entry of the first sum is at most ||D - M||_2 <= ||D - M||_F, since
+    sum_i |phi_i[s]|^2 <= 1; an entry of the second is at most
+    sum_j p_j r_j (2 + r_j), since ||a_j|| <= 1. Their sum, the bound, caps
+    the largest entry of rho_s - rho_t, so a bound within ``tol / 2`` (the
+    half leaves room for rounding) proves that :func:`are_equivalent`
+    would accept. Otherwise, or for a NaN bound, :func:`are_equivalent`
+    decides on the two d x d matrices, so the bound never changes a decision.
     """
-    if not are_equivalent(spectral, target, tol):
+    if spectral.dim != target.dim:
+        raise DimensionMismatch(f"dimensions differ: {spectral.dim} vs {target.dim}")
+    coeffs = target.states @ spectral.states.conj().T
+    residuals = np.linalg.norm(target.states - coeffs @ spectral.states, axis=1)
+    bound = _equivalence_bound(spectral, target, coeffs, residuals)
+    if not bound <= tol / 2 and not are_equivalent(spectral, target, tol):
         raise NotEquivalent(
             f"target ensemble does not match the spectral density matrix within {tol}"
         )
-    coeffs = target.states @ spectral.states.conj().T
-    residuals = np.linalg.norm(target.states - coeffs @ spectral.states, axis=1)
     worst = int(np.argmax(residuals))
     if residuals[worst] > tol:
         raise TargetOutsideSupport(
@@ -248,6 +268,15 @@ def steering_coefficients(
             f"(tol {tol})"
         )
     return coeffs
+
+
+def _equivalence_bound(
+    spectral: SpectralEnsemble, target: Ensemble, coeffs: np.ndarray, residuals: np.ndarray
+) -> float:
+    """||M - D||_F + sum_j p_j r_j (2 + r_j), the rank-space bound on
+    ``density_deviation(spectral, target)`` of :func:`steering_coefficients`."""
+    gap = (coeffs.T * target.weights) @ coeffs.conj() - np.diag(spectral.weights)
+    return float(np.linalg.norm(gap) + np.sum(target.weights * residuals * (2.0 + residuals)))
 
 
 def steering_isometry(
@@ -341,7 +370,7 @@ def prepare_ensemble(
     have zero amplitude.
     """
     plan = steering_isometry(spectral, target, tol=tol, dim_k=dim_k)
-    grid = purify(spectral).as_grid()  # the rank reference columns, which carry all amplitude
+    grid = spectral.states.T * np.sqrt(spectral.weights)  # the rank columns of purify(spectral)
     kept, kept_probs, posts = _measure(grid, plan.isometry)
 
     probs = np.zeros(target.size)

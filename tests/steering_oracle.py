@@ -1,6 +1,7 @@
 """Loop and einsum reference evaluations of the steering path, for the tests only.
 
 The library forms the weighted projector sum as one matrix product,
+proves equivalence in the rank space before it compares two d x d sums,
 measures the reference with array operations, and steers through the
 isometry's columns without completing a unitary; these are the forms it
 replaced, kept to compare the two.
@@ -9,6 +10,8 @@ replaced, kept to compare the two.
 import numpy as np
 
 from purifykit import numerics
+from purifykit.ensembles import density_deviation
+from purifykit.errors import NotEquivalent, TargetOutsideSupport
 from purifykit.numerics import TOL
 from purifykit.purification import purify, steering_isometry
 
@@ -16,6 +19,17 @@ from purifykit.purification import purify, steering_isometry
 def weighted_projector_sum(ensemble):
     """sum_i w_i |psi_i><psi_i| as the einsum the library used before."""
     return np.einsum("i,ij,ik->jk", ensemble.weights, ensemble.states, ensemble.states.conj())
+
+
+def coefficients_refusal(spectral, target, tol):
+    """The error ``steering_coefficients`` raises, or None, decided as it was
+    before the rank-space certificate: the d x d density deviation first,
+    then the support residuals."""
+    if density_deviation(spectral, target) > tol:
+        return NotEquivalent
+    coeffs = target.states @ spectral.states.conj().T
+    residuals = np.linalg.norm(target.states - coeffs @ spectral.states, axis=1)
+    return TargetOutsideSupport if np.max(residuals) > tol else None
 
 
 def outcomes(psi, columns):

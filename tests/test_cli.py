@@ -172,6 +172,16 @@ def test_random_equiv_validates_the_density_matrix_once(files, monkeypatch, caps
     assert capsys.readouterr().out.startswith("density-matrix deviation: ")
 
 
+def test_steer_between_dimensions_exits_1(files, capsys):
+    wide = files / "wide.ens"
+    fileio.write_ensemble(wide, Ensemble(3, [0.5, 0.5], [[1, 0, 0], [0, 1, 0]]))
+    status = main(["steer", str(files / "mix01.ens"), str(wide)])
+    captured = capsys.readouterr()
+    assert status == 1
+    assert captured.err == "error: dimensions differ: 2 vs 3\n"
+    assert captured.out == ""
+
+
 def test_invalid_ensemble_file_exits_1(files, capsys):
     bad = files / "bad.ens"
     bad.write_text('{"dim": 2, "weights": [0.9], "states": [[[1.0, 0.0], [0.0, 0.0]]]}')

@@ -42,6 +42,8 @@ def expected_exit(argv):
         return 1  # the file has no weights
     if argv[1:3] == ["source.ens", "other.ens"]:
         return 3  # other.ens has another density matrix
+    if argv[:3] == ["steer", "gap_source.ens", "gap_target.ens"]:
+        return 2  # equiv accepts the pair, but its isometry residual exceeds TOL.isometry
     return 0
 
 
@@ -112,26 +114,41 @@ def test_cli_output_matches_the_golden_file():
 
 def test_only_rewrites_the_matched_runs_and_keeps_every_other_line(tmp_path):
     committed = GOLDEN.read_text(encoding="utf-8").splitlines()
-    # stale smoke records, so a line left in place shows
-    stale = [
-        json.dumps({**json.loads(line), "exit": -1}, sort_keys=True)
+    # stale smoke records, so a line left in place shows, and three smoke
+    # runs left out, first and last of a seed among them, to be inserted
+    dropped = {"smoke-seed1-00", "smoke-seed2-07", "smoke-seed3-20"}
+    stale = {
+        json.loads(line)["run"]: json.dumps({**json.loads(line), "exit": -1}, sort_keys=True)
         if json.loads(line)["run"].startswith("smoke-") else line
         for line in committed
-    ]
+    }
     path = tmp_path / "golden.jsonl"
-    path.write_text("\n".join(stale) + "\n", encoding="utf-8")
+    kept = [line for run, line in stale.items() if run not in dropped]
+    path.write_text("\n".join(kept) + "\n", encoding="utf-8")
     script = load_script()
     assert script.main(["--golden", "--only", "smoke-*", "--out", str(path)]) == 0
     spliced = path.read_text(encoding="utf-8").splitlines()
     assert len(spliced) == len(committed)
-    for line, before, expected in zip(spliced, stale, committed):
+    for line, expected in zip(spliced, committed):
         record, wanted = json.loads(line), json.loads(expected)
         assert record["run"] == wanted["run"]
         if wanted["run"].startswith("smoke-"):
             assert_record_matches(record, wanted)
         else:
-            assert line == before
+            assert line == stale[wanted["run"]]
     # a pattern that names no run is refused before anything is written
     with pytest.raises(SystemExit):
         script.main(["--golden", "--only", "smoke-seed9-*", "--out", str(path)])
     assert path.read_text(encoding="utf-8").splitlines() == spliced
+
+
+def test_splice_inserts_a_missing_run_after_the_runs_before_it():
+    script = load_script()
+    order = ["a", "b", "c", "d"]
+    lines = [json.dumps({"run": run}) for run in ("b", "d", "stray")]
+    records = [{"run": "a", "n": 1}, {"run": "c", "n": 2}, {"run": "d", "n": 3}]
+    spliced = [json.loads(line) for line in script.splice(lines, records, order)]
+    assert spliced == [
+        {"run": "a", "n": 1}, {"run": "b"}, {"run": "c", "n": 2}, {"run": "d", "n": 3},
+        {"run": "stray"},
+    ]

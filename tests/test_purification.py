@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import steering_oracle
-from purifykit import cli, fileio, numerics, purification
+from purifykit import cli, ensembles, fileio, numerics, purification
 from purifykit.ensembles import (
     DensityMatrix,
     Ensemble,
@@ -172,6 +172,144 @@ def test_coefficients_reject_target_outside_support():
     target = Ensemble(2, [0.5, 0.5], [up, down])
     with pytest.raises(TargetOutsideSupport):
         steering_coefficients(spec, target, tol=1e-3)
+
+
+def test_coefficients_refuse_a_target_of_another_dimension():
+    spec = balanced_spectral()
+    target = Ensemble(3, [0.5, 0.5], [[1, 0, 0], [0, 1, 0]])
+    with pytest.raises(DimensionMismatch, match="dimensions differ: 2 vs 3"):
+        steering_coefficients(spec, target)
+    with pytest.raises(DimensionMismatch, match="dimensions differ: 2 vs 3"):
+        prepare_ensemble(spec, target)
+
+
+# ---------------------------------------------------------------------------
+# the rank-space equivalence certificate
+
+PERTURBATIONS = ("shift", "noise", "leak")
+
+
+def perturbed_pair(data, kind, seed):
+    """A random spectral ensemble and an equivalent target of at least two
+    states, with a perturbation direction of ``kind`` to move the target by:
+    weight shifted from the heaviest state to the next, complex noise on
+    every state, or noise on every state off the support."""
+    dim = data.draw(st.integers(2, 12), label="dim")
+    low, high = {"shift": (2, dim), "noise": (1, dim), "leak": (1, dim - 1)}[kind]
+    rank = data.draw(st.integers(low, high), label="rank")
+    count = rank + data.draw(st.integers(1, 4), label="extra")
+    rng = np.random.default_rng(seed)
+    rho = random_density_matrix(dim, rank, rng)
+    target = random_equivalent_ensemble(rho, count, seed=seed)
+    noise = rng.standard_normal(target.states.shape) + 1j * rng.standard_normal(
+        target.states.shape
+    )
+    spec = spectral_ensemble(rho)
+    if kind == "leak":
+        noise -= (noise @ spec.states.conj().T) @ spec.states
+    return spec, target, noise
+
+
+def moved(target, kind, noise, size):
+    """``target`` moved by ``size`` along the direction of :func:`perturbed_pair`."""
+    weights, states = target.weights.copy(), target.states
+    if kind == "shift":
+        heavy = int(np.argmax(weights))
+        weights[heavy] -= size
+        weights[(heavy + 1) % target.size] += size
+    else:
+        states = states + size * noise
+        states = states / np.linalg.norm(states, axis=1)[:, None]
+    return Ensemble(target.dim, weights, states)
+
+
+def moved_to_deviation(spec, target, kind, noise, deviation):
+    """``target`` moved so its density deviation from ``spec`` is near ``deviation``.
+
+    The deviation is linear in a weight shift and, to first order, in the
+    noise, so one probe move sets the size.
+    """
+    probe = 1e-6
+    slope = density_deviation(spec, moved(target, kind, noise, probe)) / probe
+    return moved(target, kind, noise, deviation / slope)
+
+
+def certificate_bound(spec, target):
+    coeffs = target.states @ spec.states.conj().T
+    residuals = np.linalg.norm(target.states - coeffs @ spec.states, axis=1)
+    return purification._equivalence_bound(spec, target, coeffs, residuals)
+
+
+@given(
+    data=st.data(),
+    kind=st.sampled_from(PERTURBATIONS),
+    exponent=st.floats(-13, -3),
+    seed=st.integers(0, 2**31 - 1),
+)
+@settings(max_examples=150, deadline=None)
+def test_certificate_bound_caps_the_density_deviation(data, kind, exponent, seed):
+    spec, target, noise = perturbed_pair(data, kind, seed)
+    for candidate in (target, moved(target, kind, noise, 10.0**exponent)):
+        assert certificate_bound(spec, candidate) >= density_deviation(spec, candidate) - 1e-14
+
+
+@given(
+    data=st.data(),
+    kind=st.sampled_from(PERTURBATIONS),
+    factor=st.sampled_from([0.03, 0.3, 0.6, 0.9, 1.1, 3.0]),
+    seed=st.integers(0, 2**31 - 1),
+)
+@settings(max_examples=150, deadline=None)
+def test_certificate_keeps_every_steering_decision(data, kind, factor, seed):
+    tol = numerics.TOL.equivalence
+    spec, target, noise = perturbed_pair(data, kind, seed)
+    candidate = moved_to_deviation(spec, target, kind, noise, factor * tol)
+    expected = steering_oracle.coefficients_refusal(spec, candidate, tol)
+    try:
+        steering_coefficients(spec, candidate, tol)
+    except (NotEquivalent, TargetOutsideSupport) as exc:
+        assert type(exc) is expected
+    else:
+        assert expected is None
+
+
+def counted_projector_sums(monkeypatch):
+    calls = Counter()
+    original = ensembles._weighted_projector_sum
+
+    def counted(ensemble):
+        calls["sum"] += 1
+        return original(ensemble)
+
+    monkeypatch.setattr(ensembles, "_weighted_projector_sum", counted)
+    return calls
+
+
+@pytest.mark.parametrize("seed", [6, 7, 8])
+def test_an_equivalent_target_steers_without_a_density_matrix_sum(seed, monkeypatch):
+    rho = random_density_matrix(6, 4, np.random.default_rng(seed))
+    spec = spectral_ensemble(rho)
+    target = random_equivalent_ensemble(rho, 7, seed=seed)
+    calls = counted_projector_sums(monkeypatch)
+    _, _, report = prepare_ensemble(spec, target)
+    assert report.passed()
+    assert calls["sum"] == 0
+
+
+@pytest.mark.parametrize("seed", [6, 7, 8])
+def test_a_deviation_above_half_the_tolerance_takes_the_density_matrix_test(seed, monkeypatch):
+    tol = numerics.TOL.equivalence
+    rho = random_density_matrix(6, 4, np.random.default_rng(seed))
+    spec = spectral_ensemble(rho)
+    target = random_equivalent_ensemble(rho, 7, seed=seed)
+    shifted = moved_to_deviation(spec, target, "shift", None, 0.8 * tol)
+    assert tol / 2 < density_deviation(spec, shifted) <= tol
+    calls = counted_projector_sums(monkeypatch)
+    np.testing.assert_array_equal(
+        steering_coefficients(spec, shifted, tol),
+        shifted.states @ spec.states.conj().T,
+    )
+    assert calls["sum"] == 2
 
 
 def test_isometry_of_spectral_target_is_identity_block():
