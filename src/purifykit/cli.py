@@ -17,7 +17,7 @@ import functools
 import math
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 from . import fileio, numerics
@@ -51,16 +51,12 @@ class RunConfig:
     q: float = 0.5
     theta: float = math.pi / 4
     phase: float = 0.0
-    stdout: object = field(default=None, repr=False)
 
     def __post_init__(self):
         if not self.tol > 0:
             raise PurifyKitError(f"tolerance must be positive, got {self.tol}")
         if self.seed < 0:
             raise PurifyKitError(f"seed must be non-negative, got {self.seed}")
-
-    def emit(self, text: str) -> None:
-        print(text, file=self.stdout or sys.stdout)
 
 
 def default_tolerance() -> float:
@@ -78,7 +74,7 @@ def _cmd_equiv(config: RunConfig) -> int:
     deviation = density_deviation(first, second)
     equivalent = deviation <= config.tol
     verdict = "equivalent" if equivalent else "not equivalent"
-    config.emit(
+    print(
         f"max density-matrix deviation: {deviation:.17g} (tol {config.tol:.1e}): {verdict}"
     )
     return 0 if equivalent else 3
@@ -92,7 +88,7 @@ def _cmd_purify(config: RunConfig) -> int:
     if config.output:
         fileio.write_bipartite_state(config.output, psi)
     check = Check("partial-trace residual", residual, TOL.partial_trace)
-    config.emit(check.line)
+    print(check.line)
     return 0 if check.passed else 2
 
 
@@ -103,7 +99,7 @@ def _cmd_steer(config: RunConfig) -> int:
     plan, _, report = prepare_ensemble(spectral, target, tol=config.tol)
     if config.output:
         fileio.write_plan(config.output, plan)
-    config.emit(report.render())
+    print(report.render())
     return 0 if report.passed() else 2
 
 
@@ -123,13 +119,13 @@ def _cmd_dynamics(config: RunConfig) -> int:
     text = report.render()
     if config.output:
         fileio.write_text(config.output, text + "\n")
-    config.emit(text)
+    print(text)
     return 0 if report.passed() else 2
 
 
 def _cmd_qubit_demo(config: RunConfig) -> int:
     report = qubit_demo(config.q, config.theta, config.phase, seed=config.seed)
-    config.emit(report.render())
+    print(report.render())
     return 0 if report.passed() else 2
 
 
@@ -141,7 +137,7 @@ def _cmd_random_equiv(config: RunConfig) -> int:
     # the drawn ensemble is valid by construction, so no DensityMatrix is built
     deviation = numerics.max_abs(_weighted_projector_sum(ensemble) - rho.matrix)
     check = Check("density-matrix deviation", deviation, config.tol)
-    config.emit(check.line)
+    print(check.line)
     return 0 if check.passed else 2
 
 

@@ -261,7 +261,8 @@ def _numeric_block(params: EvolutionParams) -> np.ndarray:
     phase = params.phase()
     if not math.isfinite(phase):
         raise NotFinite(f"omega*T = {phase} must be finite")
-    return numerics.exp_from_eig(*PLANE_EIG, phase)
+    values, vectors = PLANE_EIG
+    return (vectors * np.exp(-1j * phase * values)) @ numerics.dag(vectors)
 
 
 def evolution_closed_form(model: HamiltonianModel, grids) -> np.ndarray:
@@ -280,10 +281,6 @@ class CorrelationReport(Report):
 
     fidelities: np.ndarray
 
-    @property
-    def min_fidelity(self) -> float:
-        return float(np.min(self.fidelities))
-
     def checks(self) -> list[Check]:
         return [
             Check(f"correlation infidelity, state {j}", 1.0 - f, TOL.correlation)
@@ -291,16 +288,9 @@ class CorrelationReport(Report):
         ]
 
 
-def verify_correlating_evolution(
-    model: HamiltonianModel, params: EvolutionParams
-) -> CorrelationReport:
-    """Fidelity of each phi_j (x) e_0, evolved for any finite omega*T, with
-    phi_j (x) e_j, read from phi's Gram matrix (see :func:`verification_report`)."""
-    return _correlation(model.gram, _numeric_block(params))
-
-
 def _correlation(gram: np.ndarray, block: np.ndarray) -> CorrelationReport:
-    """|<phi_j (x) e_j| U |phi_j (x) e_0>| for U the plane map of ``block``."""
+    """|<phi_j (x) e_j| U |phi_j (x) e_0>| for U the plane map of ``block``,
+    from phi's Gram matrix ``gram`` (see :func:`verification_report`)."""
     diagonal = gram.diagonal().real
     fidelities = abs(block[1, 0]) * diagonal**2
     fidelities[0] = abs(diagonal[0] + (block[0, 0] - 1) * np.sum(np.abs(gram[1:, 0]) ** 2))

@@ -189,11 +189,12 @@ def random_equivalent_ensemble(rho: DensityMatrix, count: int, seed: int) -> Ens
     the j-th unnormalized state is sum_i sqrt(d_i) U_ij phi_i, and its
     squared norm becomes the j-th weight. Redraws (deterministically from
     the same stream) while any weight falls below ``DRAWN_WEIGHT_FLOOR``,
-    and raises ``ContractViolation`` after 64 draws. A ``count`` of weights
-    that cannot all clear the floor raises ``InvalidEnsemble`` before any
-    draw.
+    and raises ``ContractViolation`` after 64 draws. A ``count`` that is not
+    a positive integer, or of weights that cannot all clear the floor,
+    raises ``InvalidEnsemble`` before any draw.
     """
     spectral = spectral_ensemble(rho)
+    count = numerics.as_dimension(count, InvalidEnsemble, "count")
     if count < spectral.rank:
         raise CountTooSmall(
             f"count {count} is below the density-matrix rank {spectral.rank}"

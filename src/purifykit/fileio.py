@@ -161,7 +161,13 @@ def write_plan(path, plan: SteeringPlan) -> None:
 
 
 def read_plan(path) -> SteeringPlan:
+    """The plan of a file, its unitary checked by ``SteeringPlan.set_unitary``
+    and kept as read, never completed again."""
     fields = ("coeffs", "isometry", "unitary")
     doc = _load_document(path, fields)
-    matrices = {name: _parse_numbers(doc[name], 3, f"{path}: {name}") for name in fields}
-    return SteeringPlan(**matrices)
+    coeffs, isometry, unitary = (
+        _parse_numbers(doc[name], 3, f"{path}: {name}") for name in fields
+    )
+    plan = SteeringPlan(coeffs, isometry, dim_k=len(unitary))
+    plan.set_unitary(unitary)
+    return plan

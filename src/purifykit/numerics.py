@@ -156,12 +156,6 @@ def partial_trace_k(m, dim_s: int, dim_k: int) -> np.ndarray:
     return np.einsum("ikjk->ij", mat.reshape(dim_s, dim_k, dim_s, dim_k))
 
 
-def exp_from_eig(values, vectors, scale: float = 1.0) -> np.ndarray:
-    """exp(-i * scale * h) for h = vectors diag(values) vectors^+, from
-    its decomposition by :func:`hermitian_eig`."""
-    return (vectors * np.exp(-1j * scale * values)) @ dag(vectors)
-
-
 def gram_schmidt_complete(block: np.ndarray) -> np.ndarray:
     """Complete the n rows of a finite n x d ``block``, n <= d, to a d x d matrix.
 

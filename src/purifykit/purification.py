@@ -18,7 +18,8 @@ joint amplitudes are stored row-major, (s, k) -> s * dim_k + k.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import functools
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -67,24 +68,6 @@ class BipartiteState:
         return grid @ grid.conj().T
 
 
-class _Unitary:
-    """``SteeringPlan.unitary``: the unitary given to the constructor, or else
-    the completion of the zero-padded isometry, checked on first read and
-    then kept."""
-
-    def __get__(self, plan, owner=None):
-        if plan is None:
-            return None  # the dataclass default: no unitary given
-        if plan._unitary is None:
-            completed = numerics.gram_schmidt_complete(plan._padded_isometry())
-            plan._check_unitary(completed)
-            plan._unitary = completed
-        return plan._unitary
-
-    def __set__(self, plan, unitary):
-        plan._unitary = unitary
-
-
 @dataclass
 class SteeringPlan:
     """Everything needed to steer the purified state into a target ensemble.
@@ -92,46 +75,40 @@ class SteeringPlan:
     ``coeffs`` expands each target state over the spectral states
     (entry [j, i] = <phi_i|tau_j>); ``isometry`` is the row-orthonormal
     weight-ratio matrix built from it, and its columns are all that
-    :func:`prepare_ensemble` measures with. ``unitary`` embeds the
-    zero-padded isometry as its leading rows; its conjugated columns are
-    the measurement basis of K. ``dim_k`` defaults to the side of a given
-    unitary, else to the isometry's width, and a smaller ``dim_k`` raises
-    ``ReferenceTooSmall``.
+    :func:`prepare_ensemble` measures with. ``dim_k`` is a positive integer
+    (else ``DimensionMismatch``), by default the isometry's width, and one
+    below that width raises ``ReferenceTooSmall``.
 
     This is the one place a plan's orthonormality is checked: the isometry
     rows within ``TOL.isometry`` at construction, and the unitary by
-    :meth:`_check_unitary` wherever it exists. A unitary passed in is
-    checked at construction. Without one, ``unitary`` is completed from the
-    isometry by :func:`numerics.gram_schmidt_complete` and checked on first
-    read, so a plan that is only measured forms no dim_k x dim_k matrix.
+    :meth:`set_unitary`. ``unitary`` is completed from the isometry by
+    :func:`numerics.gram_schmidt_complete` and checked on first read, so a
+    plan that is only measured forms no dim_k x dim_k matrix; a plan file's
+    unitary is checked and kept as read.
     """
 
     coeffs: np.ndarray
     isometry: np.ndarray
-    unitary: np.ndarray | None = _Unitary()
     dim_k: int | None = None
+    # largest deviation of isometry @ isometry^H from the identity, as validated
+    isometry_residual: float = field(init=False)
 
     def __post_init__(self):
         self.coeffs = numerics.as_matrix(self.coeffs)
         self.isometry = numerics.as_matrix(self.isometry)
         rows, width = self.isometry.shape
-        residual = numerics.max_abs(
+        self.isometry_residual = numerics.max_abs(
             self.isometry @ numerics.dag(self.isometry) - np.eye(rows)
         )
-        self._isometry_residual = residual
-        if residual > TOL.isometry:
+        if self.isometry_residual > TOL.isometry:
             raise ContractViolation(
-                f"isometry rows deviate from orthonormality by {residual} "
+                f"isometry rows deviate from orthonormality by {self.isometry_residual} "
                 f"(tol {TOL.isometry})"
             )
-        if self._unitary is not None:
-            self._unitary = numerics.as_matrix(self._unitary)
-            if self.dim_k is None:
-                self.dim_k = len(self._unitary)
-            self._check_unitary(self._unitary)
-        elif self.dim_k is None:
+        if self.dim_k is None:
             self.dim_k = width
-        elif self.dim_k < width:
+        self.dim_k = numerics.as_dimension(self.dim_k, DimensionMismatch, "dim_k")
+        if self.dim_k < width:
             raise ReferenceTooSmall(
                 f"isometry has {width} columns, more than the reference dimension {self.dim_k}"
             )
@@ -141,41 +118,37 @@ class SteeringPlan:
         padded[:, : self.isometry.shape[1]] = self.isometry
         return padded
 
-    def _check_unitary(self, unitary: np.ndarray) -> None:
-        """Raise unless ``unitary`` is square of side ``dim_k``, holds the
-        zero-padded isometry as its leading rows within ``TOL.orthonormality``
-        and is unitary within ``TOL.plan_unitarity``."""
-        side, width = unitary.shape
-        if side != width:
-            raise NotSquare(f"completed matrix is {side}x{width}, must be square")
-        rows, cols = self.isometry.shape
-        if side != self.dim_k or cols > side:
-            raise DimensionMismatch(
-                f"a {side}x{side} unitary cannot embed a {rows}x{cols} isometry "
-                f"on a reference of dimension {self.dim_k}"
+    @functools.cached_property
+    def unitary(self) -> np.ndarray:
+        """The zero-padded isometry completed to a unitary and checked by
+        :meth:`set_unitary`; its conjugated columns are the measurement basis of K."""
+        return self.set_unitary(numerics.gram_schmidt_complete(self._padded_isometry()))
+
+    def set_unitary(self, unitary) -> np.ndarray:
+        """Keep ``unitary`` as the plan's ``unitary`` and return it, once it is
+        square of side ``dim_k`` (else ``NotSquare``), holds the zero-padded
+        isometry as its leading rows within ``TOL.orthonormality`` and is
+        unitary within ``TOL.plan_unitarity`` (else ``ContractViolation``)."""
+        unitary = numerics.as_matrix(unitary)
+        if unitary.shape != (self.dim_k, self.dim_k):
+            side, width = unitary.shape
+            raise NotSquare(
+                f"plan unitary is {side}x{width}, must be square of side {self.dim_k}"
             )
-        embedding = numerics.max_abs(unitary[:rows] - self._padded_isometry())
+        embedding = numerics.max_abs(unitary[: len(self.isometry)] - self._padded_isometry())
         if embedding > TOL.orthonormality:
             raise ContractViolation(
-                f"leading rows of the completed matrix deviate from the isometry by "
+                f"leading rows of the plan unitary deviate from the isometry by "
                 f"{embedding} (tol {TOL.orthonormality})"
             )
-        u_residual = numerics.max_abs(unitary @ numerics.dag(unitary) - np.eye(side))
-        if u_residual > TOL.plan_unitarity:
+        residual = numerics.max_abs(unitary @ numerics.dag(unitary) - np.eye(self.dim_k))
+        if residual > TOL.plan_unitarity:
             raise ContractViolation(
-                f"completed matrix deviates from unitarity by {u_residual} "
+                f"plan unitary deviates from unitarity by {residual} "
                 f"(tol {TOL.plan_unitarity})"
             )
-
-    @property
-    def basis(self) -> np.ndarray:
-        """Measurement directions B_j of K as rows, B_j = conjugated column j of ``unitary``."""
-        return self.unitary.conj().T
-
-    @property
-    def isometry_residual(self) -> float:
-        """Largest deviation of isometry @ isometry^H from the identity, as validated."""
-        return self._isometry_residual
+        self.__dict__["unitary"] = unitary
+        return unitary
 
 
 class MeasurementOutcome(NamedTuple):
@@ -217,6 +190,7 @@ def purify(spectral: SpectralEnsemble, dim_k: int | None = None) -> BipartiteSta
     """
     if dim_k is None:
         dim_k = spectral.rank
+    dim_k = numerics.as_dimension(dim_k, DimensionMismatch, "dim_k")
     if dim_k < spectral.rank:
         raise ReferenceTooSmall(
             f"reference dimension {dim_k} is below the rank {spectral.rank}"
@@ -291,7 +265,7 @@ def steering_isometry(
     rows are orthonormal because both ensembles share one density matrix.
     :class:`SteeringPlan` checks the rows and ``dim_k``. The plan completes
     the rows, zero-padded to ``dim_k``, to a unitary only when its
-    ``unitary`` or ``basis`` is read. The purified state has no amplitude on e_k from
+    ``unitary`` is read. The purified state has no amplitude on e_k from
     the rank onward, so no outcome depends on how the completion fills
     the unitary's rows k >= rank.
     """

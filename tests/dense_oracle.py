@@ -71,7 +71,8 @@ def basis_state(dim, index):
 def mat_exp_hermitian(h, scale=1.0):
     """exp(-i scale h) for Hermitian h, from a fresh library decomposition;
     a non-Hermitian h raises ``NotHermitian``."""
-    return numerics.exp_from_eig(*numerics.hermitian_eig(h), scale)
+    values, vectors = numerics.hermitian_eig(h)
+    return (vectors * np.exp(-1j * scale * values)) @ vectors.conj().T
 
 
 def propagator(phi, dim_k, phase):

@@ -30,7 +30,6 @@ from purifykit.dynamics import (
     power_identities_check,
     purify_via_dynamics,
     verification_report,
-    verify_correlating_evolution,
 )
 from purifykit.ensembles import (
     Ensemble,
@@ -374,7 +373,6 @@ def test_the_readers_use_the_gram_matrix_the_model_validated(monkeypatch):
 
     monkeypatch.setattr(dynamics, "_gram", formed_again)
     assert verification_report(model, EvolutionParams.canonical()).render() == expected
-    verify_correlating_evolution(model, EvolutionParams(omega=0.3))
 
 
 # ---------------------------------------------------------------------------
@@ -477,7 +475,7 @@ def test_the_plane_block_decomposed_once_gives_the_spectral_exponential(theta, s
     model = build_model(orthonormal_family(4, 3, rng), 5)
     grids = rng.standard_normal((3, 4, 5)) + 1j * rng.standard_normal((3, 4, 5))
     block = dense_oracle.mat_exp_hermitian(PLANE_Y, theta)
-    np.testing.assert_array_equal(numerics.exp_from_eig(*dynamics.PLANE_EIG, theta), block)
+    np.testing.assert_array_equal(dynamics._numeric_block(EvolutionParams(1.0, theta)), block)
     np.testing.assert_array_equal(
         evolution_numeric(model, EvolutionParams(1.0, theta), grids),
         dynamics._rotate_planes(model.phi, block, grids),
@@ -553,7 +551,7 @@ def test_one_pass_over_a_stack_of_grids_matches_the_dense_plane_map(
 
 def test_correlation_leaves_the_ready_slot_alone():
     model = build_model(np.eye(2, dtype=complex), 2)
-    report = verify_correlating_evolution(model, EvolutionParams.canonical())
+    report = verification_report(model, EvolutionParams.canonical()).correlation
     assert report.fidelities[0] > 1 - 1e-12
 
 
@@ -570,8 +568,8 @@ def test_correlation_holds_for_random_dim6_bases(seed):
     rng = np.random.default_rng(seed)
     phi = orthonormal_family(6, 6, rng)
     model = build_model(phi, 6)
-    report = verify_correlating_evolution(model, EvolutionParams.canonical())
-    assert report.min_fidelity >= 1 - 1e-10
+    report = verification_report(model, EvolutionParams.canonical()).correlation
+    assert np.min(report.fidelities) >= 1 - 1e-10
 
 
 def test_dynamic_purification_of_pure_state_is_untouched():
@@ -656,16 +654,6 @@ def test_verification_report_reads_the_validated_maxima():
     assert report.cross_product_maximum == cross_product_max(model.phi) == commutator_max(model.phi)
 
 
-@given(dim=st.integers(1, 8), spare=st.integers(0, 2), seed=st.integers(0, 2**32 - 1))
-@settings(max_examples=30, deadline=None)
-def test_the_report_reads_the_correlation_from_its_own_evolution(dim, spare, seed):
-    model = build_model(orthonormal_family(dim, dim, np.random.default_rng(seed)), dim + spare)
-    params = EvolutionParams.canonical()
-    report = verification_report(model, params)
-    alone = verify_correlating_evolution(model, params)
-    np.testing.assert_allclose(report.correlation.fidelities, alone.fidelities, rtol=0, atol=1e-15)
-
-
 @given(
     dim_s=st.integers(1, 12),
     rank=st.integers(1, 12),
@@ -712,7 +700,7 @@ def test_the_gram_formulas_match_the_probe_evolution(
     fidelities, _, _ = dense_oracle.probe_report(
         model.phi, dim_k, dense_oracle.plane_block(phase)
     )
-    alone = verify_correlating_evolution(model, params)
+    alone = dynamics._correlation(model.gram, dynamics._numeric_block(params))
     np.testing.assert_allclose(alone.fidelities, fidelities, rtol=0, atol=1e-14)
 
 

@@ -89,7 +89,6 @@ def test_plan_round_trip(tmp_path):
     loaded = fileio.read_plan(path)
     np.testing.assert_array_equal(loaded.isometry, plan.isometry)
     np.testing.assert_array_equal(loaded.unitary, plan.unitary)
-    np.testing.assert_array_equal(loaded.basis, plan.basis)
     np.testing.assert_array_equal(loaded.coeffs, plan.coeffs)
 
 
@@ -225,17 +224,21 @@ def test_read_rejects_non_integer_dimensions(tmp_path, reader, text):
         reader(path)
 
 
+def write_real_matrices(path, matrices):
+    """A plan document of real matrices, entries as [x, 0] pairs."""
+    fields = {name: [[[float(x), 0.0] for x in row] for row in m] for name, m in matrices.items()}
+    path.write_text(json.dumps(fields))
+
+
 def test_read_plan_rejects_a_non_square_unitary(tmp_path):
     # orthonormal rows, but 2x3 completes nothing
     plan = {"coeffs": np.eye(2), "isometry": np.eye(2), "unitary": np.eye(3)[:2]}
     path = tmp_path / "wide.plan"
-    path.write_text(
-        json.dumps({name: [[[x, 0.0] for x in row] for row in m] for name, m in plan.items()})
-    )
+    write_real_matrices(path, plan)
     with pytest.raises(NotSquare):
         fileio.read_plan(path)
     with pytest.raises(NotSquare):
-        SteeringPlan(plan["coeffs"], plan["isometry"], plan["unitary"])
+        SteeringPlan(plan["coeffs"], plan["isometry"], dim_k=2).set_unitary(plan["unitary"])
 
 
 def test_read_plan_rejects_a_unitary_that_does_not_embed_the_isometry(tmp_path):
@@ -253,10 +256,13 @@ def test_read_plan_rejects_a_unitary_that_does_not_embed_the_isometry(tmp_path):
         fileio.read_plan(path)
 
 
-def test_steering_plan_rejects_an_isometry_wider_than_the_unitary():
+def test_steering_plan_rejects_an_isometry_wider_than_the_unitary(tmp_path):
     isometry = np.array([[1, 0, 0], [0, 1, 0]])
+    plan = {"coeffs": isometry.T, "isometry": isometry, "unitary": np.eye(2)}
+    path = tmp_path / "narrow.plan"
+    write_real_matrices(path, plan)
     with pytest.raises(DimensionMismatch):
-        SteeringPlan(isometry.T, isometry, np.eye(2))
+        fileio.read_plan(path)
     with pytest.raises(DimensionMismatch):
         SteeringPlan(isometry.T, isometry, dim_k=2)
 
@@ -363,12 +369,33 @@ def test_read_plan_ignores_the_basis_field_of_older_files(tmp_path, basis):
     fileio.write_plan(path, plan)
     doc = json.loads(path.read_text())
     without = fileio.read_plan(path)
-    rows = {"adjoint": plan.basis, "permuted": plan.basis[::-1], "nan": plan.basis * np.nan}
+    adjoint = plan.unitary.conj().T
+    rows = {"adjoint": adjoint, "permuted": adjoint[::-1], "nan": adjoint * np.nan}
     doc["basis"] = [[[z.real, z.imag] for z in row] for row in rows[basis].tolist()]
     path.write_text(json.dumps(doc))
     loaded = fileio.read_plan(path)
     for name in ("coeffs", "isometry", "unitary"):
         np.testing.assert_array_equal(getattr(loaded, name), getattr(without, name))
+
+
+def test_read_plan_keeps_the_unitary_of_the_file(tmp_path, monkeypatch):
+    # the rows past the rank, swapped, still give a unitary holding the
+    # isometry, but not the one the completion would give
+    plan = plan_with_completed_unitary()
+    rank = len(plan.isometry)
+    assert plan.dim_k - rank >= 2
+    order = [*range(rank), *reversed(range(rank, plan.dim_k))]
+    path = tmp_path / "plan.plan"
+    fileio.write_plan(path, plan)
+    doc = json.loads(path.read_text())
+    doc["unitary"] = [doc["unitary"][i] for i in order]
+    path.write_text(json.dumps(doc))
+    completions = []
+    monkeypatch.setattr(numerics, "gram_schmidt_complete", completions.append)
+    loaded = fileio.read_plan(path)
+    np.testing.assert_array_equal(loaded.unitary, plan.unitary[order])
+    assert not np.array_equal(loaded.unitary, plan.unitary)
+    assert completions == []
 
 
 DOCUMENTS = {

@@ -27,6 +27,7 @@ from purifykit.errors import (
     BasisNotOrthonormal,
     ContractViolation,
     DimensionMismatch,
+    InvalidEnsemble,
     NotEquivalent,
     NotFinite,
     ReferenceTooSmall,
@@ -107,6 +108,19 @@ def test_purify_partial_trace_recovers_density():
 def test_purify_rejects_small_reference():
     with pytest.raises(ReferenceTooSmall):
         purify(balanced_spectral(), 1)
+
+
+@pytest.mark.parametrize("size", [2.5, 3.0, "3", True, 0])
+def test_reference_dimensions_and_counts_are_admitted_as_positive_integers(size):
+    spec = balanced_spectral()
+    with pytest.raises(DimensionMismatch):
+        purify(spec, size)
+    with pytest.raises(DimensionMismatch):
+        SteeringPlan(np.eye(2), np.eye(2), dim_k=size)
+    with pytest.raises(DimensionMismatch):
+        prepare_ensemble(spec, spec, dim_k=size)
+    with pytest.raises(InvalidEnsemble):
+        random_equivalent_ensemble(density_matrix(spec), size, seed=0)
 
 
 @given(dim=st.integers(2, 6), count=st.integers(1, 8), extra=st.integers(0, 3),
@@ -316,7 +330,7 @@ def test_isometry_of_spectral_target_is_identity_block():
     spec = balanced_spectral()
     plan = steering_isometry(spec, spec)
     np.testing.assert_allclose(plan.isometry, np.eye(2), atol=1e-12)
-    np.testing.assert_allclose(plan.basis, np.eye(2), atol=1e-12)
+    np.testing.assert_allclose(plan.unitary.conj().T, np.eye(2), atol=1e-12)
 
 
 def test_isometry_of_hadamard_target_is_hadamard():
@@ -643,7 +657,7 @@ def test_reconstruction_residual_matches_kron_loop_oracle():
     psi = purify(spec, plan.dim_k)
     rebuilt = np.zeros(psi.amplitudes.size, dtype=complex)
     for j in range(target.size):
-        rebuilt += np.sqrt(target.weights[j]) * np.kron(target.states[j], plan.basis[j])
+        rebuilt += np.sqrt(target.weights[j]) * np.kron(target.states[j], plan.unitary[:, j].conj())
     expected = numerics.max_abs(psi.amplitudes - rebuilt)
     assert abs(report.reconstruction_residual - expected) <= 1e-14
 
@@ -727,13 +741,13 @@ def test_only_reading_the_unitary_completes_it_and_only_once(monkeypatch, tmp_pa
     assert calls["complete"] == 0
     unitary = plan.unitary
     assert calls["complete"] == 1
-    assert plan.unitary is unitary and plan.basis.shape == (7, 7)
+    assert plan.unitary is unitary and unitary.shape == (7, 7)
     assert calls["complete"] == 1
     path = tmp_path / "plan.plan"
     fileio.write_plan(path, plan)
     loaded = fileio.read_plan(path)
     assert calls["complete"] == 1
-    for name in ("coeffs", "isometry", "unitary", "basis"):
+    for name in ("coeffs", "isometry", "unitary"):
         np.testing.assert_array_equal(getattr(loaded, name), getattr(plan, name))
 
 

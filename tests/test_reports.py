@@ -22,7 +22,7 @@ from purifykit.dynamics import (
     PowerIdentityReport,
     build_model,
     _correlation,
-    verify_correlating_evolution,
+    verification_report,
 )
 from purifykit.ensembles import Ensemble
 from purifykit.purification import BipartiteState, MeasurementOutcome, PreparationReport
@@ -295,7 +295,7 @@ def test_a_fidelity_that_rounds_above_one_prints_a_zero_infidelity():
     # |phi_1|^2 = 1 + 1e-12 passes the Gram gate; unclamped, it printed -2.000e-12
     phi = np.eye(2)
     phi[1] *= math.sqrt(1.0 + 1e-12)
-    report = verify_correlating_evolution(build_model(phi), EvolutionParams.canonical())
+    report = verification_report(build_model(phi), EvolutionParams.canonical()).correlation
     assert report.render().splitlines()[1] == (
         "correlation infidelity, state 1: 0.000e+00 (tol 1.0e-10): PASS"
     )
