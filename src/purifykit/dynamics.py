@@ -10,6 +10,7 @@ termwise I - H_j^2 - i H_j and maps every phi_j (x) e_0 to phi_j (x) e_j.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -129,14 +130,14 @@ def cross_product_max(phi) -> float:
 
 def _row_peaks(phi: np.ndarray) -> np.ndarray:
     """m_j = max_s |phi_j[s]|, the largest amplitude of each row."""
-    return np.max(np.abs(phi), axis=1, initial=0.0)
+    return np.abs(phi).max(axis=1, initial=0.0)
 
 
 def _cross_product_max(phi: np.ndarray, peaks: np.ndarray) -> float:
     """:func:`cross_product_max` of an already validated 2-D ``phi`` with row peaks ``peaks``."""
     phi, peaks = phi[1:], peaks[1:]
     products = np.abs(phi @ numerics.dag(phi)) * (peaks[:, np.newaxis] * peaks)
-    np.fill_diagonal(products, 0.0)
+    products.flat[:: len(products) + 1] = 0.0  # the diagonal, a == b
     return numerics.max_abs(products)
 
 
@@ -249,7 +250,7 @@ def _model_grids(model: HamiltonianModel, grids) -> np.ndarray:
     a NaN or infinite amplitude raises ``NotFinite``, another shape
     ``DimensionMismatch``."""
     grids = numerics.as_array(grids)
-    if not np.all(np.isfinite(grids)):
+    if not np.isfinite(grids).all():
         raise NotFinite("state amplitudes must be finite")
     if grids.shape[-2:] != (model.dim_s, model.dim_k):
         raise DimensionMismatch(f"states must be {model.dim_s} x {model.dim_k} grids")
@@ -257,12 +258,21 @@ def _model_grids(model: HamiltonianModel, grids) -> np.ndarray:
 
 
 def _numeric_block(params: EvolutionParams) -> np.ndarray:
-    """exp(-i omega T Y) on one plane; a non-finite omega*T raises ``NotFinite``."""
+    """exp(-i omega T Y) on one plane, read-only and shared by every caller
+    at the same omega*T; a non-finite omega*T raises ``NotFinite``."""
     phase = params.phase()
     if not math.isfinite(phase):
         raise NotFinite(f"omega*T = {phase} must be finite")
+    return _plane_block(phase)
+
+
+@functools.lru_cache(maxsize=64)
+def _plane_block(phase: float) -> np.ndarray:
+    """exp(-i phase Y) from ``PLANE_EIG``, formed once per distinct finite phase."""
     values, vectors = PLANE_EIG
-    return (vectors * np.exp(-1j * phase * values)) @ numerics.dag(vectors)
+    block = (vectors * np.exp(-1j * phase * values)) @ numerics.dag(vectors)
+    block.flags.writeable = False
+    return block
 
 
 def evolution_closed_form(model: HamiltonianModel, grids) -> np.ndarray:
@@ -293,7 +303,7 @@ def _correlation(gram: np.ndarray, block: np.ndarray) -> CorrelationReport:
     from phi's Gram matrix ``gram`` (see :func:`verification_report`)."""
     diagonal = gram.diagonal().real
     fidelities = abs(block[1, 0]) * diagonal**2
-    fidelities[0] = abs(diagonal[0] + (block[0, 0] - 1) * np.sum(np.abs(gram[1:, 0]) ** 2))
+    fidelities[0] = abs(diagonal[0] + (block[0, 0] - 1) * (np.abs(gram[1:, 0]) ** 2).sum())
     return CorrelationReport(fidelities=np.minimum(fidelities, 1.0))
 
 

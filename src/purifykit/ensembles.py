@@ -53,9 +53,9 @@ class Ensemble:
                 f"states must have shape ({self.weights.size}, {self.dim}), "
                 f"got {self.states.shape}"
             )
-        if not np.all(np.isfinite(self.weights)) or not np.all(np.isfinite(self.states)):
+        if not np.isfinite(self.weights).all() or not np.isfinite(self.states).all():
             raise InvalidEnsemble("weights and states must be finite")
-        if np.any(self.weights <= 0.0):
+        if (self.weights <= 0.0).any():
             raise InvalidEnsemble("weights must be strictly positive")
         total = float(self.weights.sum())
         if abs(total - 1.0) > TOL.weight_sum:
@@ -63,7 +63,7 @@ class Ensemble:
                 f"weights sum to {total}, must equal 1 within {TOL.weight_sum}"
             )
         norms = np.linalg.norm(self.states, axis=1)
-        worst = float(np.max(np.abs(norms - 1.0)))
+        worst = float(np.abs(norms - 1.0).max())
         if worst > TOL.norm:
             raise InvalidEnsemble(
                 f"every state must be unit norm within {TOL.norm} "
@@ -95,7 +95,7 @@ class DensityMatrix:
             raise NotADensityMatrix(
                 f"matrix must be {self.dim}x{self.dim}, got {self.matrix.shape}"
             )
-        if not np.all(np.isfinite(self.matrix)):
+        if not np.isfinite(self.matrix).all():
             raise NotADensityMatrix("matrix entries must be finite")
         if numerics.max_abs(self.matrix - numerics.dag(self.matrix)) > TOL.hermiticity:
             raise NotADensityMatrix(f"matrix is not Hermitian within {TOL.hermiticity}")
@@ -125,7 +125,7 @@ class SpectralEnsemble(Ensemble):
 
     def __post_init__(self):
         super().__post_init__()
-        if np.any(np.diff(self.weights) > 0):
+        if (np.diff(self.weights) > 0).any():
             raise InvalidEnsemble("weights must be sorted in non-increasing order")
         gram = self.states @ numerics.dag(self.states)
         residual = numerics.max_abs(gram - np.eye(self.rank))

@@ -68,7 +68,9 @@ def _parse_numbers(raw, ndim: int, what: str) -> np.ndarray:
     Above one level the innermost lists are [re, im] pairs and the result
     is complex with one axis fewer. numpy reads a string as text and a
     boolean beside numbers as 0 or 1; neither is a JSON number, so both
-    are refused, as are integers too large for a machine word.
+    are refused, as are integers too large for a machine word. Only an
+    entry of exactly 0 or 1 can be a boolean, so only then are the leaves
+    walked.
     """
     try:
         values = np.array(raw)
@@ -79,7 +81,7 @@ def _parse_numbers(raw, ndim: int, what: str) -> np.ndarray:
         leaves = raw
         for _ in range(ndim - 1):
             leaves = itertools.chain.from_iterable(leaves)
-        if bool not in map(type, leaves):
+        if not ((values == 0) | (values == 1)).any() or bool not in map(type, leaves):
             values = np.ascontiguousarray(values, dtype=float)
             return values if ndim == 1 else values.view(complex)[..., 0]
     raise ParseError(f"{what} must be {_FORMS[ndim]}")

@@ -65,7 +65,7 @@ def dag(m: np.ndarray) -> np.ndarray:
 def max_abs(values) -> float:
     """Largest entry magnitude; zero for empty input."""
     arr = np.asarray(values)
-    return float(np.max(np.abs(arr))) if arr.size else 0.0
+    return float(np.abs(arr).max()) if arr.size else 0.0
 
 
 def as_array(values, dtype=complex) -> np.ndarray:
@@ -97,7 +97,7 @@ def as_matrix(m) -> np.ndarray:
     mat = as_array(m)
     if mat.ndim != 2:
         raise DimensionMismatch(f"expected a 2-D matrix, got shape {mat.shape}")
-    if not np.all(np.isfinite(mat)):
+    if not np.isfinite(mat).all():
         raise NotFinite("matrix entries must be finite")
     return mat
 
@@ -111,7 +111,7 @@ def as_state(v) -> np.ndarray:
     vec = as_array(v)
     if vec.ndim != 1 or vec.size == 0:
         raise DimensionMismatch(f"expected a 1-D state vector, got shape {vec.shape}")
-    if not np.all(np.isfinite(vec)):
+    if not np.isfinite(vec).all():
         raise NotFinite("state amplitudes must be finite")
     total = float(np.vdot(vec, vec).real)
     if abs(total - 1.0) > TOL.weight_sum:

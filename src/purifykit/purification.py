@@ -250,7 +250,7 @@ def _equivalence_bound(
     """||M - D||_F + sum_j p_j r_j (2 + r_j), the rank-space bound on
     ``density_deviation(spectral, target)`` of :func:`steering_coefficients`."""
     gap = (coeffs.T * target.weights) @ coeffs.conj() - np.diag(spectral.weights)
-    return float(np.linalg.norm(gap) + np.sum(target.weights * residuals * (2.0 + residuals)))
+    return float(np.linalg.norm(gap) + (target.weights * residuals * (2.0 + residuals)).sum())
 
 
 def steering_isometry(
@@ -311,7 +311,7 @@ def _measure(grid: np.ndarray, columns: np.ndarray) -> tuple[np.ndarray, np.ndar
     and their normalized post-states as rows.
     """
     unnormalized = grid @ columns  # column j = (I (x) <b_j|) psi
-    probs = np.sum(np.abs(unnormalized) ** 2, axis=0)
+    probs = (np.abs(unnormalized) ** 2).sum(axis=0)
     kept = np.flatnonzero(probs >= TOL.outcome_floor)
     return kept, probs[kept], unnormalized.T[kept] / np.sqrt(probs[kept])[:, None]
 
@@ -353,8 +353,8 @@ def prepare_ensemble(
 
     # |<post_j|tau_j>| over the reached outcomes; a target weight below the
     # outcome floor leaves its outcome unreached
-    overlaps = np.minimum(np.abs(np.sum(posts.conj() * target.states[kept], axis=1)), 1.0)
-    infidelity = np.max(1.0 - overlaps, initial=0.0)
+    overlaps = np.minimum(np.abs((posts.conj() * target.states[kept]).sum(axis=1)), 1.0)
+    infidelity = (1.0 - overlaps).max(initial=0.0)
 
     # sum_j sqrt(p_j) tau_j (x) B_j on the rank columns: B_j restricted to
     # them is conjugated column j of the isometry

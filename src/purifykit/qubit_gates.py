@@ -104,7 +104,7 @@ class QubitDemoReport(Report):
     dynamics_fidelities: np.ndarray
 
     def checks(self) -> list[Check]:
-        worst = 1.0 - float(np.min(self.dynamics_fidelities))
+        worst = 1.0 - float(self.dynamics_fidelities.min())
         return [
             Check("recovered weight deviation", self.recovered_weight_deviation, TOL.recovery),
             Check("recovered state infidelity", self.recovered_state_infidelity, TOL.recovery),

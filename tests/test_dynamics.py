@@ -482,6 +482,67 @@ def test_the_plane_block_decomposed_once_gives_the_spectral_exponential(theta, s
     )
 
 
+def _unmemoized_block(phase):
+    values, vectors = dynamics.PLANE_EIG
+    return (vectors * np.exp(-1j * phase * values)) @ numerics.dag(vectors)
+
+
+def _assert_same_bits(block, expected):
+    np.testing.assert_array_equal(block, expected)
+    np.testing.assert_array_equal(np.signbit(block.real), np.signbit(expected.real))
+    np.testing.assert_array_equal(np.signbit(block.imag), np.signbit(expected.imag))
+
+
+def test_equal_phases_share_one_read_only_block():
+    first = dynamics._numeric_block(EvolutionParams(1.0, 0.75))
+    assert dynamics._numeric_block(EvolutionParams(0.5, 1.5)) is first
+    with pytest.raises(ValueError):
+        first[0, 0] = 0.0
+
+
+@pytest.mark.parametrize(
+    "omega, duration",
+    [
+        (1.0, math.pi / 2),
+        *((omega, (math.pi / 2) / omega) for omega in (3.0, 0.1, 7.0)),
+        (1.0, 0.0),
+        (1.0, -0.0),
+        (1.0, 1e-300),
+        (1.0, 3.0),
+    ],
+)
+def test_the_memoized_block_is_the_unmemoized_exponential(omega, duration):
+    params = EvolutionParams(omega, duration)
+    _assert_same_bits(dynamics._numeric_block(params), _unmemoized_block(params.phase()))
+
+
+@pytest.mark.parametrize("first, second", [(0.0, -0.0), (-0.0, 0.0)])
+def test_both_zero_phases_read_their_own_bits_from_the_one_key(first, second):
+    # 0.0 == -0.0 and both hash alike, so whichever comes first fills the entry
+    dynamics._plane_block.cache_clear()
+    dynamics._numeric_block(EvolutionParams(1.0, first))
+    shared = dynamics._numeric_block(EvolutionParams(1.0, second))
+    assert dynamics._plane_block.cache_info().currsize == 1
+    _assert_same_bits(shared, _unmemoized_block(second))
+
+
+@pytest.mark.parametrize(
+    "omega, duration", [(1.0, math.nan), (1.0, math.inf), (-math.inf, 1.0), (1e200, 1e200)]
+)
+def test_a_non_finite_phase_raises_and_leaves_the_memo_alone(omega, duration):
+    before = dynamics._plane_block.cache_info()
+    with pytest.raises(NotFinite):
+        dynamics._numeric_block(EvolutionParams(omega, duration))
+    assert dynamics._plane_block.cache_info() == before
+
+
+def test_the_memo_stays_at_its_bound():
+    bound = dynamics._plane_block.cache_info().maxsize
+    for k in range(bound + 10):
+        dynamics._numeric_block(EvolutionParams(1.0, 0.001 * k + 0.5))
+    assert dynamics._plane_block.cache_info().currsize == bound
+
+
 @given(
     dim_s=st.integers(1, 16),
     rank=st.integers(1, 16),
@@ -741,7 +802,8 @@ def test_the_gram_formulas_hold_for_any_rows_and_any_block(dim_s, rank, spare, s
 
 def test_one_verification_and_one_purification_evolve_once_and_decompose_nothing(monkeypatch):
     # the report reads phi's Gram matrix; only the purification evolves a
-    # state, through the plane kernel, and it builds no second model
+    # state, through the plane kernel, and it builds no second model; the
+    # plane block of their one phase is exponentiated once
     spec = spectral_ensemble(density_matrix(random_ensemble(5, 4, np.random.default_rng(13))))
     calls = Counter()
 
@@ -757,6 +819,8 @@ def test_one_verification_and_one_purification_evolve_once_and_decompose_nothing
     counted(numerics, "hermitian_eig")
     counted(dynamics, "_rotate_planes")
     counted(HamiltonianModel, "__post_init__")
+    counted(np, "exp")
+    dynamics._plane_block.cache_clear()
     model = build_model(spec.states, spec.rank)
     report = verification_report(model, EvolutionParams.canonical())
     purify_via_dynamics(spec)
@@ -764,6 +828,7 @@ def test_one_verification_and_one_purification_evolve_once_and_decompose_nothing
     assert calls["__post_init__"] == 1
     assert calls["_rotate_planes"] == 1
     assert calls["hermitian_eig"] == 0
+    assert calls["exp"] <= 1  # both read the one block of the quarter turn
 
 
 def test_verification_report_covers_all_checks():

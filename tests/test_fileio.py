@@ -292,6 +292,8 @@ def test_read_rejects_dimensions_below_one(tmp_path, reader, text):
         (fileio.read_ensemble, '{"dim": 1, "weights": ["1.0"], "states": [[[1, 0]]]}'),
         (fileio.read_ensemble, '{"dim": 1, "weights": [true], "states": [[[1, 0]]]}'),
         (fileio.read_ensemble, '{"dim": 1, "weights": [1.0], "states": [[[true, 0]]]}'),
+        # the only entry that reads as 0 or 1 is the boolean
+        (fileio.read_ensemble, '{"dim": 1, "weights": [1.0], "states": [[[true, 0.5]]]}'),
         (fileio.read_bipartite_state, '{"dim_s": 1, "dim_k": 1, "amplitudes": [[1, false]]}'),
         (fileio.read_bipartite_state, '{"dim_s": 1, "dim_k": 1, "amplitudes": [[1, 0, 0]]}'),
         (fileio.read_bipartite_state, '{"dim_s": 1, "dim_k": 1, "amplitudes": [[1, null]]}'),
@@ -303,6 +305,18 @@ def test_read_accepts_only_json_numbers(tmp_path, reader, text):
     path.write_text(text)
     with pytest.raises(ParseError):
         reader(path)
+
+
+def test_integer_zeros_and_ones_read_as_numbers(tmp_path):
+    # every entry reads as exactly 0 or 1, so the leaves are walked and none is a boolean
+    path = tmp_path / "integers.ens"
+    path.write_text('{"dim": 2, "weights": [1], "states": [[[0, 0], [1, 0]]]}')
+    ensemble = fileio.read_ensemble(path)
+    np.testing.assert_array_equal(ensemble.weights, [1.0])
+    np.testing.assert_array_equal(ensemble.states, [[0, 1]])
+    path = tmp_path / "integers.dm"
+    path.write_text('{"dim": 2, "entries": [[1, 0], [0, 0], [0, 0], [0, 0]]}')
+    np.testing.assert_array_equal(fileio.read_density_matrix(path).matrix, [[1, 0], [0, 0]])
 
 
 @pytest.mark.parametrize(

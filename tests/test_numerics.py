@@ -474,3 +474,28 @@ def test_no_module_forms_a_kronecker_product():
             ):
                 products.append(f"{path.name}:{node.lineno}")
     assert not products, f"np.kron calls: {products}"
+
+
+# numpy's Python-level wrappers of the ndarray reductions; the methods run
+# the same ufunc reductions without the wrapper's dispatch
+WRAPPED_REDUCTIONS = {"max", "min", "sum", "all", "any", "fill_diagonal"}
+
+
+def _reduces_through_a_wrapper(call: ast.Call) -> bool:
+    """``np.max(...)``, ``numpy.sum(...)`` and the like, or ``np.fill_diagonal``."""
+    func = call.func
+    return (
+        isinstance(func, ast.Attribute)
+        and func.attr in WRAPPED_REDUCTIONS
+        and getattr(func.value, "id", None) in ("np", "numpy")
+    )
+
+
+def test_the_package_reduces_through_ndarray_methods():
+    package = Path(numerics.__file__).parent
+    wrapped = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call) and _reduces_through_a_wrapper(node):
+                wrapped.append(f"{path.name}:{node.lineno}: np.{node.func.attr}")
+    assert not wrapped, "reductions through numpy's wrappers:\n" + "\n".join(wrapped)
