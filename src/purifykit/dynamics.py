@@ -67,7 +67,7 @@ class EvolutionParams:
     @classmethod
     def canonical(cls) -> "EvolutionParams":
         """Smallest positive solution: omega = 1, T = pi/2."""
-        return cls(omega=1.0, duration=math.pi / 2)
+        return cls()
 
 
 @dataclass

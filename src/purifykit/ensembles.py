@@ -9,6 +9,7 @@ equivalent exactly when their density matrices coincide.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -74,6 +75,14 @@ class Ensemble:
     def size(self) -> int:
         return int(self.weights.size)
 
+    @functools.cached_property
+    def weighted_states(self) -> np.ndarray:
+        """X = states^T sqrt(w), d x n, formed once and read-only: XX^H is the density
+        matrix, and two ensembles are equivalent iff X_2 = X_1 V, V row-orthonormal."""
+        weighted = self.states.T * np.sqrt(self.weights)
+        weighted.flags.writeable = False
+        return weighted
+
 
 @dataclass
 class DensityMatrix:
@@ -127,8 +136,7 @@ class SpectralEnsemble(Ensemble):
         super().__post_init__()
         if (np.diff(self.weights) > 0).any():
             raise InvalidEnsemble("weights must be sorted in non-increasing order")
-        gram = self.states @ numerics.dag(self.states)
-        residual = numerics.max_abs(gram - np.eye(self.rank))
+        residual = numerics.row_orthonormality_residual(self.states)
         if residual > TOL.orthonormality:
             raise InvalidEnsemble(
                 f"states must be pairwise orthonormal within {TOL.orthonormality} "

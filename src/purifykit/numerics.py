@@ -68,6 +68,11 @@ def max_abs(values) -> float:
     return float(np.abs(arr).max()) if arr.size else 0.0
 
 
+def row_orthonormality_residual(rows: np.ndarray) -> float:
+    """Largest entry of rows @ rows^H - I: how far the rows are from orthonormal."""
+    return max_abs(rows @ dag(rows) - np.eye(len(rows)))
+
+
 def as_array(values, dtype=complex) -> np.ndarray:
     """Coerce to an array of ``dtype``; a ragged nesting, an entry that is not
     a number, or a complex entry where ``dtype`` is real raises

@@ -96,10 +96,8 @@ class SteeringPlan:
     def __post_init__(self):
         self.coeffs = numerics.as_matrix(self.coeffs)
         self.isometry = numerics.as_matrix(self.isometry)
-        rows, width = self.isometry.shape
-        self.isometry_residual = numerics.max_abs(
-            self.isometry @ numerics.dag(self.isometry) - np.eye(rows)
-        )
+        width = self.isometry.shape[1]
+        self.isometry_residual = numerics.row_orthonormality_residual(self.isometry)
         if self.isometry_residual > TOL.isometry:
             raise ContractViolation(
                 f"isometry rows deviate from orthonormality by {self.isometry_residual} "
@@ -141,7 +139,7 @@ class SteeringPlan:
                 f"leading rows of the plan unitary deviate from the isometry by "
                 f"{embedding} (tol {TOL.orthonormality})"
             )
-        residual = numerics.max_abs(unitary @ numerics.dag(unitary) - np.eye(self.dim_k))
+        residual = numerics.row_orthonormality_residual(unitary)
         if residual > TOL.plan_unitarity:
             raise ContractViolation(
                 f"plan unitary deviates from unitarity by {residual} "
@@ -185,8 +183,10 @@ class PreparationReport(Report):
 def purify(spectral: SpectralEnsemble, dim_k: int | None = None) -> BipartiteState:
     """Entangle each spectral state with its own reference direction.
 
-    Returns sum_i sqrt(d_i) phi_i (x) e_i on S (x) K; tracing out K gives
-    back the density matrix of the input.
+    Returns sum_i sqrt(d_i) phi_i (x) e_i on S (x) K, the weighted state
+    matrix zero-padded to ``dim_k`` columns; tracing out K gives back the
+    density matrix of the input. A ``dim_k`` whose grid numpy cannot
+    address raises ``DimensionMismatch`` before any allocation.
     """
     if dim_k is None:
         dim_k = spectral.rank
@@ -195,8 +195,13 @@ def purify(spectral: SpectralEnsemble, dim_k: int | None = None) -> BipartiteSta
         raise ReferenceTooSmall(
             f"reference dimension {dim_k} is below the rank {spectral.rank}"
         )
+    if spectral.dim * dim_k * np.dtype(complex).itemsize > np.iinfo(np.intp).max:
+        raise DimensionMismatch(
+            f"dim_k {dim_k} makes a {spectral.dim} x {dim_k} amplitude grid "
+            f"larger than numpy can address"
+        )
     grid = np.zeros((spectral.dim, dim_k), dtype=complex)
-    grid[:, : spectral.rank] = spectral.states.T * np.sqrt(spectral.weights)
+    grid[:, : spectral.rank] = spectral.weighted_states
     return BipartiteState(spectral.dim, dim_k, grid.reshape(-1))
 
 
@@ -294,8 +299,7 @@ def measure_reference(psi: BipartiteState, basis) -> list[MeasurementOutcome]:
             f"basis has {rows.shape[0]} vectors, the reference needs {psi.dim_k}"
         )
     rows = numerics.as_matrix(rows)  # NotFinite: the Gram check cannot see NaN
-    gram = rows @ numerics.dag(rows)
-    if numerics.max_abs(gram - np.eye(psi.dim_k)) > TOL.orthonormality:
+    if numerics.row_orthonormality_residual(rows) > TOL.orthonormality:
         raise BasisNotOrthonormal(
             f"basis vectors are not pairwise orthonormal within {TOL.orthonormality}"
         )
@@ -344,7 +348,7 @@ def prepare_ensemble(
     have zero amplitude.
     """
     plan = steering_isometry(spectral, target, tol=tol, dim_k=dim_k)
-    grid = spectral.states.T * np.sqrt(spectral.weights)  # the rank columns of purify(spectral)
+    grid = spectral.weighted_states  # the rank columns of purify(spectral)
     kept, kept_probs, posts = _measure(grid, plan.isometry)
 
     probs = np.zeros(target.size)
@@ -358,8 +362,7 @@ def prepare_ensemble(
 
     # sum_j sqrt(p_j) tau_j (x) B_j on the rank columns: B_j restricted to
     # them is conjugated column j of the isometry
-    weighted = target.states.T * np.sqrt(target.weights)
-    reconstruction = numerics.max_abs(grid - weighted @ numerics.dag(plan.isometry))
+    reconstruction = numerics.max_abs(grid - target.weighted_states @ numerics.dag(plan.isometry))
 
     report = PreparationReport(
         weight_deviation=float(weight_deviation),

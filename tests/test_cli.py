@@ -542,6 +542,15 @@ def test_a_density_matrix_whose_discarded_mass_exceeds_the_weight_slack_exits_1(
     assert err.endswith(", must equal 1 within 1e-10\n")
 
 
+@pytest.mark.parametrize("kdim", ["1000000000000000000", "99999999999999999999"])
+def test_purify_refuses_a_reference_numpy_cannot_address(files, kdim, capsys):
+    # numpy refuses both grids before allocating, so this allocates nothing
+    assert main(["purify", str(files / "mix01.ens"), "--kdim", kdim]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: dim_k {kdim} makes a 2 x {kdim} amplitude grid")
+    assert err.count("\n") == 1
+
+
 def test_random_equiv_refuses_a_count_the_weight_floor_rules_out(files, capsys):
     out = files / "drawn.ens"
     argv = ["random-equiv", str(files / "rho.dm"), "--count", "1000000", "--out", str(out)]

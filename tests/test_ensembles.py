@@ -131,6 +131,30 @@ def test_spectral_type_requires_sorted_weights():
 
 
 # ---------------------------------------------------------------------------
+# the weighted state matrix X = states^T sqrt(w)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_the_weighted_state_matrix_is_the_transposed_states_times_root_weights(seed):
+    rng = np.random.default_rng(seed)
+    spectral = spectral_ensemble(random_density_matrix(5, 3, rng))
+    assert type(spectral) is SpectralEnsemble
+    for ensemble in (random_ensemble(5, 4, rng), spectral):
+        np.testing.assert_array_equal(
+            ensemble.weighted_states, ensemble.states.T * np.sqrt(ensemble.weights)
+        )
+
+
+def test_the_weighted_state_matrix_is_formed_once_and_read_only():
+    spectral = SpectralEnsemble(2, [0.7, 0.3], [KET0, KET1])
+    for ensemble in (mix((0.25, KET0), (0.75, PLUS)), spectral):
+        weighted = ensemble.weighted_states
+        assert ensemble.weighted_states is weighted
+        with pytest.raises(ValueError):
+            weighted[0, 0] = 0.0
+
+
+# ---------------------------------------------------------------------------
 # density_matrix
 
 

@@ -123,6 +123,13 @@ def test_coercion_raises_library_errors_instead_of_numpy_ones(values, error):
             coerce(values)
 
 
+def test_row_orthonormality_residual_is_the_largest_gram_deviation():
+    rows = numerics.haar_unitary(4, np.random.default_rng(3))[:2]
+    assert numerics.row_orthonormality_residual(rows) <= 1e-15
+    # two copies of one unit row: the off-diagonal Gram entries are 1
+    assert numerics.row_orthonormality_residual(np.array([[0.6, 0.8], [0.6, 0.8]])) == 1.0
+
+
 # ---------------------------------------------------------------------------
 # hermitian_eig
 
@@ -499,3 +506,36 @@ def test_the_package_reduces_through_ndarray_methods():
             if isinstance(node, ast.Call) and _reduces_through_a_wrapper(node):
                 wrapped.append(f"{path.name}:{node.lineno}: np.{node.func.attr}")
     assert not wrapped, "reductions through numpy's wrappers:\n" + "\n".join(wrapped)
+
+
+def _forms_the_weighted_state_matrix(node: ast.AST) -> bool:
+    """``<e>.states.T * np.sqrt(<...weights...>)``, in either order."""
+    if not (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult)):
+        return False
+    sides = (node.left, node.right)
+    transposed = any(
+        isinstance(side, ast.Attribute) and side.attr == "T"
+        and getattr(side.value, "attr", None) == "states"
+        for side in sides
+    )
+    rooted = any(
+        isinstance(side, ast.Call) and getattr(side.func, "attr", None) == "sqrt"
+        and any(
+            "weights" in (getattr(n, "id", None), getattr(n, "attr", None))
+            for arg in side.args
+            for n in ast.walk(arg)
+        )
+        for side in sides
+    )
+    return transposed and rooted
+
+
+def test_only_the_ensemble_forms_its_weighted_state_matrix():
+    # X = states^T sqrt(w) is Ensemble.weighted_states; every other site reads it
+    package = Path(numerics.__file__).parent
+    sites = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if _forms_the_weighted_state_matrix(node):
+                sites.append(path.name)
+    assert sites == ["ensembles.py"], f"weighted state matrices formed in: {sites}"

@@ -1,6 +1,7 @@
 """Tests for purification, steering plans, and reference measurements."""
 
 import dataclasses
+import functools
 from collections import Counter
 
 import numpy as np
@@ -108,6 +109,21 @@ def test_purify_partial_trace_recovers_density():
 def test_purify_rejects_small_reference():
     with pytest.raises(ReferenceTooSmall):
         purify(balanced_spectral(), 1)
+
+
+@pytest.mark.parametrize("dim_k", [10**18, 10**20])
+def test_purify_refuses_a_reference_numpy_cannot_address(dim_k):
+    # numpy refuses both grids before allocating, so this allocates nothing
+    with pytest.raises(DimensionMismatch, match=f"^dim_k {dim_k} "):
+        purify(balanced_spectral(), dim_k)
+
+
+@pytest.mark.parametrize("seed", [20, 21, 22])
+def test_purify_pads_the_weighted_state_matrix_with_zero_columns(seed):
+    spec = spectral_ensemble(random_density_matrix(5, 3, np.random.default_rng(seed)))
+    grid = purify(spec, 7).as_grid()
+    np.testing.assert_array_equal(grid[:, : spec.rank], spec.weighted_states)
+    np.testing.assert_array_equal(grid[:, spec.rank :], 0.0)
 
 
 @pytest.mark.parametrize("size", [2.5, 3.0, "3", True, 0])
@@ -297,6 +313,32 @@ def counted_projector_sums(monkeypatch):
 
     monkeypatch.setattr(ensembles, "_weighted_projector_sum", counted)
     return calls
+
+
+def counted_weighted_states(monkeypatch):
+    """Count, per ensemble, the evaluations of ``Ensemble.weighted_states``."""
+    calls = Counter()
+    original = Ensemble.weighted_states.func
+
+    def counted(ensemble):
+        calls[id(ensemble)] += 1
+        return original(ensemble)
+
+    counting = functools.cached_property(counted)
+    counting.__set_name__(Ensemble, "weighted_states")
+    monkeypatch.setattr(Ensemble, "weighted_states", counting)
+    return calls
+
+
+def test_prepare_ensemble_forms_each_weighted_state_matrix_once(monkeypatch):
+    rho = random_density_matrix(6, 4, np.random.default_rng(9))
+    spec = spectral_ensemble(rho)
+    target = random_equivalent_ensemble(rho, 7, seed=9)
+    calls = counted_weighted_states(monkeypatch)
+    _, _, first = prepare_ensemble(spec, target)
+    _, _, second = prepare_ensemble(spec, target)
+    assert first.passed() and first == second
+    assert calls == {id(spec): 1, id(target): 1}
 
 
 @pytest.mark.parametrize("seed", [6, 7, 8])
