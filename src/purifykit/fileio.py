@@ -4,6 +4,11 @@ The documents are JSON with a fixed field order; every real number is
 rendered with 17 significant digits so doubles round-trip exactly and
 rewriting the same data yields byte-identical files. Complex numbers are
 stored as [re, im] pairs.
+
+A document is read as strict RFC 8259 JSON by ``orjson``: ``NaN`` and
+``Infinity`` literals are refused, an integer wider than 64 bits reads as
+the nearest double, a standalone ``-0`` reads as -0.0, and a document
+nested deeper than ``MAX_DEPTH`` is refused before it is parsed.
 """
 
 from __future__ import annotations
@@ -11,8 +16,10 @@ from __future__ import annotations
 import itertools
 import json
 import os
+import re
 
 import numpy as np
+import orjson
 
 from . import numerics
 from .ensembles import DensityMatrix, Ensemble
@@ -87,16 +94,32 @@ def _parse_numbers(raw, ndim: int, what: str) -> np.ndarray:
     raise ParseError(f"{what} must be {_FORMS[ndim]}")
 
 
-def _json_integer(text: str):
-    # "%.17g" writes -0.0 as -0, which JSON would read as the integer 0
-    return -0.0 if text == "-0" else int(text)
+# purifykit documents nest at most 4 deep; orjson sets no limit of its own
+# and overflows the C stack somewhere past 100,000 levels
+MAX_DEPTH = 1000
+# "%.17g" writes -0.0 as -0, which orjson would read as the integer 0. The
+# minus of an exponent such as 1e-0 is skipped; the pattern starts with the
+# literal "-" so that the regex engine can jump from one minus to the next
+_NEGATIVE_ZERO = re.compile(rb"-(?<![eE]-)0(?=[\s,\]}])")
+_BRACKET_STEPS = bytes.maketrans(b"[{]}", b"\x01\x01\xff\xff")
+_NOT_BRACKETS = bytes(sorted(set(range(256)) - set(b"[{]}")))
+
+
+def _nesting_depth(data: bytes) -> int:
+    """The deepest running count of opening over closing brackets. Brackets
+    inside strings count too, so this bounds the depth of the parsed JSON."""
+    steps = data.translate(_BRACKET_STEPS, _NOT_BRACKETS)
+    return int(np.frombuffer(steps, np.int8).cumsum().max()) if steps else 0
 
 
 def _load_document(path, expected_fields: tuple[str, ...]) -> dict:
+    with open(path, "rb") as handle:
+        data = handle.read()
+    if _nesting_depth(data) > MAX_DEPTH:
+        raise ParseError(f"{path}: not a valid document (nested deeper than {MAX_DEPTH} levels)")
     try:
-        with open(path, "r", encoding="utf-8") as handle:
-            doc = json.load(handle, parse_int=_json_integer)
-    except (ValueError, RecursionError) as exc:  # bad JSON or UTF-8, long integers, deep nesting
+        doc = orjson.loads(_NEGATIVE_ZERO.sub(b"-0.0", data))
+    except ValueError as exc:  # bad JSON or UTF-8, a number past the double range
         raise ParseError(f"{path}: not a valid document ({exc})") from exc
     if not isinstance(doc, dict):
         raise ParseError(f"{path}: top level must be an object")

@@ -73,6 +73,15 @@ def row_orthonormality_residual(rows: np.ndarray) -> float:
     return max_abs(rows @ dag(rows) - np.eye(len(rows)))
 
 
+def require_addressable(rows: int, dim_k: int, what: str) -> None:
+    """Raise ``DimensionMismatch``, before anything is allocated, when a
+    complex ``what`` of rows x dim_k entries is larger than numpy can address."""
+    if rows * dim_k * np.dtype(complex).itemsize > np.iinfo(np.intp).max:
+        raise DimensionMismatch(
+            f"dim_k {dim_k} makes a {rows} x {dim_k} {what} larger than numpy can address"
+        )
+
+
 def as_array(values, dtype=complex) -> np.ndarray:
     """Coerce to an array of ``dtype``; a ragged nesting, an entry that is not
     a number, or a complex entry where ``dtype`` is real raises

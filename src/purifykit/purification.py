@@ -119,7 +119,9 @@ class SteeringPlan:
     @functools.cached_property
     def unitary(self) -> np.ndarray:
         """The zero-padded isometry completed to a unitary and checked by
-        :meth:`set_unitary`; its conjugated columns are the measurement basis of K."""
+        :meth:`set_unitary`; its conjugated columns are the measurement basis of K.
+        A ``dim_k`` whose unitary numpy cannot address raises ``DimensionMismatch``."""
+        numerics.require_addressable(self.dim_k, self.dim_k, "plan unitary")
         return self.set_unitary(numerics.gram_schmidt_complete(self._padded_isometry()))
 
     def set_unitary(self, unitary) -> np.ndarray:
@@ -195,11 +197,7 @@ def purify(spectral: SpectralEnsemble, dim_k: int | None = None) -> BipartiteSta
         raise ReferenceTooSmall(
             f"reference dimension {dim_k} is below the rank {spectral.rank}"
         )
-    if spectral.dim * dim_k * np.dtype(complex).itemsize > np.iinfo(np.intp).max:
-        raise DimensionMismatch(
-            f"dim_k {dim_k} makes a {spectral.dim} x {dim_k} amplitude grid "
-            f"larger than numpy can address"
-        )
+    numerics.require_addressable(spectral.dim, dim_k, "amplitude grid")
     grid = np.zeros((spectral.dim, dim_k), dtype=complex)
     grid[:, : spectral.rank] = spectral.weighted_states
     return BipartiteState(spectral.dim, dim_k, grid.reshape(-1))
@@ -317,7 +315,9 @@ def _measure(grid: np.ndarray, columns: np.ndarray) -> tuple[np.ndarray, np.ndar
     unnormalized = grid @ columns  # column j = (I (x) <b_j|) psi
     probs = (np.abs(unnormalized) ** 2).sum(axis=0)
     kept = np.flatnonzero(probs >= TOL.outcome_floor)
-    return kept, probs[kept], unnormalized.T[kept] / np.sqrt(probs[kept])[:, None]
+    kept_probs, posts = probs[kept], unnormalized.T[kept]
+    posts *= (1.0 / np.sqrt(kept_probs))[:, None]
+    return kept, kept_probs, posts
 
 
 def _outcomes(kept, probs, posts) -> list[MeasurementOutcome]:

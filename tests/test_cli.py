@@ -304,6 +304,25 @@ def test_module_entry_point_runs_in_a_subprocess(files):
     assert "deviation" in result.stdout
 
 
+def test_a_document_nested_a_million_deep_exits_1_in_a_subprocess(files):
+    # a parser without a depth limit overflows the C stack here; in a
+    # subprocess that fails this test instead of killing the test run
+    env = dict(os.environ)
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    deep = files / "deep.ens"
+    deep.write_text('{"dim": 1, "weights": [1.0], "states": ' + "[" * 10**6 + "]" * 10**6 + "}")
+    result = subprocess.run(
+        [sys.executable, "-m", "purifykit", "equiv", str(deep), str(files / "mix01.ens")],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert result.returncode == 1, result.stderr
+    assert result.stdout == ""
+    assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1
+
+
 def test_perturbed_weight_flips_equivalence_and_steer_exits_3(files):
     # move 1e-3 of weight between the two components of an equivalent pair
     rho = density_matrix(Ensemble(2, [0.6, 0.4], [KET0, KET1]))

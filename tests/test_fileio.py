@@ -369,6 +369,68 @@ def test_render_matches_the_recursive_renderer(data):
     assert fileio._render(values) == render_oracle.render(render_oracle.nested(values))
 
 
+def old_reader_values(text: str) -> np.ndarray:
+    """The document's one field as the json module with the -0 hook read it."""
+    (value,) = json.loads(text, parse_int=lambda t: -0.0 if t == "-0" else int(t)).values()
+    return np.array(value, dtype=float)
+
+
+@given(data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_a_rendered_array_reads_back_bit_for_bit(tmp_path_factory, data):
+    shape = data.draw(hnp.array_shapes(min_dims=1, max_dims=3, min_side=1, max_side=4))
+    values = data.draw(hnp.arrays(float, shape, elements=entries), label="real parts")
+    if data.draw(st.booleans(), label="complex"):
+        imag = data.draw(hnp.arrays(float, shape, elements=entries), label="imaginary parts")
+        values = values.astype(complex)
+        values.imag = imag
+    path = tmp_path_factory.mktemp("round") / "values.doc"
+    fileio._write_document(path, {"values": values})
+    read = np.array(fileio._load_document(path, ("values",))["values"], dtype=float)
+    expected = np.stack((values.real, values.imag), axis=-1) if values.dtype.kind == "c" else values
+    # bit patterns, so -0.0 and 0.0 differ
+    np.testing.assert_array_equal(read.view(np.uint64), expected.view(np.uint64))
+    reference = old_reader_values(path.read_text())
+    np.testing.assert_array_equal(read.view(np.uint64), reference.view(np.uint64))
+
+
+@pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+def test_non_finite_literals_are_not_json(tmp_path, literal):
+    path = tmp_path / "literal.ens"
+    path.write_text('{"dim": 1, "weights": [%s], "states": [[[1, 0]]]}' % literal)
+    with pytest.raises(ParseError, match="not a valid document"):
+        fileio.read_ensemble(path)
+
+
+def test_an_exponent_of_minus_zero_is_read_as_written(tmp_path):
+    path = tmp_path / "exponent.ens"
+    path.write_text('{"dim": 1, "weights": [1e-0], "states": [[[1E-0, -0]]]}')
+    ensemble = fileio.read_ensemble(path)
+    assert ensemble.weights.tolist() == [1.0]
+    assert np.signbit(ensemble.states.imag[0, 0])
+
+
+@pytest.mark.parametrize("inside", ["states", "key"])
+def test_a_document_nested_past_the_limit_is_refused_before_parsing(tmp_path, inside):
+    # brackets inside a string count toward the depth as well
+    deepest = fileio.MAX_DEPTH - 1  # the top-level object is one level
+    nested = "[" * deepest + "]" * deepest
+    path = tmp_path / "deep.ens"
+    if inside == "states":
+        template = '{"dim": 1, "weights": [1.0], "states": %s}'
+    else:
+        template = '{"%s": 0, "dim": 1, "weights": [1.0], "states": [[[1, 0]]]}'
+    path.write_text(template % nested)
+    if inside == "states":
+        with pytest.raises(ParseError, match="states must be"):
+            fileio.read_ensemble(path)
+    else:
+        fileio.read_ensemble(path)
+    path.write_text(template % ("[" + nested + "]"))
+    with pytest.raises(ParseError, match=f"nested deeper than {fileio.MAX_DEPTH} levels"):
+        fileio.read_ensemble(path)
+
+
 def plan_with_completed_unitary():
     rho = random_density_matrix(3, 2, np.random.default_rng(12))
     return steering_isometry(spectral_ensemble(rho), random_equivalent_ensemble(rho, 4, seed=2))
@@ -377,7 +439,8 @@ def plan_with_completed_unitary():
 @pytest.mark.parametrize("basis", ["adjoint", "permuted", "nan"])
 def test_read_plan_ignores_the_basis_field_of_older_files(tmp_path, basis):
     # older writers also stored basis, the adjoint of unitary; a reader skips
-    # it like any unknown field, whatever it holds
+    # it like any unknown field, whatever numbers it holds. NaN is not a JSON
+    # number, so a file that holds it is not a valid document
     plan = plan_with_completed_unitary()
     path = tmp_path / "plan.plan"
     fileio.write_plan(path, plan)
@@ -387,6 +450,10 @@ def test_read_plan_ignores_the_basis_field_of_older_files(tmp_path, basis):
     rows = {"adjoint": adjoint, "permuted": adjoint[::-1], "nan": adjoint * np.nan}
     doc["basis"] = [[[z.real, z.imag] for z in row] for row in rows[basis].tolist()]
     path.write_text(json.dumps(doc))
+    if basis == "nan":
+        with pytest.raises(ParseError, match="not a valid document"):
+            fileio.read_plan(path)
+        return
     loaded = fileio.read_plan(path)
     for name in ("coeffs", "isometry", "unitary"):
         np.testing.assert_array_equal(getattr(loaded, name), getattr(without, name))

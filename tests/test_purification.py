@@ -2,6 +2,7 @@
 
 import dataclasses
 import functools
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -116,6 +117,22 @@ def test_purify_refuses_a_reference_numpy_cannot_address(dim_k):
     # numpy refuses both grids before allocating, so this allocates nothing
     with pytest.raises(DimensionMismatch, match=f"^dim_k {dim_k} "):
         purify(balanced_spectral(), dim_k)
+
+
+@pytest.mark.parametrize("dim_k", [10**10, 10**18])
+def test_plan_unitary_refuses_a_reference_numpy_cannot_address(dim_k):
+    # the refusal comes before the padded isometry, so nothing is allocated
+    plan = SteeringPlan(np.eye(2), np.eye(2), dim_k=dim_k)
+    tracemalloc.start()
+    try:
+        with pytest.raises(
+            DimensionMismatch, match=f"^dim_k {dim_k} makes a {dim_k} x {dim_k} plan unitary "
+        ):
+            plan.unitary
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**16
 
 
 @pytest.mark.parametrize("seed", [20, 21, 22])
