@@ -23,7 +23,6 @@ from typing import Callable, NamedTuple
 from . import fileio, numerics
 from .dynamics import EvolutionParams, build_model, verification_report
 from .ensembles import (
-    _weighted_projector_sum,
     density_deviation,
     density_matrix,
     random_equivalent_ensemble,
@@ -134,9 +133,7 @@ def _cmd_random_equiv(config: RunConfig) -> int:
     ensemble = random_equivalent_ensemble(rho, config.count, config.seed)
     if config.output:
         fileio.write_ensemble(config.output, ensemble)
-    # the drawn ensemble is valid by construction, so no DensityMatrix is built
-    deviation = numerics.max_abs(_weighted_projector_sum(ensemble) - rho.matrix)
-    check = Check("density-matrix deviation", deviation, config.tol)
+    check = Check("density-matrix deviation", density_deviation(ensemble, rho), config.tol)
     print(check.line)
     return 0 if check.passed else 2
 

@@ -10,7 +10,6 @@ termwise I - H_j^2 - i H_j and maps every phi_j (x) e_0 to phi_j (x) e_j.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 
@@ -27,8 +26,6 @@ from .reports import Check, Report
 # Y_j restricted to its (e_0, e_j) plane, in that basis order. The sign
 # makes the quarter-turn kick send the ready slot to e_j with a +1 amplitude.
 PLANE_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
-# Every propagator turns the same block, so it is decomposed once.
-PLANE_EIG = numerics.hermitian_eig(PLANE_Y)
 # The closed-form quarter-turn block I - Y^2 - iY.
 QUARTER_TURN = np.eye(2) - PLANE_Y @ PLANE_Y - 1j * PLANE_Y
 
@@ -49,18 +46,15 @@ class EvolutionParams:
     def phase(self) -> float:
         return self.omega * self.duration
 
-    def is_correlating(self) -> bool:
+    def require_correlating(self) -> None:
         phase = self.phase()
-        return (
+        if not (
             math.isfinite(phase)
             and abs(math.cos(phase)) <= TOL.quarter_turn
             and abs(math.sin(phase) - 1.0) <= TOL.quarter_turn
-        )
-
-    def require_correlating(self) -> None:
-        if not self.is_correlating():
+        ):
             raise ContractViolation(
-                f"omega*T = {self.phase()} is not a quarter turn "
+                f"omega*T = {phase} is not a quarter turn "
                 f"(cos must vanish and sin must equal 1 within {TOL.quarter_turn})"
             )
 
@@ -195,7 +189,8 @@ def power_identities_check(phi, j: int) -> PowerIdentityReport:
     phi = numerics.as_matrix(phi)
     if isinstance(j, bool) or not isinstance(j, (int, np.integer)) or not 0 <= j < len(phi):
         raise IndexOutOfRange(f"index {j!r} has no matching state (only {len(phi)})")
-    return _power_reports(_gram(phi), _row_peaks(phi))[j]
+    odd, even = _power_residuals(_gram(phi), _row_peaks(phi))
+    return PowerIdentityReport(reference_index=j, odd_residual=odd[j], even_residual=even[j])
 
 
 def _gram(phi: np.ndarray) -> np.ndarray:
@@ -203,18 +198,16 @@ def _gram(phi: np.ndarray) -> np.ndarray:
     return phi.conj() @ phi.T
 
 
-def _power_reports(gram: np.ndarray, peaks: np.ndarray) -> list[PowerIdentityReport]:
-    """:func:`power_identities_check` for every term of phi, in one pass, from
-    phi's Gram matrix ``gram`` (|phi_j|^2 on its diagonal) and row peaks ``peaks``."""
+def _power_residuals(gram: np.ndarray, peaks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The odd and even residuals of :func:`power_identities_check` for every term
+    of phi, in one pass, from phi's Gram matrix ``gram`` (|phi_j|^2 on its
+    diagonal) and row peaks ``peaks``."""
     norm2 = gram.diagonal().real
     scale = peaks**2
     odd = scale * np.abs(norm2**2 - 1.0)
     even = scale * np.abs(norm2 - 1.0)
     odd[:1] = even[:1] = 0.0  # the j = 0 term is zero
-    return [
-        PowerIdentityReport(reference_index=j, odd_residual=o, even_residual=e)
-        for j, (o, e) in enumerate(zip(odd.tolist(), even.tolist()))
-    ]
+    return odd, even
 
 
 def _rotate_planes(phi: np.ndarray, block: np.ndarray, grids: np.ndarray) -> np.ndarray:
@@ -258,21 +251,13 @@ def _model_grids(model: HamiltonianModel, grids) -> np.ndarray:
 
 
 def _numeric_block(params: EvolutionParams) -> np.ndarray:
-    """exp(-i omega T Y) on one plane, read-only and shared by every caller
-    at the same omega*T; a non-finite omega*T raises ``NotFinite``."""
+    """exp(-i omega T Y) on one plane, cos(omega T) I - i sin(omega T) Y since
+    Y^2 = I; a non-finite omega*T raises ``NotFinite``."""
     phase = params.phase()
     if not math.isfinite(phase):
         raise NotFinite(f"omega*T = {phase} must be finite")
-    return _plane_block(phase)
-
-
-@functools.lru_cache(maxsize=64)
-def _plane_block(phase: float) -> np.ndarray:
-    """exp(-i phase Y) from ``PLANE_EIG``, formed once per distinct finite phase."""
-    values, vectors = PLANE_EIG
-    block = (vectors * np.exp(-1j * phase * values)) @ numerics.dag(vectors)
-    block.flags.writeable = False
-    return block
+    cos, sin = math.cos(phase), math.sin(phase)
+    return np.array([[cos, -sin], [sin, cos]], dtype=complex)
 
 
 def evolution_closed_form(model: HamiltonianModel, grids) -> np.ndarray:
@@ -285,26 +270,13 @@ def evolution_numeric(model: HamiltonianModel, params: EvolutionParams, grids) -
     return _rotate_planes(model.phi, _numeric_block(params), _model_grids(model, grids))
 
 
-@dataclass
-class CorrelationReport(Report):
-    """Per-state fidelities of phi_j (x) e_0 -> phi_j (x) e_j under the evolution."""
-
-    fidelities: np.ndarray
-
-    def checks(self) -> list[Check]:
-        return [
-            Check(f"correlation infidelity, state {j}", 1.0 - f, TOL.correlation)
-            for j, f in enumerate(self.fidelities)
-        ]
-
-
-def _correlation(gram: np.ndarray, block: np.ndarray) -> CorrelationReport:
-    """|<phi_j (x) e_j| U |phi_j (x) e_0>| for U the plane map of ``block``,
-    from phi's Gram matrix ``gram`` (see :func:`verification_report`)."""
+def _fidelities(gram: np.ndarray, block: np.ndarray) -> np.ndarray:
+    """|<phi_j (x) e_j| U |phi_j (x) e_0>| for U the plane map of ``block``, at
+    most 1, from phi's Gram matrix ``gram`` (see :func:`verification_report`)."""
     diagonal = gram.diagonal().real
     fidelities = abs(block[1, 0]) * diagonal**2
     fidelities[0] = abs(diagonal[0] + (block[0, 0] - 1) * (np.abs(gram[1:, 0]) ** 2).sum())
-    return CorrelationReport(fidelities=np.minimum(fidelities, 1.0))
+    return np.minimum(fidelities, 1.0)
 
 
 def _plane_map_gap(
@@ -342,24 +314,31 @@ def purify_via_dynamics(
     phi = spectral.states
     _commuting_cross_product_max(phi, _row_peaks(phi))
     grid = np.zeros((spectral.dim, spectral.rank), dtype=complex)
-    grid[:, 0] = np.sqrt(spectral.weights) @ phi
+    grid[:, 0] = spectral.weighted_states.sum(axis=1)
     evolved = _rotate_planes(phi, _numeric_block(params), grid)
     return BipartiteState(spectral.dim, spectral.rank, evolved.reshape(-1))
 
 
 @dataclass
 class DynamicsReport(Report):
-    """Full verification sweep for one Hamiltonian model."""
+    """Full verification sweep for one Hamiltonian model. Entry j of each array
+    belongs to state j: the fidelity of phi_j (x) e_0 -> phi_j (x) e_j under the
+    evolution, and the odd and even residuals of :func:`power_identities_check`."""
 
-    correlation: CorrelationReport
-    power_reports: list[PowerIdentityReport]
+    fidelities: np.ndarray
+    odd_residuals: np.ndarray
+    even_residuals: np.ndarray
     cross_product_maximum: float  # also the commutator maximum, so it fills both lines
     closed_vs_numeric: float
 
     def checks(self) -> list[Check]:
-        return [
-            *self.correlation.checks(),
-            *(check for report in self.power_reports for check in report.checks()),
+        checks = [
+            Check(f"correlation infidelity, state {j}", 1.0 - f, TOL.correlation)
+            for j, f in enumerate(self.fidelities)
+        ]
+        for j, pair in enumerate(zip(self.odd_residuals, self.even_residuals)):
+            checks += PowerIdentityReport(j, *pair).checks()
+        return checks + [
             Check("commutator maximum", self.cross_product_maximum, TOL.commutator),
             Check("cross-product maximum", self.cross_product_maximum, TOL.commutator),
             Check("closed form vs numeric propagator", self.closed_vs_numeric, TOL.closed_form),
@@ -381,9 +360,11 @@ def verification_report(model: HamiltonianModel, params: EvolutionParams) -> Dyn
     """
     params.require_correlating()
     block = _numeric_block(params)
+    odd, even = _power_residuals(model.gram, model.peaks)
     return DynamicsReport(
-        correlation=_correlation(model.gram, block),
-        power_reports=_power_reports(model.gram, model.peaks),
+        fidelities=_fidelities(model.gram, block),
+        odd_residuals=odd,
+        even_residuals=even,
         cross_product_maximum=model.cross_product_maximum,
         closed_vs_numeric=_plane_map_gap(
             model.phi, model.gram, model.peaks, QUARTER_TURN - block

@@ -175,14 +175,18 @@ def spectral_ensemble(rho: DensityMatrix) -> SpectralEnsemble:
     return rho.spectral
 
 
-def density_deviation(e1: Ensemble, e2: Ensemble) -> float:
+def density_deviation(e1: Ensemble | DensityMatrix, e2: Ensemble | DensityMatrix) -> float:
     """Largest entry of the difference between the two density matrices.
 
-    The ensembles are already valid, so no :class:`DensityMatrix` is built.
+    Either argument may be a :class:`DensityMatrix`, whose ``matrix`` is
+    read, or an ensemble, which is already valid, so no
+    :class:`DensityMatrix` is built for it.
     """
     if e1.dim != e2.dim:
         raise DimensionMismatch(f"dimensions differ: {e1.dim} vs {e2.dim}")
-    return numerics.max_abs(_weighted_projector_sum(e1) - _weighted_projector_sum(e2))
+    m1, m2 = (e.matrix if isinstance(e, DensityMatrix) else _weighted_projector_sum(e)
+              for e in (e1, e2))
+    return numerics.max_abs(m1 - m2)
 
 
 def are_equivalent(e1: Ensemble, e2: Ensemble, tol: float = TOL.equivalence) -> bool:
@@ -240,8 +244,11 @@ def random_ensemble(
 ) -> Ensemble:
     """Random mixture of ``count`` normalized complex Gaussian states.
 
-    The weights are Dirichlet distributed above the floor ``min_weight``.
+    The weights are Dirichlet distributed above the floor ``min_weight``. A
+    ``dim`` or ``count`` that is not a positive integer raises ``InvalidEnsemble``.
     """
+    dim = numerics.as_dimension(dim, InvalidEnsemble, "dim")
+    count = numerics.as_dimension(count, InvalidEnsemble, "count")
     weights = _floored_weights(count, min_weight, rng)
     draws = rng.standard_normal((count, 2, dim))  # real then imaginary part, state by state
     states = np.array([v / np.linalg.norm(v) for v in draws[:, 0] + 1j * draws[:, 1]])
@@ -251,8 +258,12 @@ def random_ensemble(
 def random_density_matrix(
     dim: int, rank: int, rng: np.random.Generator, min_weight: float = 1e-3
 ) -> DensityMatrix:
-    """Random rank-constrained density matrix with eigenvalues >= min_weight."""
-    if not 1 <= rank <= dim:
+    """Random rank-constrained density matrix with eigenvalues >= min_weight; a
+    ``dim`` or ``rank`` that is not a positive integer, or a ``rank`` above
+    ``dim``, raises ``DimensionMismatch`` before any draw."""
+    dim = numerics.as_dimension(dim, DimensionMismatch, "dim")
+    rank = numerics.as_dimension(rank, DimensionMismatch, "rank")
+    if rank > dim:
         raise DimensionMismatch(f"rank must lie in [1, {dim}], got {rank}")
     weights = _floored_weights(rank, min_weight, rng)
     vectors = numerics.haar_unitary(dim, rng)[:, :rank]

@@ -77,7 +77,8 @@ class SteeringPlan:
     weight-ratio matrix built from it, and its columns are all that
     :func:`prepare_ensemble` measures with. ``dim_k`` is a positive integer
     (else ``DimensionMismatch``), by default the isometry's width, and one
-    below that width raises ``ReferenceTooSmall``.
+    below that width raises ``ReferenceTooSmall``. ``coeffs`` must have the
+    isometry's shape transposed (else ``DimensionMismatch``).
 
     This is the one place a plan's orthonormality is checked: the isometry
     rows within ``TOL.isometry`` at construction, and the unitary by
@@ -109,6 +110,11 @@ class SteeringPlan:
         if self.dim_k < width:
             raise ReferenceTooSmall(
                 f"isometry has {width} columns, more than the reference dimension {self.dim_k}"
+            )
+        if self.coeffs.shape != self.isometry.shape[::-1]:
+            raise DimensionMismatch(
+                f"coeffs have shape {self.coeffs.shape}, not the isometry's "
+                f"shape {self.isometry.shape} transposed"
             )
 
     def _padded_isometry(self) -> np.ndarray:

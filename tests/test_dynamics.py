@@ -241,13 +241,14 @@ def test_the_array_pass_gives_the_per_term_power_reports(rows, width, lean, seed
     phi /= np.linalg.norm(phi, axis=1, keepdims=True)
     phi *= 1.0 + lean * rng.random((rows, 1))
     expected = [per_term_power_check(phi, j) for j in range(rows)]
-    reports = dynamics._power_reports(dynamics._gram(phi), dynamics._row_peaks(phi))
-    assert [power_identities_check(phi, j) for j in range(rows)] == reports
+    odd, even = dynamics._power_residuals(dynamics._gram(phi), dynamics._row_peaks(phi))
+    reports = [power_identities_check(phi, j) for j in range(rows)]
+    assert [(r.odd_residual, r.even_residual) for r in reports] == list(zip(odd, even))
     assert [r.reference_index for r in reports] == list(range(rows))
     # the pass squares with one correctly rounded product where the loop
     # called libm's pow, which can differ in the last bit
     np.testing.assert_allclose(
-        [(r.odd_residual, r.even_residual) for r in reports],
+        np.column_stack([odd, even]),
         [(r.odd_residual, r.even_residual) for r in expected],
         rtol=1e-15,
         atol=1e-15,
@@ -412,7 +413,7 @@ def test_numeric_matches_closed_form_at_quarter_turn():
     model = build_model(phi, 4)
     closed = closed_matrix(model)
     for params in (EvolutionParams(1.0, math.pi / 2), EvolutionParams(1.0, math.pi / 2 + 2 * math.pi)):
-        assert params.is_correlating()
+        params.require_correlating()
         numeric = numeric_matrix(model, params)
         assert numerics.max_abs(closed - numeric) <= 1e-10
         assert numerics.max_abs(propagator(phi, 4, params.phase()) - numeric) <= 1e-10
@@ -421,7 +422,6 @@ def test_numeric_matches_closed_form_at_quarter_turn():
 def test_numeric_is_unitary_even_off_the_quarter_turn():
     model = build_model(np.eye(2, dtype=complex), 2)
     params = EvolutionParams(1.0, math.pi)
-    assert not params.is_correlating()
     with pytest.raises(ContractViolation):
         params.require_correlating()
     u = numeric_matrix(model, params)
@@ -455,7 +455,6 @@ def test_non_finite_phase_is_not_correlating():
         EvolutionParams(math.nan, 1.0),
         EvolutionParams(omega=math.inf),
     ):
-        assert not params.is_correlating()
         with pytest.raises(ContractViolation):
             params.require_correlating()
         # the numeric propagator accepts any finite phase, and no other
@@ -465,82 +464,31 @@ def test_non_finite_phase_is_not_correlating():
 
 @given(theta=st.floats(-1e12, 1e12), seed=st.integers(0, 2**32 - 1))
 @example(theta=0.0, seed=0)
+@example(theta=-0.0, seed=0)
 @example(theta=0.3, seed=0)
 @example(theta=math.pi / 2, seed=0)
 @example(theta=-2.0, seed=0)
 @example(theta=1e6, seed=0)
 @settings(max_examples=40, deadline=None)
-def test_the_plane_block_decomposed_once_gives_the_spectral_exponential(theta, seed):
+def test_the_closed_form_block_is_the_spectral_exponential(theta, seed):
+    # cos(theta) I - i sin(theta) Y against exp(-i theta Y) from a decomposition of Y
     rng = np.random.default_rng(seed)
     model = build_model(orthonormal_family(4, 3, rng), 5)
     grids = rng.standard_normal((3, 4, 5)) + 1j * rng.standard_normal((3, 4, 5))
-    block = dense_oracle.mat_exp_hermitian(PLANE_Y, theta)
-    np.testing.assert_array_equal(dynamics._numeric_block(EvolutionParams(1.0, theta)), block)
+    block = dynamics._numeric_block(EvolutionParams(1.0, theta))
+    assert numerics.max_abs(block - dense_oracle.mat_exp_hermitian(PLANE_Y, theta)) <= 1e-15
     np.testing.assert_array_equal(
         evolution_numeric(model, EvolutionParams(1.0, theta), grids),
         dynamics._rotate_planes(model.phi, block, grids),
     )
 
 
-def _unmemoized_block(phase):
-    values, vectors = dynamics.PLANE_EIG
-    return (vectors * np.exp(-1j * phase * values)) @ numerics.dag(vectors)
-
-
-def _assert_same_bits(block, expected):
-    np.testing.assert_array_equal(block, expected)
-    np.testing.assert_array_equal(np.signbit(block.real), np.signbit(expected.real))
-    np.testing.assert_array_equal(np.signbit(block.imag), np.signbit(expected.imag))
-
-
-def test_equal_phases_share_one_read_only_block():
-    first = dynamics._numeric_block(EvolutionParams(1.0, 0.75))
-    assert dynamics._numeric_block(EvolutionParams(0.5, 1.5)) is first
-    with pytest.raises(ValueError):
-        first[0, 0] = 0.0
-
-
-@pytest.mark.parametrize(
-    "omega, duration",
-    [
-        (1.0, math.pi / 2),
-        *((omega, (math.pi / 2) / omega) for omega in (3.0, 0.1, 7.0)),
-        (1.0, 0.0),
-        (1.0, -0.0),
-        (1.0, 1e-300),
-        (1.0, 3.0),
-    ],
-)
-def test_the_memoized_block_is_the_unmemoized_exponential(omega, duration):
-    params = EvolutionParams(omega, duration)
-    _assert_same_bits(dynamics._numeric_block(params), _unmemoized_block(params.phase()))
-
-
-@pytest.mark.parametrize("first, second", [(0.0, -0.0), (-0.0, 0.0)])
-def test_both_zero_phases_read_their_own_bits_from_the_one_key(first, second):
-    # 0.0 == -0.0 and both hash alike, so whichever comes first fills the entry
-    dynamics._plane_block.cache_clear()
-    dynamics._numeric_block(EvolutionParams(1.0, first))
-    shared = dynamics._numeric_block(EvolutionParams(1.0, second))
-    assert dynamics._plane_block.cache_info().currsize == 1
-    _assert_same_bits(shared, _unmemoized_block(second))
-
-
 @pytest.mark.parametrize(
     "omega, duration", [(1.0, math.nan), (1.0, math.inf), (-math.inf, 1.0), (1e200, 1e200)]
 )
-def test_a_non_finite_phase_raises_and_leaves_the_memo_alone(omega, duration):
-    before = dynamics._plane_block.cache_info()
+def test_a_non_finite_phase_raises_not_finite(omega, duration):
     with pytest.raises(NotFinite):
         dynamics._numeric_block(EvolutionParams(omega, duration))
-    assert dynamics._plane_block.cache_info() == before
-
-
-def test_the_memo_stays_at_its_bound():
-    bound = dynamics._plane_block.cache_info().maxsize
-    for k in range(bound + 10):
-        dynamics._numeric_block(EvolutionParams(1.0, 0.001 * k + 0.5))
-    assert dynamics._plane_block.cache_info().currsize == bound
 
 
 @given(
@@ -612,7 +560,7 @@ def test_one_pass_over_a_stack_of_grids_matches_the_dense_plane_map(
 
 def test_correlation_leaves_the_ready_slot_alone():
     model = build_model(np.eye(2, dtype=complex), 2)
-    report = verification_report(model, EvolutionParams.canonical()).correlation
+    report = verification_report(model, EvolutionParams.canonical())
     assert report.fidelities[0] > 1 - 1e-12
 
 
@@ -629,7 +577,7 @@ def test_correlation_holds_for_random_dim6_bases(seed):
     rng = np.random.default_rng(seed)
     phi = orthonormal_family(6, 6, rng)
     model = build_model(phi, 6)
-    report = verification_report(model, EvolutionParams.canonical()).correlation
+    report = verification_report(model, EvolutionParams.canonical())
     assert np.min(report.fidelities) >= 1 - 1e-10
 
 
@@ -680,9 +628,9 @@ def test_dynamic_purification_is_the_model_propagator_bit_for_bit(
     else:
         spec = drawn_spectral(dim, rank, rng)
     params = EvolutionParams(omega, (math.pi / 2 + 2 * math.pi * turns) / omega)
-    assert params.is_correlating()
+    params.require_correlating()
     grid = np.zeros((dim, spec.rank), dtype=complex)
-    grid[:, 0] = np.sqrt(spec.weights) @ spec.states
+    grid[:, 0] = spec.weighted_states.sum(axis=1)
     oracle = evolution_numeric(build_model(spec.states, spec.rank), params, grid)
     psi = purify_via_dynamics(spec, params)
     assert (psi.dim_s, psi.dim_k) == (dim, spec.rank)
@@ -747,10 +695,10 @@ def test_the_gram_formulas_match_the_probe_evolution(
     fidelities, gap, powers = dense_oracle.probe_report(
         model.phi, dim_k, dense_oracle.plane_block(quarter.phase())
     )
-    np.testing.assert_allclose(report.correlation.fidelities, fidelities, rtol=0, atol=1e-14)
+    np.testing.assert_allclose(report.fidelities, fidelities, rtol=0, atol=1e-14)
     assert abs(report.closed_vs_numeric - gap) <= 1e-14
     np.testing.assert_allclose(
-        [(r.odd_residual, r.even_residual) for r in report.power_reports],
+        np.column_stack([report.odd_residuals, report.even_residuals]),
         powers,
         rtol=0,
         atol=1e-14,
@@ -761,8 +709,8 @@ def test_the_gram_formulas_match_the_probe_evolution(
     fidelities, _, _ = dense_oracle.probe_report(
         model.phi, dim_k, dense_oracle.plane_block(phase)
     )
-    alone = dynamics._correlation(model.gram, dynamics._numeric_block(params))
-    np.testing.assert_allclose(alone.fidelities, fidelities, rtol=0, atol=1e-14)
+    alone = dynamics._fidelities(model.gram, dynamics._numeric_block(params))
+    np.testing.assert_allclose(alone, fidelities, rtol=0, atol=1e-14)
 
 
 @given(
@@ -783,7 +731,7 @@ def test_the_gram_formulas_hold_for_any_rows_and_any_block(dim_s, rank, spare, s
     gram, peaks = dynamics._gram(rows), dynamics._row_peaks(rows)
     # like every fidelity of the package, the report's are clamped at 1
     np.testing.assert_allclose(
-        dynamics._correlation(gram, block).fidelities,
+        dynamics._fidelities(gram, block),
         np.minimum(fidelities, 1.0),
         rtol=1e-13,
         atol=1e-14,
@@ -793,7 +741,7 @@ def test_the_gram_formulas_hold_for_any_rows_and_any_block(dim_s, rank, spare, s
         dynamics._plane_map_gap(rows, gram, peaks, delta), gap, rtol=1e-13, atol=1e-14
     )
     np.testing.assert_allclose(
-        [(r.odd_residual, r.even_residual) for r in dynamics._power_reports(gram, peaks)],
+        np.column_stack(dynamics._power_residuals(gram, peaks)),
         powers,
         rtol=1e-13,
         atol=1e-14,
@@ -803,7 +751,7 @@ def test_the_gram_formulas_hold_for_any_rows_and_any_block(dim_s, rank, spare, s
 def test_one_verification_and_one_purification_evolve_once_and_decompose_nothing(monkeypatch):
     # the report reads phi's Gram matrix; only the purification evolves a
     # state, through the plane kernel, and it builds no second model; the
-    # plane block of their one phase is exponentiated once
+    # plane block is formed in closed form, with no exponential
     spec = spectral_ensemble(density_matrix(random_ensemble(5, 4, np.random.default_rng(13))))
     calls = Counter()
 
@@ -820,7 +768,6 @@ def test_one_verification_and_one_purification_evolve_once_and_decompose_nothing
     counted(dynamics, "_rotate_planes")
     counted(HamiltonianModel, "__post_init__")
     counted(np, "exp")
-    dynamics._plane_block.cache_clear()
     model = build_model(spec.states, spec.rank)
     report = verification_report(model, EvolutionParams.canonical())
     purify_via_dynamics(spec)
@@ -828,7 +775,7 @@ def test_one_verification_and_one_purification_evolve_once_and_decompose_nothing
     assert calls["__post_init__"] == 1
     assert calls["_rotate_planes"] == 1
     assert calls["hermitian_eig"] == 0
-    assert calls["exp"] <= 1  # both read the one block of the quarter turn
+    assert calls["exp"] == 0
 
 
 def test_verification_report_covers_all_checks():

@@ -312,6 +312,21 @@ def test_density_deviation_is_the_largest_density_matrix_entry_difference():
         density_deviation(balanced, Ensemble(3, [1.0], [[1, 0, 0]]))
 
 
+@given(dim=st.integers(1, 12), count=st.integers(1, 16), seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_density_deviation_reads_a_density_matrix_as_its_matrix(dim, count, seed):
+    # random-equiv's check, max |W(drawn) - rho|, bit for bit either way round
+    rng = np.random.default_rng(seed)
+    rho = random_density_matrix(dim, rng.integers(1, dim + 1), rng)
+    ensemble = random_ensemble(dim, count, rng)
+    expected = numerics.max_abs(_weighted_projector_sum(ensemble) - rho.matrix)
+    assert density_deviation(ensemble, rho) == expected
+    assert density_deviation(rho, ensemble) == expected
+    assert density_deviation(rho, rho) == 0.0
+    with pytest.raises(DimensionMismatch):
+        density_deviation(rho, DensityMatrix(dim + 1, np.eye(dim + 1) / (dim + 1)))
+
+
 @given(
     dim=st.integers(1, 16),
     count=st.integers(1, 32),
@@ -453,6 +468,31 @@ def test_random_generators_refuse_a_floor_the_weights_cannot_clear():
         random_density_matrix(1000, 1000, rng)  # 1000 eigenvalues of at least 1e-3
     with pytest.raises(InvalidEnsemble):
         random_ensemble(2, 10, rng, min_weight=0.1)
+    # nothing was drawn before the refusal
+    assert rng.random() == np.random.default_rng(0).random()
+
+
+@pytest.mark.parametrize(
+    "generator, dim, size, error",
+    [
+        (random_density_matrix, 3, 2.5, DimensionMismatch),
+        (random_density_matrix, 2.0, 1, DimensionMismatch),
+        (random_density_matrix, 0, 1, DimensionMismatch),
+        (random_density_matrix, 3, True, DimensionMismatch),
+        (random_density_matrix, "3", 2, DimensionMismatch),
+        (random_ensemble, 3, -1, InvalidEnsemble),
+        (random_ensemble, 3, 2.5, InvalidEnsemble),
+        (random_ensemble, 0, 2, InvalidEnsemble),
+        (random_ensemble, True, 2, InvalidEnsemble),
+        (random_ensemble, 3, "2", InvalidEnsemble),
+    ],
+)
+def test_random_generators_refuse_a_size_that_is_not_a_positive_integer(
+    generator, dim, size, error
+):
+    rng = np.random.default_rng(0)
+    with pytest.raises(error, match="must be a positive integer"):
+        generator(dim, size, rng)
     # nothing was drawn before the refusal
     assert rng.random() == np.random.default_rng(0).random()
 

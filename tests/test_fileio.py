@@ -267,6 +267,17 @@ def test_steering_plan_rejects_an_isometry_wider_than_the_unitary(tmp_path):
         SteeringPlan(isometry.T, isometry, dim_k=2)
 
 
+@pytest.mark.parametrize("coeffs", [np.eye(3), np.eye(2, 3), np.eye(2)[:1]])
+def test_steering_plan_refuses_coeffs_not_shaped_as_the_isometry_transposed(tmp_path, coeffs):
+    isometry = np.array([[1, 0, 0], [0, 1, 0]])
+    with pytest.raises(DimensionMismatch, match="transposed"):
+        SteeringPlan(coeffs, isometry)
+    path = tmp_path / "mismatched.plan"
+    write_real_matrices(path, {"coeffs": coeffs, "isometry": isometry, "unitary": np.eye(3)})
+    with pytest.raises(DimensionMismatch, match="transposed"):
+        fileio.read_plan(path)
+
+
 @pytest.mark.parametrize(
     "reader, text",
     [

@@ -16,12 +16,11 @@ from dense_oracle import CNOT
 from purifykit import numerics, reports
 from purifykit.dynamics import (
     QUARTER_TURN,
-    CorrelationReport,
     DynamicsReport,
     EvolutionParams,
     PowerIdentityReport,
+    _fidelities,
     build_model,
-    _correlation,
     verification_report,
 )
 from purifykit.ensembles import Ensemble
@@ -46,13 +45,10 @@ def power(**changes):
     return PowerIdentityReport(**fields)
 
 
-def correlation(*fidelities):
-    return CorrelationReport(fidelities=np.array(fidelities or (1.0, 1.0 - 1e-13)))
-
-
 def dynamics(**changes):
-    fields = dict(correlation=correlation(), power_reports=[power(reference_index=0), power()],
-                  cross_product_maximum=1e-17, closed_vs_numeric=3e-15)
+    fields = dict(fidelities=np.array([1.0, 1.0 - 1e-13]), odd_residuals=np.array([1e-16, 1e-16]),
+                  even_residuals=np.array([2.5e-16, 2.5e-16]), cross_product_maximum=1e-17,
+                  closed_vs_numeric=3e-15)
     fields.update(changes)
     return DynamicsReport(**fields)
 
@@ -71,6 +67,17 @@ def qubit(**changes):
     return QubitDemoReport(**fields)
 
 
+# the lines of dynamics() after its correlation lines
+DYNAMICS_TAIL = (
+    "term 0: cube-equals-self residual: 1.000e-16 (tol 1.0e-12): PASS",
+    "term 0: square-projector residual: 2.500e-16 (tol 1.0e-12): PASS",
+    "term 1: cube-equals-self residual: 1.000e-16 (tol 1.0e-12): PASS",
+    "term 1: square-projector residual: 2.500e-16 (tol 1.0e-12): PASS",
+    "commutator maximum: 1.000e-17 (tol 1.0e-12): PASS",
+    "cross-product maximum: 1.000e-17 (tol 1.0e-12): PASS",
+    "closed form vs numeric propagator: 3.000e-15 (tol 1.0e-10): PASS",
+)
+
 CASES = {
     "preparation-pass": preparation(),
     "preparation-fail": preparation(tol=1e-6, isometry_residual=5e-9),
@@ -78,12 +85,13 @@ CASES = {
     "power-pass": power(),
     "power-fail": power(even_residual=5e-12),
     "power-nan": power(odd_residual=NAN),
-    "correlation-pass": correlation(),
-    "correlation-fail": correlation(1.0, 1.0 - 1e-9),
-    "correlation-nan": correlation(NAN, 1.0),
+    # dynamics reports that differ from dynamics() only in their fidelities
+    "correlation-pass": dynamics(fidelities=np.array([1.0, 1.0 - 1e-13])),
+    "correlation-fail": dynamics(fidelities=np.array([1.0, 1.0 - 1e-9])),
+    "correlation-nan": dynamics(fidelities=np.array([NAN, 1.0])),
     "dynamics-pass": dynamics(),
     "dynamics-fail": dynamics(cross_product_maximum=3e-12),
-    "dynamics-nan": dynamics(power_reports=[power(odd_residual=NAN)]),
+    "dynamics-nan": dynamics(odd_residuals=np.array([1e-16, NAN])),
     "qubit-pass": qubit(),
     "qubit-fail": qubit(recovered_state_infidelity=3e-10),
     "qubit-nan": qubit(dynamics_fidelities=np.array([NAN, 1.0])),
@@ -123,45 +131,37 @@ GOLDEN = {
     "correlation-pass": (
         "correlation infidelity, state 0: 0.000e+00 (tol 1.0e-10): PASS",
         "correlation infidelity, state 1: 1.000e-13 (tol 1.0e-10): PASS",
+        *DYNAMICS_TAIL,
     ),
     "correlation-fail": (
         "correlation infidelity, state 0: 0.000e+00 (tol 1.0e-10): PASS",
         "correlation infidelity, state 1: 1.000e-09 (tol 1.0e-10): FAIL",
+        *DYNAMICS_TAIL,
     ),
     "correlation-nan": (
         "correlation infidelity, state 0: nan (tol 1.0e-10): FAIL",
         "correlation infidelity, state 1: 0.000e+00 (tol 1.0e-10): PASS",
+        *DYNAMICS_TAIL,
     ),
     "dynamics-pass": (
         "correlation infidelity, state 0: 0.000e+00 (tol 1.0e-10): PASS",
         "correlation infidelity, state 1: 1.000e-13 (tol 1.0e-10): PASS",
-        "term 0: cube-equals-self residual: 1.000e-16 (tol 1.0e-12): PASS",
-        "term 0: square-projector residual: 2.500e-16 (tol 1.0e-12): PASS",
-        "term 2: cube-equals-self residual: 1.000e-16 (tol 1.0e-12): PASS",
-        "term 2: square-projector residual: 2.500e-16 (tol 1.0e-12): PASS",
-        "commutator maximum: 1.000e-17 (tol 1.0e-12): PASS",
-        "cross-product maximum: 1.000e-17 (tol 1.0e-12): PASS",
-        "closed form vs numeric propagator: 3.000e-15 (tol 1.0e-10): PASS",
+        *DYNAMICS_TAIL,
     ),
     "dynamics-fail": (
         "correlation infidelity, state 0: 0.000e+00 (tol 1.0e-10): PASS",
         "correlation infidelity, state 1: 1.000e-13 (tol 1.0e-10): PASS",
-        "term 0: cube-equals-self residual: 1.000e-16 (tol 1.0e-12): PASS",
-        "term 0: square-projector residual: 2.500e-16 (tol 1.0e-12): PASS",
-        "term 2: cube-equals-self residual: 1.000e-16 (tol 1.0e-12): PASS",
-        "term 2: square-projector residual: 2.500e-16 (tol 1.0e-12): PASS",
+        *DYNAMICS_TAIL[:4],
         "commutator maximum: 3.000e-12 (tol 1.0e-12): FAIL",
         "cross-product maximum: 3.000e-12 (tol 1.0e-12): FAIL",
-        "closed form vs numeric propagator: 3.000e-15 (tol 1.0e-10): PASS",
+        DYNAMICS_TAIL[-1],
     ),
     "dynamics-nan": (
         "correlation infidelity, state 0: 0.000e+00 (tol 1.0e-10): PASS",
         "correlation infidelity, state 1: 1.000e-13 (tol 1.0e-10): PASS",
-        "term 2: cube-equals-self residual: nan (tol 1.0e-12): FAIL",
-        "term 2: square-projector residual: 2.500e-16 (tol 1.0e-12): PASS",
-        "commutator maximum: 1.000e-17 (tol 1.0e-12): PASS",
-        "cross-product maximum: 1.000e-17 (tol 1.0e-12): PASS",
-        "closed form vs numeric propagator: 3.000e-15 (tol 1.0e-10): PASS",
+        *DYNAMICS_TAIL[:2],
+        "term 1: cube-equals-self residual: nan (tol 1.0e-12): FAIL",
+        *DYNAMICS_TAIL[3:],
     ),
     "qubit-pass": (
         "inputs: q = 0.5, theta = 0, phase = 0",
@@ -284,7 +284,7 @@ def test_check_verdict_and_line(value, tol, line):
 
 @pytest.mark.parametrize(
     "cls",
-    [PreparationReport, PowerIdentityReport, CorrelationReport, DynamicsReport, QubitDemoReport],
+    [PreparationReport, PowerIdentityReport, DynamicsReport, QubitDemoReport],
 )
 def test_reports_derive_their_verdict_from_the_shared_base(cls):
     assert issubclass(cls, reports.Report)
@@ -295,7 +295,7 @@ def test_a_fidelity_that_rounds_above_one_prints_a_zero_infidelity():
     # |phi_1|^2 = 1 + 1e-12 passes the Gram gate; unclamped, it printed -2.000e-12
     phi = np.eye(2)
     phi[1] *= math.sqrt(1.0 + 1e-12)
-    report = verification_report(build_model(phi), EvolutionParams.canonical()).correlation
+    report = verification_report(build_model(phi), EvolutionParams.canonical())
     assert report.render().splitlines()[1] == (
         "correlation infidelity, state 1: 0.000e+00 (tol 1.0e-10): PASS"
     )
@@ -310,7 +310,7 @@ def test_a_fidelity_that_rounds_above_one_prints_a_zero_infidelity():
     assert reports.Check("overlap", 1.0 - nan_fidelity, 1e-10).line == (
         "overlap: nan (tol 1.0e-10): FAIL"
     )
-    nan_report = _correlation(np.full((2, 2), NAN), QUARTER_TURN)
-    assert nan_report.render().splitlines() == [
+    nan_report = dynamics(fidelities=_fidelities(np.full((2, 2), NAN), QUARTER_TURN))
+    assert nan_report.render().splitlines()[:2] == [
         f"correlation infidelity, state {j}: nan (tol 1.0e-10): FAIL" for j in (0, 1)
     ]
