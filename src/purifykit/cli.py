@@ -54,6 +54,8 @@ class RunConfig:
     def __post_init__(self):
         if not self.tol > 0:
             raise PurifyKitError(f"tolerance must be positive, got {self.tol}")
+        if not math.isfinite(self.tol):
+            raise PurifyKitError(f"tolerance must be finite, got {self.tol}")
         if self.seed < 0:
             raise PurifyKitError(f"seed must be non-negative, got {self.seed}")
 

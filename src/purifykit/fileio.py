@@ -1,20 +1,23 @@
 """Structured text files for ensembles, density matrices, states, and plans.
 
-The documents are JSON with a fixed field order; every real number is
-rendered with 17 significant digits so doubles round-trip exactly and
-rewriting the same data yields byte-identical files. Complex numbers are
-stored as [re, im] pairs.
+The documents are JSON with a fixed field order. Every real number is
+written by ``orjson`` with the shortest digits that read back to the same
+double (0.1 as ``0.1``, one as ``1.0``, negative zero as ``-0.0``), so
+doubles round-trip exactly and rewriting the same data yields
+byte-identical files; a NaN or an infinity is refused, not written.
+Complex numbers are stored as [re, im] pairs.
 
 A document is read as strict RFC 8259 JSON by ``orjson``: ``NaN`` and
 ``Infinity`` literals are refused, an integer wider than 64 bits reads as
 the nearest double, a standalone ``-0`` reads as -0.0, and a document
-nested deeper than ``MAX_DEPTH`` is refused before it is parsed.
+nested deeper than ``MAX_DEPTH`` is refused before it is parsed. Files
+written by earlier versions, with 17 significant digits and negative zero
+as ``-0``, read to the same doubles.
 """
 
 from __future__ import annotations
 
 import itertools
-import json
 import os
 import re
 
@@ -23,26 +26,30 @@ import orjson
 
 from . import numerics
 from .ensembles import DensityMatrix, Ensemble
-from .errors import ParseError
+from .errors import NotFinite, ParseError
 from .purification import BipartiteState, SteeringPlan
 
 
-def _render(value) -> str:
-    """An integer as itself; an array as nested lists with complex entries
-    as [re, im] pairs, filled into a template of its shape by one ``%``."""
+def _render(value) -> bytes:
+    """An integer as itself; an array, as float64 or complex128, as nested
+    lists with complex entries as [re, im] pairs. Raises ``NotFinite`` on a
+    NaN or an infinity, which JSON cannot hold."""
     if isinstance(value, int):
-        return str(value)
+        return b"%d" % value
     values = np.asarray(value)
     if values.dtype.kind == "c":
-        values = np.stack((values.real, values.imag), axis=-1)
-    template = "%.17g"
-    for length in reversed(values.shape):
-        template = "[" + ", ".join([template] * length) + "]"
-    return template % tuple(values.ravel().tolist())
+        values = np.ascontiguousarray(values, dtype=complex)
+        values = values.view(float).reshape(*values.shape, 2)
+    else:
+        values = np.ascontiguousarray(values, dtype=float)
+    if not np.isfinite(values).all():
+        raise NotFinite("a document holds only finite numbers")
+    return orjson.dumps(values, option=orjson.OPT_SERIALIZE_NUMPY).replace(b",", b", ")
 
 
-def write_text(path, text: str) -> None:
-    """Write ``text`` to ``path`` as UTF-8, overwriting an existing file in place.
+def write_text(path, text: str | bytes) -> None:
+    """Write ``text``, bytes or a str as UTF-8, to ``path``, overwriting an
+    existing file in place.
 
     The package's one file writer. It opens the path without ``O_TRUNC``,
     since on ext4 a truncating open, like a rename over the file, waits for
@@ -50,7 +57,7 @@ def write_text(path, text: str) -> None:
     file was longer. The inode, links, mode and symlinks stay; a device or
     pipe has ``st_size`` 0, so ``truncate``, which raises there, is not called.
     """
-    data = text.encode("utf-8")
+    data = text.encode("utf-8") if isinstance(text, str) else text
     with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as handle:
         handle.write(data)
         if os.fstat(handle.fileno()).st_size > len(data):
@@ -58,8 +65,10 @@ def write_text(path, text: str) -> None:
 
 
 def _write_document(path, fields: dict) -> None:
-    body = ",\n".join(f'  {json.dumps(k)}: {_render(v)}' for k, v in fields.items())
-    write_text(path, "{\n" + body + "\n}\n")
+    """Every field is rendered before the file is opened, so a field that
+    cannot be written leaves the file as it was."""
+    body = b",\n".join(b"  %s: %s" % (orjson.dumps(k), _render(v)) for k, v in fields.items())
+    write_text(path, b"{\n" + body + b"\n}\n")
 
 
 _FORMS = {
@@ -97,9 +106,10 @@ def _parse_numbers(raw, ndim: int, what: str) -> np.ndarray:
 # purifykit documents nest at most 4 deep; orjson sets no limit of its own
 # and overflows the C stack somewhere past 100,000 levels
 MAX_DEPTH = 1000
-# "%.17g" writes -0.0 as -0, which orjson would read as the integer 0. The
-# minus of an exponent such as 1e-0 is skipped; the pattern starts with the
-# literal "-" so that the regex engine can jump from one minus to the next
+# Files written with "%.17g" by earlier versions hold -0.0 as -0, which
+# orjson would read as the integer 0. The minus of an exponent such as 1e-0
+# is skipped; the pattern starts with the literal "-" so that the regex
+# engine can jump from one minus to the next
 _NEGATIVE_ZERO = re.compile(rb"-(?<![eE]-)0(?=[\s,\]}])")
 _BRACKET_STEPS = bytes.maketrans(b"[{]}", b"\x01\x01\xff\xff")
 _NOT_BRACKETS = bytes(sorted(set(range(256)) - set(b"[{]}")))

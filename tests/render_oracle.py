@@ -1,13 +1,36 @@
-"""The recursive per-number renderer of the file writers, for the tests only.
+"""The recursive per-number renderer of earlier file writers, for the tests only.
 
-The writers fill one ``%`` template per array; this is the form they
-replaced, which converted each array to nested Python lists and rendered
-every leaf with ``format(x, ".17g")``. The two must give the same bytes.
+It converts each array to nested Python lists and renders every leaf with
+``format(x, ".17g")``, as files written by earlier versions were. The
+writers now print the shortest digits that read back to the same double;
+with every number masked to ``#`` the two layouts must be the same bytes,
+and files in this form must still read to the same doubles.
 """
 
 import json
+import re
 
 import numpy as np
+
+# a JSON number, or one of the "%.17g" forms such as -0 or 1e+16
+NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
+
+
+def masked(text: str) -> str:
+    """``text`` with every number replaced by ``#``."""
+    return NUMBER.sub("#", text)
+
+
+def significant_digits(token: str) -> int:
+    """The count of significant digits of a number token (0 counts as one)."""
+    mantissa = re.split("[eE]", token)[0].lstrip("+-").replace(".", "")
+    return len(mantissa.strip("0")) or 1
+
+
+def document(fields: dict) -> str:
+    """A document as the "%.17g" writers of earlier versions wrote it."""
+    body = ",\n".join(f"  {json.dumps(k)}: {render(nested(v))}" for k, v in fields.items())
+    return "{\n" + body + "\n}\n"
 
 
 def render(value) -> str:
@@ -33,7 +56,9 @@ def complex_pairs(values) -> list:
 
 def nested(values) -> list:
     """An array as the nested lists the writers rendered: real entries as
-    floats, complex entries as [re, im] pairs."""
+    floats, complex entries as [re, im] pairs; an integer as itself."""
+    if isinstance(values, int):
+        return values
     values = np.asarray(values)
     if values.dtype.kind != "c":
         return values.tolist()

@@ -225,6 +225,20 @@ def test_nan_tolerance_is_rejected(files, monkeypatch, capsys):
     assert err.count("error: tolerance must be positive, got nan") == 2, err
 
 
+def test_infinite_tolerance_is_rejected(files, monkeypatch, capsys):
+    # an infinite tolerance would call two orthogonal pure states equivalent
+    pair = [str(files / "ket0.ens"), str(files / "ket1.ens")]
+    fileio.write_ensemble(pair[0], Ensemble(2, [1.0], [KET0]))
+    fileio.write_ensemble(pair[1], Ensemble(2, [1.0], [KET1]))
+    monkeypatch.delenv("PURIFYKIT_TOL", raising=False)
+    assert main(["equiv", *pair, "--tol", "inf"]) == 1
+    monkeypatch.setenv("PURIFYKIT_TOL", "inf")
+    assert main(["equiv", *pair]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.count("error: tolerance must be finite, got inf") == 2, captured.err
+    assert captured.out == ""
+
+
 def test_main_parses_argv_and_dispatches(files, capsys):
     status = main(["equiv", str(files / "mix01.ens"), str(files / "mixpm.ens")])
     assert status == 0
