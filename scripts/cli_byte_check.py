@@ -5,6 +5,7 @@
     PYTHONPATH=src python scripts/cli_byte_check.py --golden --out tests/cli_golden.jsonl
     PYTHONPATH=src python scripts/cli_byte_check.py --golden --only 'smoke-*' \
         --out tests/cli_golden.jsonl
+    python scripts/cli_byte_check.py --compare old.jsonl new.jsonl
 
 Writes seeded input files with plain numpy and json, runs a fixed list of
 ``purifykit.cli.main`` commands over them (equivalence, steering,
@@ -28,6 +29,11 @@ file lacks in run order, and keeps every other line byte for byte, so a
 change that moves or adds a few runs does not also record the host's
 rounding drift in all the others. Only the sizes of the matched runs are
 run.
+
+``--compare OLD NEW`` runs nothing: it reads two manifests (or two golden
+files) and prints, for each run whose stdout, stderr or files differ, the
+run's name and the outputs that moved. It exits 1 when an exit code
+differs or a run is in only one of them, else 0.
 """
 
 from __future__ import annotations
@@ -298,6 +304,31 @@ def splice(lines: list[str], records: list[dict], order: list[str]) -> list[str]
     return spliced
 
 
+def compare(old: list[dict], new: list[dict]) -> tuple[list[str], bool]:
+    """One line per run whose outputs differ between the two record lists,
+    naming the outputs that moved, and whether every run and exit code agree."""
+    before = {record["run"]: record for record in old}
+    after = {record["run"]: record for record in new}
+    lines, agree = [], before.keys() == after.keys()
+    for name in sorted(before.keys() ^ after.keys()):
+        lines.append(f"{name}: only in {'OLD' if name in before else 'NEW'}")
+    for name in (name for name in before if name in after):
+        was, now = before[name], after[name]
+        moved = [key for key in ("exit", "stdout", "stderr") if was[key] != now[key]]
+        moved += sorted(
+            path for path in was["files"].keys() | now["files"].keys()
+            if was["files"].get(path) != now["files"].get(path)
+        )
+        if moved:
+            lines.append(f"{name} {' '.join(was['argv'])}: {', '.join(moved)}")
+        agree = agree and was["exit"] == now["exit"]
+    return lines, agree
+
+
+def _records(path: str) -> list[dict]:
+    return [json.loads(line) for line in Path(path).read_text(encoding="utf-8").splitlines()]
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--size", choices=[*SIZES, "both"], default="both")
@@ -313,7 +344,20 @@ def main(argv: list[str] | None = None) -> int:
         help="rewrite only the matching runs of the existing --out file, inserting "
         "those it lacks (repeatable)",
     )
+    parser.add_argument(
+        "--compare",
+        nargs=2,
+        metavar=("OLD", "NEW"),
+        help="name the runs whose outputs differ between two manifests; exit 1 if an "
+        "exit code differs",
+    )
     args = parser.parse_args(argv)
+    if args.compare:
+        lines, agree = compare(*map(_records, args.compare))
+        for line in lines:
+            print(line)
+        print(f"{len(lines)} runs differ", file=sys.stderr)
+        return 0 if agree else 1
 
     keep = None
     if args.keep:

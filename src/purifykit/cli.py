@@ -24,9 +24,9 @@ from . import fileio, numerics
 from .dynamics import EvolutionParams, build_model, verification_report
 from .ensembles import (
     density_deviation,
-    density_matrix,
     random_equivalent_ensemble,
     spectral_ensemble,
+    weighted_projector_sum,
 )
 from .errors import PurifyKitError
 from .numerics import TOL
@@ -83,9 +83,8 @@ def _cmd_equiv(config: RunConfig) -> int:
 
 def _cmd_purify(config: RunConfig) -> int:
     ensemble = fileio.read_ensemble(config.inputs[0])
-    rho = density_matrix(ensemble)
-    psi = purify(spectral_ensemble(rho), config.dim_k)
-    residual = numerics.max_abs(psi.reduced_system() - rho.matrix)
+    psi = purify(spectral_ensemble(ensemble), config.dim_k)
+    residual = numerics.max_abs(psi.reduced_system() - weighted_projector_sum(ensemble))
     if config.output:
         fileio.write_bipartite_state(config.output, psi)
     check = Check("partial-trace residual", residual, TOL.partial_trace)
@@ -96,7 +95,7 @@ def _cmd_purify(config: RunConfig) -> int:
 def _cmd_steer(config: RunConfig) -> int:
     source = fileio.read_ensemble(config.inputs[0])
     target = fileio.read_ensemble(config.inputs[1])
-    spectral = spectral_ensemble(density_matrix(source))
+    spectral = spectral_ensemble(source)
     plan, _, report = prepare_ensemble(spectral, target, tol=config.tol)
     if config.output:
         fileio.write_plan(config.output, plan)
@@ -113,7 +112,7 @@ def _cmd_dynamics(config: RunConfig) -> int:
     if not math.isfinite(duration):
         raise PurifyKitError(f"omega {config.omega} is too small: the pulse duration overflows")
     ensemble = fileio.read_ensemble(config.inputs[0])
-    spectral = spectral_ensemble(density_matrix(ensemble))
+    spectral = spectral_ensemble(ensemble)
     model = build_model(spectral.states, spectral.rank)
     params = EvolutionParams(omega=config.omega, duration=duration)
     report = verification_report(model, params)

@@ -148,7 +148,7 @@ class SpectralEnsemble(Ensemble):
         return self.size
 
 
-def _weighted_projector_sum(ensemble: Ensemble) -> np.ndarray:
+def weighted_projector_sum(ensemble: Ensemble) -> np.ndarray:
     """sum_i w_i |psi_i><psi_i| as one matrix product, (X^T w) @ conj(X) for states X."""
     return (ensemble.states.T * ensemble.weights) @ ensemble.states.conj()
 
@@ -159,20 +159,29 @@ def density_matrix(ensemble: Ensemble) -> DensityMatrix:
     Invalid ensembles cannot be constructed, so the ``InvalidEnsemble``
     failure mode surfaces at :class:`Ensemble` creation time.
     """
-    return DensityMatrix(ensemble.dim, _weighted_projector_sum(ensemble))
+    return DensityMatrix(ensemble.dim, weighted_projector_sum(ensemble))
 
 
-def spectral_ensemble(rho: DensityMatrix) -> SpectralEnsemble:
-    """The canonical ensemble of a density matrix.
+def spectral_ensemble(source: Ensemble | DensityMatrix) -> SpectralEnsemble:
+    """The canonical ensemble of a density matrix, or of an ensemble's.
 
-    Eigenvalues at or below ``TOL.spectral_cutoff`` are discarded, which
-    keeps every retained weight safely away from zero for later weight
-    ratios. The ensemble is the one :class:`DensityMatrix` built and
-    validated when it admitted ``rho``.
+    Weights at or below ``TOL.spectral_cutoff`` are discarded, which keeps
+    every retained weight safely away from zero for later weight ratios.
+    For a :class:`DensityMatrix` it is the ensemble built and validated
+    when the matrix was admitted. For an :class:`Ensemble` it comes from the
+    thin SVD X = U diag(s) V^H of the weighted states, since XX^H is the
+    density matrix: the weights are s^2 and the states the columns of U,
+    and no d x d matrix is formed. (An eigendecomposition of X^H X would
+    square the condition number.)
     """
-    if not isinstance(rho, DensityMatrix):
-        raise NotADensityMatrix("expected a DensityMatrix")
-    return rho.spectral
+    if isinstance(source, DensityMatrix):
+        return source.spectral
+    if not isinstance(source, Ensemble):
+        raise NotADensityMatrix("expected a DensityMatrix or an Ensemble")
+    vectors, singular, _ = np.linalg.svd(source.weighted_states, full_matrices=False)
+    weights = singular**2
+    keep = weights > TOL.spectral_cutoff
+    return SpectralEnsemble(source.dim, weights[keep], vectors[:, keep].T)
 
 
 def density_deviation(e1: Ensemble | DensityMatrix, e2: Ensemble | DensityMatrix) -> float:
@@ -184,7 +193,7 @@ def density_deviation(e1: Ensemble | DensityMatrix, e2: Ensemble | DensityMatrix
     """
     if e1.dim != e2.dim:
         raise DimensionMismatch(f"dimensions differ: {e1.dim} vs {e2.dim}")
-    m1, m2 = (e.matrix if isinstance(e, DensityMatrix) else _weighted_projector_sum(e)
+    m1, m2 = (e.matrix if isinstance(e, DensityMatrix) else weighted_projector_sum(e)
               for e in (e1, e2))
     return numerics.max_abs(m1 - m2)
 

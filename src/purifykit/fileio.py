@@ -13,6 +13,10 @@ the nearest double, a standalone ``-0`` reads as -0.0, and a document
 nested deeper than ``MAX_DEPTH`` is refused before it is parsed. Files
 written by earlier versions, with 17 significant digits and negative zero
 as ``-0``, read to the same doubles.
+
+A read does only the work its bytes need (see ``_Document``): the depth
+is scanned, and the ``-0`` of older files rewritten, only when the bytes
+can need it, and each array field is converted by one ``np.array``.
 """
 
 from __future__ import annotations
@@ -47,28 +51,33 @@ def _render(value) -> bytes:
     return orjson.dumps(values, option=orjson.OPT_SERIALIZE_NUMPY).replace(b",", b", ")
 
 
-def write_text(path, text: str | bytes) -> None:
-    """Write ``text``, bytes or a str as UTF-8, to ``path``, overwriting an
-    existing file in place.
+def write_text(path, *pieces: str | bytes) -> None:
+    """Write ``pieces``, each bytes or a str as UTF-8, one after another to
+    ``path``, overwriting an existing file in place.
 
-    The package's one file writer. It opens the path without ``O_TRUNC``,
-    since on ext4 a truncating open, like a rename over the file, waits for
+    The package's one file writer. The pieces are written as given, never
+    joined into one body. It opens the path without ``O_TRUNC``, since on
+    ext4 a truncating open, like a rename over the file, waits for
     writeback; it writes from the start and cuts the old tail only when the
     file was longer. The inode, links, mode and symlinks stay; a device or
     pipe has ``st_size`` 0, so ``truncate``, which raises there, is not called.
     """
-    data = text.encode("utf-8") if isinstance(text, str) else text
+    data = [piece.encode("utf-8") if isinstance(piece, str) else piece for piece in pieces]
+    size = sum(map(len, data))
     with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as handle:
-        handle.write(data)
-        if os.fstat(handle.fileno()).st_size > len(data):
-            handle.truncate(len(data))
+        handle.writelines(data)
+        if os.fstat(handle.fileno()).st_size > size:
+            handle.truncate(size)
 
 
 def _write_document(path, fields: dict) -> None:
     """Every field is rendered before the file is opened, so a field that
     cannot be written leaves the file as it was."""
-    body = b",\n".join(b"  %s: %s" % (orjson.dumps(k), _render(v)) for k, v in fields.items())
-    write_text(path, b"{\n" + body + b"\n}\n")
+    pieces = [b"{\n"]
+    for key, value in fields.items():
+        pieces += [b"  ", orjson.dumps(key), b": ", _render(value), b",\n"]
+    pieces[-1] = b"\n}\n"
+    write_text(path, *pieces)
 
 
 _FORMS = {
@@ -82,24 +91,29 @@ def _parse_numbers(raw, ndim: int, what: str) -> np.ndarray:
     """JSON numbers nested ``ndim`` lists deep, as a float or complex array.
 
     Above one level the innermost lists are [re, im] pairs and the result
-    is complex with one axis fewer. numpy reads a string as text and a
-    boolean beside numbers as 0 or 1; neither is a JSON number, so both
-    are refused, as are integers too large for a machine word. Only an
-    entry of exactly 0 or 1 can be a boolean, so only then are the leaves
-    walked.
+    is complex with one axis fewer. The lists of each level must share one
+    width, 2 at the pair level; their leaves are flattened into one list
+    and converted by one ``np.array``, which must give a 1-D array of
+    numbers. numpy reads a string as text and a boolean beside numbers as
+    0 or 1; neither is a JSON number, so both are refused, as are integers
+    too large for a machine word. Only an entry of exactly 0 or 1 can be a
+    boolean, so only then are the leaves walked.
     """
+    leaves, widths = raw, []
     try:
-        values = np.array(raw)
-    except ValueError:  # ragged, or nested deeper than numpy allows
-        values = np.array(None)
-    shaped = values.ndim == ndim and (ndim == 1 or values.shape[-1] == 2)
-    if shaped and values.dtype.kind in "iuf":
-        leaves = raw
         for _ in range(ndim - 1):
-            leaves = itertools.chain.from_iterable(leaves)
+            # ValueError unless the lists share one width; TypeError on a number or null
+            (width,) = set(map(len, leaves))
+            widths.append(width)
+            leaves = list(itertools.chain.from_iterable(leaves))
+        values = np.array(leaves)
+    except (TypeError, ValueError):  # and numpy's: ragged, or nested deeper than it allows
+        values = np.array(None)
+    shaped = values.ndim == 1 and (ndim == 1 or widths[-1] == 2)
+    if shaped and values.dtype.kind in "iuf":
         if not ((values == 0) | (values == 1)).any() or bool not in map(type, leaves):
             values = np.ascontiguousarray(values, dtype=float)
-            return values if ndim == 1 else values.view(complex)[..., 0]
+            return values if ndim == 1 else values.view(complex).reshape(-1, *widths[:-1])
     raise ParseError(f"{what} must be {_FORMS[ndim]}")
 
 
@@ -107,7 +121,7 @@ def _parse_numbers(raw, ndim: int, what: str) -> np.ndarray:
 # and overflows the C stack somewhere past 100,000 levels
 MAX_DEPTH = 1000
 # Files written with "%.17g" by earlier versions hold -0.0 as -0, which
-# orjson would read as the integer 0. The minus of an exponent such as 1e-0
+# orjson reads as the integer 0. The minus of an exponent such as 1e-0
 # is skipped; the pattern starts with the literal "-" so that the regex
 # engine can jump from one minus to the next
 _NEGATIVE_ZERO = re.compile(rb"-(?<![eE]-)0(?=[\s,\]}])")
@@ -122,21 +136,68 @@ def _nesting_depth(data: bytes) -> int:
     return int(np.frombuffer(steps, np.int8).cumsum().max()) if steps else 0
 
 
-def _load_document(path, expected_fields: tuple[str, ...]) -> dict:
-    with open(path, "rb") as handle:
-        data = handle.read()
-    if _nesting_depth(data) > MAX_DEPTH:
-        raise ParseError(f"{path}: not a valid document (nested deeper than {MAX_DEPTH} levels)")
-    try:
-        doc = orjson.loads(_NEGATIVE_ZERO.sub(b"-0.0", data))
-    except ValueError as exc:  # bad JSON or UTF-8, a number past the double range
-        raise ParseError(f"{path}: not a valid document ({exc})") from exc
-    if not isinstance(doc, dict):
-        raise ParseError(f"{path}: top level must be an object")
-    missing = [f for f in expected_fields if f not in doc]
-    if missing:
-        raise ParseError(f"{path}: missing fields {missing}")
-    return doc
+def _opening_brackets(data: bytes) -> int:
+    """The count of "[" and "{" bytes, a bound on the nesting depth."""
+    codes = np.frombuffer(data, np.uint8)
+    return int(np.count_nonzero((codes == ord("[")) | (codes == ord("{"))))
+
+
+class _Document:
+    """A document's fields, parsed as read and read in a fixed order.
+
+    The running depth is scanned only when the count of opening brackets,
+    which bounds it, exceeds ``MAX_DEPTH``. A standalone ``-0`` of an older
+    file parses as the integer 0, so the first field holding an exact zero
+    (an integer 0, or an array with a zero real or imaginary part) runs the
+    rewrite to -0.0, once. When that changes the bytes, the field and every
+    later one are read from a second parse; the earlier fields held no zero.
+    """
+
+    def __init__(self, path, expected_fields: tuple[str, ...]):
+        self.path = path
+        with open(path, "rb") as handle:
+            self.data = handle.read()
+        if _opening_brackets(self.data) > MAX_DEPTH and _nesting_depth(self.data) > MAX_DEPTH:
+            raise ParseError(
+                f"{path}: not a valid document (nested deeper than {MAX_DEPTH} levels)"
+            )
+        self.fields = self._parse(self.data)
+        if not isinstance(self.fields, dict):
+            raise ParseError(f"{path}: top level must be an object")
+        missing = [f for f in expected_fields if f not in self.fields]
+        if missing:
+            raise ParseError(f"{path}: missing fields {missing}")
+        self.rewrite_pending = True
+
+    def _parse(self, data: bytes):
+        try:
+            return orjson.loads(data)
+        except ValueError as exc:  # bad JSON or UTF-8, a number past the double range
+            raise ParseError(f"{self.path}: not a valid document ({exc})") from exc
+
+    def _rewrite_legacy_zeros(self) -> bool:
+        """Rewrite each standalone -0 to -0.0, once. True when that changed
+        the bytes, which are then parsed again; the rewrite changes no key."""
+        self.rewrite_pending = False
+        data = _NEGATIVE_ZERO.sub(b"-0.0", self.data)
+        if data == self.data:
+            return False
+        self.fields = self._parse(data)
+        return True
+
+    def dimension(self, name: str) -> int:
+        raw = self.fields[name]
+        if self.rewrite_pending and type(raw) is int and raw == 0:
+            self._rewrite_legacy_zeros()
+        return numerics.as_dimension(self.fields[name], ParseError, f"{self.path}: {name}")
+
+    def numbers(self, name: str, ndim: int) -> np.ndarray:
+        what = f"{self.path}: {name}"
+        values = _parse_numbers(self.fields[name], ndim, what)
+        zero = not values.view(float).all()  # a zero entry, or a zero part of a complex one
+        if self.rewrite_pending and zero and self._rewrite_legacy_zeros():
+            values = _parse_numbers(self.fields[name], ndim, what)
+        return values
 
 
 def write_ensemble(path, ensemble: Ensemble) -> None:
@@ -148,11 +209,8 @@ def write_ensemble(path, ensemble: Ensemble) -> None:
 
 
 def read_ensemble(path) -> Ensemble:
-    doc = _load_document(path, ("dim", "weights", "states"))
-    dim = numerics.as_dimension(doc["dim"], ParseError, f"{path}: dim")
-    weights = _parse_numbers(doc["weights"], 1, f"{path}: weights")
-    states = _parse_numbers(doc["states"], 3, f"{path}: states")
-    return Ensemble(dim, weights, states)
+    doc = _Document(path, ("dim", "weights", "states"))
+    return Ensemble(doc.dimension("dim"), doc.numbers("weights", 1), doc.numbers("states", 3))
 
 
 def write_density_matrix(path, rho: DensityMatrix) -> None:
@@ -163,9 +221,9 @@ def write_density_matrix(path, rho: DensityMatrix) -> None:
 
 
 def read_density_matrix(path) -> DensityMatrix:
-    doc = _load_document(path, ("dim", "entries"))
-    dim = numerics.as_dimension(doc["dim"], ParseError, f"{path}: dim")
-    entries = _parse_numbers(doc["entries"], 2, f"{path}: entries")
+    doc = _Document(path, ("dim", "entries"))
+    dim = doc.dimension("dim")
+    entries = doc.numbers("entries", 2)
     if entries.size != dim * dim:
         raise ParseError(f"{path}: expected {dim * dim} entries, got {entries.size}")
     return DensityMatrix(dim, entries.reshape(dim, dim))
@@ -180,11 +238,10 @@ def write_bipartite_state(path, psi: BipartiteState) -> None:
 
 
 def read_bipartite_state(path) -> BipartiteState:
-    doc = _load_document(path, ("dim_s", "dim_k", "amplitudes"))
-    dim_s = numerics.as_dimension(doc["dim_s"], ParseError, f"{path}: dim_s")
-    dim_k = numerics.as_dimension(doc["dim_k"], ParseError, f"{path}: dim_k")
-    amplitudes = _parse_numbers(doc["amplitudes"], 2, f"{path}: amplitudes")
-    return BipartiteState(dim_s, dim_k, amplitudes)
+    doc = _Document(path, ("dim_s", "dim_k", "amplitudes"))
+    return BipartiteState(
+        doc.dimension("dim_s"), doc.dimension("dim_k"), doc.numbers("amplitudes", 2)
+    )
 
 
 def write_plan(path, plan: SteeringPlan) -> None:
@@ -199,10 +256,8 @@ def read_plan(path) -> SteeringPlan:
     """The plan of a file, its unitary checked by ``SteeringPlan.set_unitary``
     and kept as read, never completed again."""
     fields = ("coeffs", "isometry", "unitary")
-    doc = _load_document(path, fields)
-    coeffs, isometry, unitary = (
-        _parse_numbers(doc[name], 3, f"{path}: {name}") for name in fields
-    )
+    doc = _Document(path, fields)
+    coeffs, isometry, unitary = (doc.numbers(name, 3) for name in fields)
     plan = SteeringPlan(coeffs, isometry, dim_k=len(unitary))
     plan.set_unitary(unitary)
     return plan

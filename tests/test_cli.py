@@ -21,6 +21,7 @@ from purifykit.ensembles import (
     DensityMatrix,
     Ensemble,
     density_matrix,
+    random_ensemble,
     random_equivalent_ensemble,
     spectral_ensemble,
 )
@@ -170,6 +171,27 @@ def test_random_equiv_validates_the_density_matrix_once(files, monkeypatch, caps
     assert status == 0
     assert len(calls) == 1
     assert capsys.readouterr().out.startswith("density-matrix deviation: ")
+
+
+def test_the_ensemble_commands_decompose_no_density_matrix(files, monkeypatch, capsys):
+    # steer, purify and dynamics take the spectral ensemble from the thin SVD
+    # of the file's weighted states; no d x d matrix is decomposed
+    source = random_ensemble(4, 5, np.random.default_rng(8))
+    target = random_equivalent_ensemble(density_matrix(source), 6, seed=3)
+    fileio.write_ensemble(files / "source.ens", source)
+    fileio.write_ensemble(files / "target.ens", target)
+    calls = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda *args: calls.append(1) or eigh(*args))
+    source_path, target_path = str(files / "source.ens"), str(files / "target.ens")
+    for argv in (
+        ["steer", source_path, target_path, "--out", str(files / "plan.json")],
+        ["purify", source_path, "--kdim", "6", "--out", str(files / "psi.state")],
+        ["dynamics", source_path, "--out", str(files / "dynamics.txt")],
+    ):
+        assert main(argv) == 0, capsys.readouterr()
+        assert "FAIL" not in capsys.readouterr().out
+    assert calls == []
 
 
 def test_steer_between_dimensions_exits_1(files, capsys):

@@ -152,3 +152,27 @@ def test_splice_inserts_a_missing_run_after_the_runs_before_it():
         {"run": "a", "n": 1}, {"run": "b"}, {"run": "c", "n": 2}, {"run": "d", "n": 3},
         {"run": "stray"},
     ]
+
+
+def test_compare_names_each_moved_run_and_fails_on_a_changed_exit_code(tmp_path, capsys):
+    script = load_script()
+
+    def record(run, exit=0, stdout="a", stderr="e", files=None):
+        return {"run": run, "argv": ["steer", run], "exit": exit, "stdout": stdout,
+                "stderr": stderr, "files": files or {}}
+
+    old = [record("r1"), record("r2", files={"plan.json": "x"}), record("r3"), record("r4")]
+    new = [record("r1"), record("r2", stdout="b", files={"plan.json": "y"}), record("r3"),
+           record("r4", stderr="f")]
+    old_path, new_path = tmp_path / "old.jsonl", tmp_path / "new.jsonl"
+    for path, records in ((old_path, old), (new_path, new)):
+        path.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+    assert script.main(["--compare", str(old_path), str(new_path)]) == 0
+    assert capsys.readouterr().out == "r2 steer r2: stdout, plan.json\nr4 steer r4: stderr\n"
+
+    new[2]["exit"] = 3
+    new_path.write_text("".join(json.dumps(r) + "\n" for r in new[:3]), encoding="utf-8")
+    assert script.main(["--compare", str(old_path), str(new_path)]) == 1
+    assert capsys.readouterr().out == (
+        "r4: only in OLD\nr2 steer r2: stdout, plan.json\nr3 steer r3: exit\n"
+    )

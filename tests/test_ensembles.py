@@ -14,7 +14,6 @@ from purifykit.ensembles import (
     DensityMatrix,
     Ensemble,
     SpectralEnsemble,
-    _weighted_projector_sum,
     are_equivalent,
     density_deviation,
     density_matrix,
@@ -22,6 +21,7 @@ from purifykit.ensembles import (
     random_ensemble,
     random_equivalent_ensemble,
     spectral_ensemble,
+    weighted_projector_sum,
 )
 from purifykit.errors import (
     ContractViolation,
@@ -275,6 +275,78 @@ def test_spectral_round_trip_and_weight_vector(dim, count, seed):
 
 
 # ---------------------------------------------------------------------------
+# the spectral ensemble of an ensemble, from the thin SVD of its weighted states
+
+
+def assert_same_spectral_ensemble(ensemble, weight_bound=1e-15):
+    from_states = spectral_ensemble(ensemble)
+    from_rho = spectral_ensemble(density_matrix(ensemble))
+    assert type(from_states) is SpectralEnsemble
+    assert from_states.rank == from_rho.rank
+    assert numerics.max_abs(from_states.weights - from_rho.weights) <= weight_bound
+    projectors = weighted_projector_sum(from_states) - weighted_projector_sum(from_rho)
+    assert numerics.max_abs(projectors) <= 1e-14
+    return from_states
+
+
+def rotated_spectrum(weights, dim, count, seed):
+    """``count`` states sharing the spectrum ``weights`` on ``dim``, mixed by a Haar unitary."""
+    rng = np.random.default_rng(seed)
+    weights = np.asarray(weights, dtype=float)
+    vectors = numerics.haar_unitary(dim, rng)[:, : weights.size].T
+    mixer = numerics.haar_unitary(count, rng)[: weights.size]
+    unnormalized = (np.sqrt(weights)[:, None] * mixer).T @ vectors
+    probs = np.linalg.norm(unnormalized, axis=1) ** 2
+    return Ensemble(dim, probs, unnormalized / np.sqrt(probs)[:, None])
+
+
+SPECTRAL_CASES = {
+    "degenerate, orthonormal": (mix((0.25, KET0), (0.25, KET1), (0.25, PLUS), (0.25, MINUS)), 2),
+    "fully degenerate, mixed": (rotated_spectrum([0.25] * 4, 4, 7, seed=1), 4),
+    "partly degenerate": (rotated_spectrum([0.4, 0.3, 0.3], 5, 6, seed=2), 3),
+    "repeated states": (mix((0.2, PLUS), (0.3, PLUS), (0.5, KET1)), 2),
+    "fewer states than dimensions": (random_ensemble(6, 2, np.random.default_rng(3)), 2),
+    "more states than dimensions": (random_ensemble(3, 9, np.random.default_rng(4)), 3),
+    "rank 1 with phases": (mix((0.3, PLUS), (0.7, 1j * PLUS)), 1),
+    "rank 1, one state": (mix((1.0, MINUS)), 1),
+    "a weight at the cutoff's scale": (mix((1 - 1e-12, KET0), (1e-12, KET1)), 1),
+}
+
+
+@pytest.mark.parametrize("case", SPECTRAL_CASES)
+def test_the_spectral_ensemble_of_an_ensemble_matches_that_of_its_density_matrix(case):
+    ensemble, rank = SPECTRAL_CASES[case]
+    assert assert_same_spectral_ensemble(ensemble).rank == rank
+
+
+@given(dim=st.integers(1, 8), count=st.integers(1, 12), seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=80, deadline=None)
+def test_the_spectral_ensemble_of_a_random_ensemble_matches_its_density_matrix(
+    dim, count, seed
+):
+    # both decompositions are backward stable, so their weights may part by a
+    # few ulps per dimension: about 1 in 200 draws of dim 4 to 8 parts by
+    # 1.1e-15 to 1.5e-15
+    ensemble = random_ensemble(dim, count, np.random.default_rng(seed))
+    assert_same_spectral_ensemble(ensemble, weight_bound=dim * 1e-15)
+
+
+def test_the_spectral_ensemble_of_an_ensemble_decomposes_no_density_matrix(monkeypatch):
+    def refused(*args, **kwargs):
+        raise AssertionError("eigh called")
+
+    monkeypatch.setattr(np.linalg, "eigh", refused)
+    monkeypatch.setattr(DensityMatrix, "__post_init__", refused)
+    spec = spectral_ensemble(random_ensemble(5, 3, np.random.default_rng(5)))
+    assert spec.rank == 3
+
+
+def test_spectral_ensemble_refuses_what_is_neither_an_ensemble_nor_a_density_matrix():
+    with pytest.raises(NotADensityMatrix, match="expected a DensityMatrix or an Ensemble"):
+        spectral_ensemble(np.eye(2) / 2)
+
+
+# ---------------------------------------------------------------------------
 # are_equivalent
 
 
@@ -319,7 +391,7 @@ def test_density_deviation_reads_a_density_matrix_as_its_matrix(dim, count, seed
     rng = np.random.default_rng(seed)
     rho = random_density_matrix(dim, rng.integers(1, dim + 1), rng)
     ensemble = random_ensemble(dim, count, rng)
-    expected = numerics.max_abs(_weighted_projector_sum(ensemble) - rho.matrix)
+    expected = numerics.max_abs(weighted_projector_sum(ensemble) - rho.matrix)
     assert density_deviation(ensemble, rho) == expected
     assert density_deviation(rho, ensemble) == expected
     assert density_deviation(rho, rho) == 0.0
@@ -340,7 +412,7 @@ def test_weighted_projector_sum_matches_the_einsum_oracle(dim, count, distinct, 
     pool /= np.linalg.norm(pool, axis=1)[:, None]
     states = pool[rng.integers(0, distinct, count)]  # repeats whenever count > distinct
     ensemble = Ensemble(dim, rng.dirichlet(np.ones(count)), states)
-    got = _weighted_projector_sum(ensemble)
+    got = weighted_projector_sum(ensemble)
     assert got.shape == (dim, dim)
     assert numerics.max_abs(got - steering_oracle.weighted_projector_sum(ensemble)) <= 1e-13
     assert density_deviation(ensemble, ensemble) == 0.0

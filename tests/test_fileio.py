@@ -4,6 +4,8 @@ import ast
 import json
 import os
 import pathlib
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+import parse_numbers_oracle
 import render_oracle
 from purifykit import fileio, numerics
 from purifykit.ensembles import (
@@ -506,7 +509,7 @@ def test_a_rendered_array_reads_back_bit_for_bit(tmp_path_factory, data):
         values.imag = imag
     path = tmp_path_factory.mktemp("round") / "values.doc"
     fileio._write_document(path, {"values": values})
-    read = np.array(fileio._load_document(path, ("values",))["values"], dtype=float)
+    read = np.array(fileio._Document(path, ("values",)).fields["values"], dtype=float)
     expected = np.stack((values.real, values.imag), axis=-1) if values.dtype.kind == "c" else values
     # bit patterns, so -0.0 and 0.0 differ
     np.testing.assert_array_equal(read.view(np.uint64), expected.view(np.uint64))
@@ -530,25 +533,30 @@ def test_an_exponent_of_minus_zero_is_read_as_written(tmp_path):
     assert np.signbit(ensemble.states.imag[0, 0])
 
 
-@pytest.mark.parametrize("inside", ["states", "key"])
+@pytest.mark.parametrize("inside", ["states", "key", "objects"])
 def test_a_document_nested_past_the_limit_is_refused_before_parsing(tmp_path, inside):
     # brackets inside a string count toward the depth as well
     deepest = fileio.MAX_DEPTH - 1  # the top-level object is one level
-    nested = "[" * deepest + "]" * deepest
+    templates = {
+        "states": '{"dim": 1, "weights": [1.0], "states": %s}',
+        "key": '{"%s": 0, "dim": 1, "weights": [1.0], "states": [[[1, 0]]]}',
+        "objects": '{"extra": %s, "dim": 1, "weights": [1.0], "states": [[[1, 0]]]}',
+    }
+    opening, core, closing = ('{"a": ', "0", "}") if inside == "objects" else ("[", "", "]")
     path = tmp_path / "deep.ens"
-    if inside == "states":
-        template = '{"dim": 1, "weights": [1.0], "states": %s}'
-    else:
-        template = '{"%s": 0, "dim": 1, "weights": [1.0], "states": [[[1, 0]]]}'
-    path.write_text(template % nested)
+    path.write_text(templates[inside] % (opening * deepest + core + closing * deepest))
     if inside == "states":
         with pytest.raises(ParseError, match="states must be"):
             fileio.read_ensemble(path)
     else:
         fileio.read_ensemble(path)
-    path.write_text(template % ("[" + nested + "]"))
-    with pytest.raises(ParseError, match=f"nested deeper than {fileio.MAX_DEPTH} levels"):
+    too_deep = opening * (deepest + 1) + core + closing * (deepest + 1)
+    path.write_text(templates[inside] % too_deep)
+    with pytest.raises(ParseError) as refused:
         fileio.read_ensemble(path)
+    assert str(refused.value) == (
+        f"{path}: not a valid document (nested deeper than {fileio.MAX_DEPTH} levels)"
+    )
 
 
 def plan_with_completed_unitary():
@@ -760,3 +768,267 @@ def test_readers_raise_only_library_errors_on_malformed_documents(tmp_path_facto
         reader(path)
     except (PurifyKitError, OSError):
         pass
+
+
+# ---------------------------------------------------------------------------
+# the level-by-level array parser against the one-np.array parser it replaced
+
+# what orjson hands a field: JSON scalars (no NaN or infinity), lists, objects
+json_scalars = st.one_of(
+    st.sampled_from([0, 1, -1, 0.0, -0.0, 1.0, True, False, None, "", "ab", 2**63, 2**64]),
+    st.integers(-(2**70), 2**70),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.booleans(),
+    st.none(),
+    st.text(max_size=3),
+)
+nested_json = st.recursive(
+    json_scalars,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=2), inner, max_size=2),
+    max_leaves=20,
+)
+leaf_kinds = {
+    "ints": st.integers(-2, 2),
+    "floats": st.one_of(st.sampled_from([0.0, -0.0, 1.0]), st.floats(-2, 2)),
+    "mixed": json_scalars,
+}
+
+
+@st.composite
+def near_rectangular(draw, ndim):
+    """Nested lists 0 to 5 deep that are rectangular, or one edit away from it:
+    a row made ragged, or an entry replaced by any JSON value. Most have the
+    shape of a field ``ndim`` deep, with [re, im] pairs below one level."""
+    if draw(st.booleans(), label="field shape"):
+        shape = draw(st.lists(st.integers(1, 3), min_size=ndim - 1, max_size=ndim - 1))
+        # mostly [re, im] pairs, now and then a pair level one short or one long
+        shape += [draw(st.sampled_from([2, 2, 2, 1, 3]) if ndim > 1 else st.integers(0, 4))]
+    else:
+        shape = draw(st.lists(st.integers(0, 3), max_size=5))
+    leaf = leaf_kinds[draw(st.sampled_from(sorted(leaf_kinds)), label="leaves")]
+
+    def build(dims):
+        return [build(dims[1:]) for _ in range(dims[0])] if dims else draw(leaf)
+
+    value = build(shape)
+    node = value
+    while isinstance(node, list) and node and draw(st.booleans(), label="descend"):
+        child = node[draw(st.integers(0, len(node) - 1), label="row")]
+        if not isinstance(child, list):
+            break
+        node = child
+    if isinstance(node, list) and draw(st.booleans(), label="edited"):
+        edit = draw(st.sampled_from(["append", "pop", "replace"]), label="edit")
+        if edit == "append":
+            node.append(draw(nested_json))
+        elif edit == "pop" and node:
+            node.pop()
+        elif edit == "replace" and node:
+            node[draw(st.integers(0, len(node) - 1))] = draw(nested_json)
+    return value
+
+
+def parse_outcome(parse, raw, ndim):
+    """The array as dtype, shape and bytes, or the text of the refusal."""
+    try:
+        values = parse(raw, ndim, "field")
+    except ParseError as exc:
+        return str(exc)
+    return values.dtype.str, values.shape, values.tobytes()
+
+
+@given(data=st.data(), ndim=st.integers(1, 3))
+@settings(max_examples=1500, deadline=None)
+def test_parse_numbers_accepts_and_refuses_as_the_one_array_parser(data, ndim):
+    raw = data.draw(st.one_of(near_rectangular(ndim), nested_json), label="field")
+    expected = parse_outcome(parse_numbers_oracle.parse_numbers, raw, ndim)
+    assert parse_outcome(fileio._parse_numbers, raw, ndim) == expected
+
+
+# ---------------------------------------------------------------------------
+# the read path does only the work a document's bytes need
+
+LEGACY_ZERO = re.compile(r"-0\.0(?=[,\]])")
+
+
+def legacy_form(text: str) -> str:
+    """``text`` with each -0.0 written as -0, as the "%.17g" writer wrote it."""
+    return LEGACY_ZERO.sub("-0", text)
+
+
+def with_negative_zeros(values: np.ndarray) -> np.ndarray:
+    """``values`` as complex with its first and last imaginary parts -0.0."""
+    values = np.array(values, dtype=complex)
+    flat = values.reshape(-1)
+    flat.imag[[0, -1]] = -0.0
+    return values
+
+
+def signed_zero_documents():
+    """(reader, writer, object, its array fields), each with -0.0 parts only in
+    its last array field. The plan's earlier fields hold 0.0 parts, so its
+    rewrite runs at the first field and the unitary is read from the second
+    parse."""
+    weights = np.array([0.25, 0.75])
+    states = with_negative_zeros(np.array([[0.6, 0.8], [0.8, -0.6]]) + 0.0j)
+    plan = hadamard_plan()  # every imaginary part 0.0
+    unitary = with_negative_zeros(plan.unitary)
+    plan.set_unitary(unitary)
+    return {
+        "ensemble": (
+            fileio.read_ensemble, fileio.write_ensemble, Ensemble(2, weights, states),
+            ("weights", "states"),
+        ),
+        "density matrix": (
+            fileio.read_density_matrix, fileio.write_density_matrix,
+            DensityMatrix(2, with_negative_zeros(np.diag([0.3, 0.7]))), ("matrix",),
+        ),
+        "bipartite state": (
+            fileio.read_bipartite_state, fileio.write_bipartite_state,
+            BipartiteState(1, 2, with_negative_zeros([0.6, 0.8])), ("amplitudes",),
+        ),
+        "plan": (
+            fileio.read_plan, fileio.write_plan, plan, ("coeffs", "isometry", "unitary"),
+        ),
+    }
+
+
+@pytest.mark.parametrize("kind", ["ensemble", "density matrix", "bipartite state", "plan"])
+def test_a_legacy_minus_zero_reads_as_negative_zero_in_every_reader(tmp_path, kind):
+    read, write, value, fields = signed_zero_documents()[kind]
+    newer, older = tmp_path / "newer", tmp_path / "older"
+    write(newer, value)
+    text = newer.read_text()
+    assert "-0.0" in text
+    older.write_text(legacy_form(text))
+    assert "-0.0" not in older.read_text()
+    from_new, from_old = read(newer), read(older)
+    for name in fields:
+        np.testing.assert_array_equal(bits(getattr(from_old, name)), bits(getattr(value, name)))
+        np.testing.assert_array_equal(bits(getattr(from_new, name)), bits(getattr(value, name)))
+
+
+@pytest.mark.parametrize(
+    "reader, text, name",
+    [
+        (fileio.read_ensemble, '{"dim": -0, "weights": [1.0], "states": [[[1.0, 0.0]]]}', "dim"),
+        (fileio.read_density_matrix, '{"dim": -0, "entries": [[1.0, 0.0]]}', "dim"),
+        (
+            fileio.read_bipartite_state,
+            '{"dim_s": -0, "dim_k": 1, "amplitudes": [[1.0, 0.0]]}',
+            "dim_s",
+        ),
+        (
+            fileio.read_bipartite_state,
+            '{"dim_s": 1, "dim_k": -0, "amplitudes": [[1.0, 0.0]]}',
+            "dim_k",
+        ),
+    ],
+)
+def test_a_legacy_minus_zero_dimension_reads_as_negative_zero(tmp_path, reader, text, name):
+    path = tmp_path / "zero.doc"
+    path.write_text(text)
+    with pytest.raises(ParseError, match=f"{name} must be a positive integer, got -0.0$"):
+        reader(path)
+    path.write_text(text.replace("-0", "0", 1))
+    with pytest.raises(ParseError, match=f"{name} must be a positive integer, got 0$"):
+        reader(path)
+
+
+def counted_reads(monkeypatch):
+    """Count the legacy rewrites, the parses and the array conversions of the readers."""
+    calls = {"rewrite": 0, "parse": 0, "convert": 0}
+    pattern, loads, convert = fileio._NEGATIVE_ZERO, fileio.orjson.loads, fileio._parse_numbers
+
+    class Counted:
+        @staticmethod
+        def sub(*args):
+            calls["rewrite"] += 1
+            return pattern.sub(*args)
+
+    def counted_loads(data):
+        calls["parse"] += 1
+        return loads(data)
+
+    def counted_convert(*args):
+        calls["convert"] += 1
+        return convert(*args)
+
+    monkeypatch.setattr(fileio, "_NEGATIVE_ZERO", Counted)
+    monkeypatch.setattr(fileio.orjson, "loads", counted_loads)
+    monkeypatch.setattr(fileio, "_parse_numbers", counted_convert)
+    return calls
+
+
+def test_a_document_with_no_zero_is_parsed_once_and_never_rewritten(tmp_path, monkeypatch):
+    ensemble = random_ensemble(5, 4, np.random.default_rng(3))
+    path = tmp_path / "random.ens"
+    fileio.write_ensemble(path, ensemble)
+    calls = counted_reads(monkeypatch)
+    read = fileio.read_ensemble(path)
+    assert calls == {"rewrite": 0, "parse": 1, "convert": 2}
+    np.testing.assert_array_equal(bits(read.states), bits(ensemble.states))
+
+
+def test_a_zero_runs_the_rewrite_once_and_a_change_parses_again(tmp_path, monkeypatch):
+    path = tmp_path / "zeros.ens"
+    # zeros in two fields, none of them a legacy -0: one rewrite, nothing parsed again
+    path.write_text(
+        '{"dim": 2, "weights": [0.5, 0.5], "states": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]}'
+    )
+    calls = counted_reads(monkeypatch)
+    fileio.read_ensemble(path)
+    assert calls == {"rewrite": 1, "parse": 1, "convert": 2}
+    # a legacy -0 changes the bytes, so the field and the later ones are parsed again
+    signed = path.read_text().replace("[[1, 0], [0, 0]]", "[[1, 0], [-0.0, 0]]")
+    path.write_text(legacy_form(signed))
+    calls.update(rewrite=0, parse=0, convert=0)
+    states = fileio.read_ensemble(path).states
+    assert calls == {"rewrite": 1, "parse": 2, "convert": 3}
+    assert np.signbit(states.real[0, 1])
+
+
+def test_a_malformed_legacy_file_is_refused_with_a_position_in_its_own_bytes(tmp_path):
+    path = tmp_path / "broken.ens"
+    text = '{"dim": 1, "weights": [1.0], "states": [[[1, -0]]] oops}'
+    path.write_text(text)
+    # the column of "oops" as written, not as the rewrite to -0.0 would move it
+    with pytest.raises(ParseError, match=rf"column {text.index('oops') + 1} "):
+        fileio.read_ensemble(path)
+
+
+def test_the_depth_scan_runs_only_past_the_limit_in_opening_brackets(tmp_path, monkeypatch):
+    scans = []
+    depth = fileio._nesting_depth
+    monkeypatch.setattr(fileio, "_nesting_depth", lambda data: scans.append(1) or depth(data))
+    ensemble = random_ensemble(4, 3, np.random.default_rng(1))
+    path = tmp_path / "small.ens"
+    fileio.write_ensemble(path, ensemble)
+    fileio.read_ensemble(path)
+    assert scans == []
+    # more than MAX_DEPTH brackets, 4 deep: scanned, and read
+    wide = random_ensemble(2, fileio.MAX_DEPTH, np.random.default_rng(2))
+    fileio.write_ensemble(path, wide)
+    assert path.read_text().count("[") > fileio.MAX_DEPTH
+    np.testing.assert_array_equal(fileio.read_ensemble(path).states, wide.states)
+    assert scans == [1]
+
+
+def test_write_plan_holds_the_rendered_fields_once_and_no_joined_copy(tmp_path):
+    # a dim_k of 256 makes the unitary most of a 0.85 MB file; the pieces are
+    # written as rendered, so the peak is the rendered document plus one
+    # array's unspaced orjson output, not two joined copies besides
+    rho = random_density_matrix(8, 4, np.random.default_rng(3))
+    plan = steering_isometry(
+        spectral_ensemble(rho), random_equivalent_ensemble(rho, 6, seed=1), dim_k=256
+    )
+    plan.unitary  # completed before tracing
+    path = tmp_path / "wide.plan"
+    tracemalloc.start()
+    try:
+        fileio.write_plan(path, plan)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * path.stat().st_size

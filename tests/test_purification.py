@@ -322,13 +322,13 @@ def test_certificate_keeps_every_steering_decision(data, kind, factor, seed):
 
 def counted_projector_sums(monkeypatch):
     calls = Counter()
-    original = ensembles._weighted_projector_sum
+    original = ensembles.weighted_projector_sum
 
     def counted(ensemble):
         calls["sum"] += 1
         return original(ensemble)
 
-    monkeypatch.setattr(ensembles, "_weighted_projector_sum", counted)
+    monkeypatch.setattr(ensembles, "weighted_projector_sum", counted)
     return calls
 
 
