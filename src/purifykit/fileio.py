@@ -97,7 +97,7 @@ def _parse_numbers(raw, ndim: int, what: str) -> np.ndarray:
     numbers. numpy reads a string as text and a boolean beside numbers as
     0 or 1; neither is a JSON number, so both are refused, as are integers
     too large for a machine word. Only an entry of exactly 0 or 1 can be a
-    boolean, so only then are the leaves walked.
+    boolean, so only the leaves at those entries are looked at.
     """
     leaves, widths = raw, []
     try:
@@ -111,7 +111,8 @@ def _parse_numbers(raw, ndim: int, what: str) -> np.ndarray:
         values = np.array(None)
     shaped = values.ndim == 1 and (ndim == 1 or widths[-1] == 2)
     if shaped and values.dtype.kind in "iuf":
-        if not ((values == 0) | (values == 1)).any() or bool not in map(type, leaves):
+        suspects = np.flatnonzero((values == 0) | (values == 1)).tolist()
+        if not any(type(leaves[i]) is bool for i in suspects):
             values = np.ascontiguousarray(values, dtype=float)
             return values if ndim == 1 else values.view(complex).reshape(-1, *widths[:-1])
     raise ParseError(f"{what} must be {_FORMS[ndim]}")

@@ -68,9 +68,14 @@ def max_abs(values) -> float:
     return float(np.abs(arr).max()) if arr.size else 0.0
 
 
+def row_gram_deviation(rows: np.ndarray) -> np.ndarray:
+    """rows @ rows^H - I, the deviation of the rows' Gram matrix from the identity."""
+    return rows @ dag(rows) - np.eye(len(rows))
+
+
 def row_orthonormality_residual(rows: np.ndarray) -> float:
     """Largest entry of rows @ rows^H - I: how far the rows are from orthonormal."""
-    return max_abs(rows @ dag(rows) - np.eye(len(rows)))
+    return max_abs(row_gram_deviation(rows))
 
 
 def require_addressable(rows: int, dim_k: int, what: str) -> None:

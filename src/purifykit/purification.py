@@ -9,7 +9,10 @@ non-orthogonal) target states. The purified state has no amplitude beyond
 the rank, so outcome j depends only on column j of the isometry
 (Hughston, Jozsa and Wootters, Phys. Lett. A 183, 1993); completing the
 isometry to a unitary fixes the other measurement directions, which only
-a plan file needs.
+a plan file needs. Steering forms the isometry's row Gram once, to prove
+equivalence and to admit the plan, and a measurement returns one
+:class:`Outcomes` record of arrays, whose per-outcome records are built
+only when they are read.
 
 Reference-space conventions: the correlated reference states are the
 standard basis vectors of K, with e_0 doubling as the ready state, and
@@ -19,6 +22,7 @@ joint amplitudes are stored row-major, (s, k) -> s * dim_k + k.
 from __future__ import annotations
 
 import functools
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -82,10 +86,11 @@ class SteeringPlan:
 
     This is the one place a plan's orthonormality is checked: the isometry
     rows within ``TOL.isometry`` at construction, and the unitary by
-    :meth:`set_unitary`. ``unitary`` is completed from the isometry by
-    :func:`numerics.gram_schmidt_complete` and checked on first read, so a
-    plan that is only measured forms no dim_k x dim_k matrix; a plan file's
-    unitary is checked and kept as read.
+    :meth:`set_unitary`. :func:`steering_isometry` admits its plan through
+    the same checks, from the row Gram it has already formed. ``unitary``
+    is completed from the isometry by :func:`numerics.gram_schmidt_complete`
+    and checked on first read, so a plan that is only measured forms no
+    dim_k x dim_k matrix; a plan file's unitary is checked and kept as read.
     """
 
     coeffs: np.ndarray
@@ -97,12 +102,25 @@ class SteeringPlan:
     def __post_init__(self):
         self.coeffs = numerics.as_matrix(self.coeffs)
         self.isometry = numerics.as_matrix(self.isometry)
+        self._admit(numerics.row_orthonormality_residual(self.isometry))
+
+    @classmethod
+    def _steered(cls, coeffs, isometry, gram, dim_k) -> SteeringPlan:
+        """The plan of :func:`steering_isometry`, admitted by the checks of the
+        constructor: its arrays come finite and 2-D from admitted ensembles, and
+        ``gram`` is the isometry's row Gram deviation it has already formed."""
+        plan = cls.__new__(cls)
+        plan.coeffs, plan.isometry, plan.dim_k = coeffs, isometry, dim_k
+        plan._admit(numerics.max_abs(gram))
+        return plan
+
+    def _admit(self, residual: float) -> None:
+        """Check the isometry ``residual``, then ``dim_k``, then the coeffs' shape."""
         width = self.isometry.shape[1]
-        self.isometry_residual = numerics.row_orthonormality_residual(self.isometry)
-        if self.isometry_residual > TOL.isometry:
+        self.isometry_residual = residual
+        if residual > TOL.isometry:
             raise ContractViolation(
-                f"isometry rows deviate from orthonormality by {self.isometry_residual} "
-                f"(tol {TOL.isometry})"
+                f"isometry rows deviate from orthonormality by {residual} (tol {TOL.isometry})"
             )
         if self.dim_k is None:
             self.dim_k = width
@@ -169,6 +187,37 @@ class MeasurementOutcome(NamedTuple):
     post_state: np.ndarray
 
 
+@dataclass(frozen=True, eq=False)
+class Outcomes(Sequence):
+    """The kept outcomes of one reference measurement, as three arrays.
+
+    ``indices`` holds the kept outcome indices in increasing order,
+    ``probabilities`` their probabilities and ``post_states`` their
+    normalized post-states of S as rows. Indexing or iterating gives one
+    :class:`MeasurementOutcome` per kept outcome, in index order; the
+    records are built on first read.
+    """
+
+    indices: np.ndarray
+    probabilities: np.ndarray
+    post_states: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.indices)
+
+    def __getitem__(self, item):
+        return self._records[item]
+
+    def __iter__(self):
+        return iter(self._records)
+
+    @functools.cached_property
+    def _records(self) -> list[MeasurementOutcome]:
+        return list(map(
+            MeasurementOutcome, self.indices.tolist(), self.probabilities.tolist(), self.post_states
+        ))
+
+
 @dataclass
 class PreparationReport(Report):
     """Maximum deviations of a steered preparation from its target."""
@@ -219,16 +268,25 @@ def steering_coefficients(
     ``NotEquivalent``), and every target state must lie in the span of the
     spectral states up to ``tol`` (else ``TargetOutsideSupport``), which
     equivalence guarantees mathematically.
+    """
+    return _steering_arrays(spectral, target, tol)[0]
 
-    Equivalence is first proven in the rank space, from C and the
+
+def _steering_arrays(
+    spectral: SpectralEnsemble, target: Ensemble, tol: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """C, the isometry A of :func:`steering_isometry` and its row Gram
+    deviation E = AA^H - I, after the checks of :func:`steering_coefficients`.
+
+    Equivalence is first proven in the rank space, from E and the
     residuals r_j = ||tau_j - a_j|| of the projections a_j = sum_i C[j, i]
-    phi_i. With M = (C^T p) @ conj(C) and D = diag(d),
+    phi_i. With D = diag(d), M = D^1/2 (E + I) D^1/2 = (C^T p) @ conj(C) and
 
         rho_s - rho_t = sum_ik (D - M)[i, k] |phi_i><phi_k|
                         - sum_j p_j (|a_j><r_j| + |r_j><a_j| + |r_j><r_j|).
 
-    An entry of the first sum is at most ||D - M||_2 <= ||D - M||_F, since
-    sum_i |phi_i[s]|^2 <= 1; an entry of the second is at most
+    An entry of the first sum is at most ||D - M||_2 <= ||D^1/2 E D^1/2||_F,
+    since sum_i |phi_i[s]|^2 <= 1; an entry of the second is at most
     sum_j p_j r_j (2 + r_j), since ||a_j|| <= 1. Their sum, the bound, caps
     the largest entry of rho_s - rho_t, so a bound within ``tol / 2`` (the
     half leaves room for rounding) proves that :func:`are_equivalent`
@@ -239,7 +297,10 @@ def steering_coefficients(
         raise DimensionMismatch(f"dimensions differ: {spectral.dim} vs {target.dim}")
     coeffs = target.states @ spectral.states.conj().T
     residuals = np.linalg.norm(target.states - coeffs @ spectral.states, axis=1)
-    bound = _equivalence_bound(spectral, target, coeffs, residuals)
+    roots = np.sqrt(spectral.weights)
+    isometry = (np.sqrt(target.weights)[None, :] / roots[:, None]) * coeffs.T
+    gram = numerics.row_gram_deviation(isometry)
+    bound = _equivalence_bound(roots, gram, target.weights, residuals)
     if not bound <= tol / 2 and not are_equivalent(spectral, target, tol):
         raise NotEquivalent(
             f"target ensemble does not match the spectral density matrix within {tol}"
@@ -250,16 +311,17 @@ def steering_coefficients(
             f"target state {worst} sticks out of the support by {residuals[worst]} "
             f"(tol {tol})"
         )
-    return coeffs
+    return coeffs, isometry, gram
 
 
 def _equivalence_bound(
-    spectral: SpectralEnsemble, target: Ensemble, coeffs: np.ndarray, residuals: np.ndarray
+    roots: np.ndarray, gram: np.ndarray, weights: np.ndarray, residuals: np.ndarray
 ) -> float:
-    """||M - D||_F + sum_j p_j r_j (2 + r_j), the rank-space bound on
-    ``density_deviation(spectral, target)`` of :func:`steering_coefficients`."""
-    gap = (coeffs.T * target.weights) @ coeffs.conj() - np.diag(spectral.weights)
-    return float(np.linalg.norm(gap) + (target.weights * residuals * (2.0 + residuals)).sum())
+    """||D^1/2 E D^1/2||_F + sum_j p_j r_j (2 + r_j), the rank-space bound on
+    ``density_deviation(spectral, target)`` of :func:`_steering_arrays`, from
+    the spectral ``roots`` sqrt(d) and the target ``weights`` p."""
+    gap = roots[:, None] * gram * roots[None, :]
+    return float(np.linalg.norm(gap) + (weights * residuals * (2.0 + residuals)).sum())
 
 
 def steering_isometry(
@@ -272,18 +334,17 @@ def steering_isometry(
 
     The isometry entry [i, j] is sqrt(p_j / d_i) times coeffs[j, i]; its
     rows are orthonormal because both ensembles share one density matrix.
-    :class:`SteeringPlan` checks the rows and ``dim_k``. The plan completes
-    the rows, zero-padded to ``dim_k``, to a unitary only when its
+    The plan checks the rows, from the row Gram the equivalence bound has
+    already formed, and ``dim_k``, as :class:`SteeringPlan` does. The plan
+    completes the rows, zero-padded to ``dim_k``, to a unitary only when its
     ``unitary`` is read. The purified state has no amplitude on e_k from
     the rank onward, so no outcome depends on how the completion fills
     the unitary's rows k >= rank.
     """
-    coeffs = steering_coefficients(spectral, target, tol)
-    ratios = np.sqrt(target.weights)[None, :] / np.sqrt(spectral.weights)[:, None]
-    return SteeringPlan(coeffs=coeffs, isometry=ratios * coeffs.T, dim_k=dim_k)
+    return SteeringPlan._steered(*_steering_arrays(spectral, target, tol), dim_k)
 
 
-def measure_reference(psi: BipartiteState, basis) -> list[MeasurementOutcome]:
+def measure_reference(psi: BipartiteState, basis) -> Outcomes:
     """Measure a complete orthonormal basis of the reference, given as rows.
 
     For each basis vector b_j the unnormalized post-state of S is
@@ -307,36 +368,31 @@ def measure_reference(psi: BipartiteState, basis) -> list[MeasurementOutcome]:
         raise BasisNotOrthonormal(
             f"basis vectors are not pairwise orthonormal within {TOL.orthonormality}"
         )
-    return _outcomes(*_measure(psi.as_grid(), rows.conj().T))
+    return _measure(psi.as_grid(), rows.conj().T)
 
 
-def _measure(grid: np.ndarray, columns: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _measure(grid: np.ndarray, columns: np.ndarray) -> Outcomes:
     """Measure b_j on the reference of the amplitude grid, column j of ``columns`` being conj(b_j).
 
     ``grid`` may leave out reference columns on which the state has no
-    amplitude, if ``columns`` leaves out the same rows. Returns the indices
-    of the outcomes at or above ``TOL.outcome_floor``, their probabilities,
-    and their normalized post-states as rows.
+    amplitude, if ``columns`` leaves out the same rows. Keeps the outcomes
+    at or above ``TOL.outcome_floor``; when every outcome is kept, the
+    post-states are the rows of the transposed product, with no copy.
     """
     unnormalized = grid @ columns  # column j = (I (x) <b_j|) psi
     probs = (np.abs(unnormalized) ** 2).sum(axis=0)
     kept = np.flatnonzero(probs >= TOL.outcome_floor)
-    kept_probs, posts = probs[kept], unnormalized.T[kept]
-    posts *= (1.0 / np.sqrt(kept_probs))[:, None]
-    return kept, kept_probs, posts
-
-
-def _outcomes(kept, probs, posts) -> list[MeasurementOutcome]:
-    """One record per kept outcome, from the arrays :func:`_measure` returns."""
-    return list(map(MeasurementOutcome, kept.tolist(), probs.tolist(), posts))
+    posts = unnormalized.T
+    if len(kept) < len(probs):
+        probs, posts = probs[kept], posts[kept]
+    posts *= (1.0 / np.sqrt(probs))[:, None]
+    return Outcomes(kept, probs, posts)
 
 
 def measured_ensemble(psi: BipartiteState, basis) -> Ensemble:
     """The S-ensemble a complete reference measurement prepares."""
     outcomes = measure_reference(psi, basis)
-    weights = np.array([o.probability for o in outcomes])
-    states = np.array([o.post_state for o in outcomes])
-    return Ensemble(psi.dim_s, weights, states)
+    return Ensemble(psi.dim_s, outcomes.probabilities, outcomes.post_states)
 
 
 def prepare_ensemble(
@@ -344,7 +400,7 @@ def prepare_ensemble(
     target: Ensemble,
     dim_k: int | None = None,
     tol: float = TOL.equivalence,
-) -> tuple[SteeringPlan, list[MeasurementOutcome], PreparationReport]:
+) -> tuple[SteeringPlan, Outcomes, PreparationReport]:
     """Purify, steer, and measure so the target ensemble is recovered.
 
     Outcome j reproduces the j-th target weight and state (up to a global
@@ -355,15 +411,19 @@ def prepare_ensemble(
     """
     plan = steering_isometry(spectral, target, tol=tol, dim_k=dim_k)
     grid = spectral.weighted_states  # the rank columns of purify(spectral)
-    kept, kept_probs, posts = _measure(grid, plan.isometry)
+    outcomes = _measure(grid, plan.isometry)
 
-    probs = np.zeros(target.size)
-    probs[kept] = kept_probs
+    # a target weight below the outcome floor leaves its outcome unreached:
+    # its probability counts as 0, and its state is not compared
+    probs, states = outcomes.probabilities, target.states
+    if len(outcomes) < target.size:
+        probs = np.zeros(target.size)
+        probs[outcomes.indices] = outcomes.probabilities
+        states = states[outcomes.indices]
     weight_deviation = numerics.max_abs(probs - target.weights)
 
-    # |<post_j|tau_j>| over the reached outcomes; a target weight below the
-    # outcome floor leaves its outcome unreached
-    overlaps = np.minimum(np.abs((posts.conj() * target.states[kept]).sum(axis=1)), 1.0)
+    # |<post_j|tau_j>| over the reached outcomes
+    overlaps = np.minimum(np.abs((outcomes.post_states.conj() * states).sum(axis=1)), 1.0)
     infidelity = (1.0 - overlaps).max(initial=0.0)
 
     # sum_j sqrt(p_j) tau_j (x) B_j on the rank columns: B_j restricted to
@@ -377,4 +437,4 @@ def prepare_ensemble(
         reconstruction_residual=float(reconstruction),
         tol=tol,
     )
-    return plan, _outcomes(kept, kept_probs, posts), report
+    return plan, outcomes, report

@@ -34,7 +34,7 @@ from .errors import DimensionMismatch, NotFinite, PurifyKitError
 from .numerics import TOL
 from .purification import (
     BipartiteState,
-    MeasurementOutcome,
+    Outcomes,
     PreparationReport,
     measure_reference,
     prepare_ensemble,
@@ -99,7 +99,7 @@ class QubitDemoReport(Report):
     recovered_weight_deviation: float
     recovered_state_infidelity: float
     steering_target: Ensemble
-    steering_outcomes: list[MeasurementOutcome] = field(repr=False)
+    steering_outcomes: Outcomes = field(repr=False)
     steering_report: PreparationReport
     dynamics_fidelities: np.ndarray
 
@@ -166,11 +166,7 @@ def qubit_demo(
     purified = BipartiteState(2, 2, mapped[2])
 
     outcomes = measure_reference(purified, np.eye(2, dtype=complex))
-    recovered = Ensemble(
-        2,
-        [o.probability for o in outcomes],
-        [o.post_state for o in outcomes],
-    )
+    recovered = Ensemble(2, outcomes.probabilities, outcomes.post_states)
     expected_weights = (q, 1.0 - q)
     expected_states = (x_plus, x_minus)
     weight_dev = max(

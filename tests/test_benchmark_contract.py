@@ -6,7 +6,8 @@ missing. The benchmark's workloads, its own tests, the showcase script
 and the README read other names from the package root. These tests read
 those sources as text, without importing the benchmark package, so a
 rename or a trimmed root export shows up here first: tier-1 does not run
-``perfbench/``.
+``perfbench/``. The shapes of the results the benchmark reads are pinned
+here too.
 """
 
 import ast
@@ -15,7 +16,10 @@ import importlib.util
 import re
 from pathlib import Path
 
+import numpy as np
+
 import purifykit
+from purifykit.purification import measure_reference
 
 ROOT = Path(__file__).resolve().parents[1]
 TRACER = ROOT / "perfbench" / "tracer.py"
@@ -71,3 +75,23 @@ def test_every_name_read_from_the_package_root_resolves():
         if not hasattr(purifykit, name)
     ]
     assert missing == []
+
+
+def test_steering_outcomes_read_as_records_in_index_order():
+    # SteerWide.check collects o.index, o.probability and o.post_state over
+    # the outcomes; the benchmark's negative controls index and slice them
+    rho = purifykit.random_density_matrix(5, 3, np.random.default_rng(7))
+    target = purifykit.random_equivalent_ensemble(rho, 6, seed=7)
+    _, outcomes, _ = purifykit.prepare_ensemble(purifykit.spectral_ensemble(rho), target, dim_k=8)
+    assert [o.index for o in outcomes] == list(range(6))
+    assert all(type(o.probability) is float for o in outcomes)
+    assert np.array([o.post_state for o in outcomes]).shape == (6, 5)
+    assert outcomes[0].index == 0
+    assert [o.index for o in outcomes[1:]] == list(range(1, 6))
+
+
+def test_measure_reference_results_have_a_length():
+    # the tracer counts kept outcomes with len() of what measure_reference returns
+    rho = purifykit.random_density_matrix(5, 3, np.random.default_rng(7))
+    psi = purifykit.purify(purifykit.spectral_ensemble(rho), 4)
+    assert len(measure_reference(psi, np.eye(4))) == 3

@@ -846,6 +846,26 @@ def test_parse_numbers_accepts_and_refuses_as_the_one_array_parser(data, ndim):
     assert parse_outcome(fileio._parse_numbers, raw, ndim) == expected
 
 
+def nested_field(flat, ndim):
+    """``flat`` as a field ``ndim`` deep: [re, im] pairs below one level, rows of 16 pairs at 3."""
+    if ndim == 1:
+        return flat
+    pairs = [flat[i:i + 2] for i in range(0, len(flat), 2)]
+    return pairs if ndim == 2 else [pairs[r:r + 16] for r in range(0, len(pairs), 16)]
+
+
+@pytest.mark.parametrize("ndim", [1, 2, 3])
+@pytest.mark.parametrize("spot", [0, 517, 1023])
+def test_parse_numbers_finds_a_boolean_among_many_exact_zeros(ndim, spot):
+    flat = [0.5 if i % 7 else 0 for i in range(1024)]
+    for leaf, refused in ((True, True), (1, False)):
+        flat[spot] = leaf
+        raw = nested_field(flat, ndim)
+        expected = parse_outcome(parse_numbers_oracle.parse_numbers, raw, ndim)
+        assert (expected == f"field must be {parse_numbers_oracle.FORMS[ndim]}") is refused
+        assert parse_outcome(fileio._parse_numbers, raw, ndim) == expected
+
+
 # ---------------------------------------------------------------------------
 # the read path does only the work a document's bytes need
 

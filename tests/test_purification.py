@@ -2,6 +2,7 @@
 
 import dataclasses
 import functools
+import json
 import tracemalloc
 from collections import Counter
 
@@ -284,7 +285,10 @@ def moved_to_deviation(spec, target, kind, noise, deviation):
 def certificate_bound(spec, target):
     coeffs = target.states @ spec.states.conj().T
     residuals = np.linalg.norm(target.states - coeffs @ spec.states, axis=1)
-    return purification._equivalence_bound(spec, target, coeffs, residuals)
+    roots = np.sqrt(spec.weights)
+    isometry = (np.sqrt(target.weights)[None, :] / roots[:, None]) * coeffs.T
+    gram = numerics.row_gram_deviation(isometry)
+    return purification._equivalence_bound(roots, gram, target.weights, residuals)
 
 
 @given(
@@ -498,7 +502,7 @@ def test_outcomes_match_the_per_column_loop_bit_for_bit(dim_s, rank, extra, haar
     psi = purify(spec, spec.rank + extra)
     # the standard basis leaves every outcome from the rank onward at zero probability
     columns = numerics.haar_unitary(psi.dim_k, rng) if haar else np.eye(psi.dim_k, dtype=complex)
-    got = purification._outcomes(*purification._measure(psi.as_grid(), columns))
+    got = purification._measure(psi.as_grid(), columns)
     expected = steering_oracle.outcomes(psi, columns)
     assert [o.index for o in got] == [j for j, _, _ in expected]
     assert [o.probability for o in got] == [p for _, p, _ in expected]
@@ -536,7 +540,7 @@ def test_state_infidelity_is_zero_when_no_target_outcome_is_reached(monkeypatch)
     )
     spec = balanced_spectral()
     _, outcomes, report = prepare_ensemble(spec, spec)
-    assert outcomes == []
+    assert len(outcomes) == 0 and list(outcomes) == []
     assert report.state_infidelity == 0.0 == steering_oracle.state_infidelity(outcomes, spec)
     assert report.weight_deviation == 0.5
 
@@ -743,6 +747,68 @@ def test_isometry_residual_is_the_validated_value():
     plan = steering_isometry(spectral_ensemble(rho), random_equivalent_ensemble(rho, 3, seed=32))
     gram = plan.isometry @ numerics.dag(plan.isometry)
     assert plan.isometry_residual == numerics.max_abs(gram - np.eye(gram.shape[0]))
+
+
+def steered_pair(seed, count=7):
+    rho = random_density_matrix(6, 4, np.random.default_rng(seed))
+    return spectral_ensemble(rho), random_equivalent_ensemble(rho, count, seed=seed)
+
+
+def test_prepare_ensemble_forms_one_row_gram(monkeypatch):
+    spec, target = steered_pair(10)
+    calls = Counter()
+    original = numerics.row_gram_deviation
+
+    def counted(rows):
+        calls["gram"] += 1
+        return original(rows)
+
+    monkeypatch.setattr(numerics, "row_gram_deviation", counted)
+    plan, _, report = prepare_ensemble(spec, target)
+    assert report.passed() and calls["gram"] == 1
+    # a plan built from the same arrays forms its own, with the same residual
+    assert SteeringPlan(plan.coeffs, plan.isometry).isometry_residual == plan.isometry_residual
+    assert calls["gram"] == 2
+
+
+@pytest.mark.parametrize("entry", [(0, 0), (3, 6)])
+def test_a_plan_built_directly_checks_its_isometry(entry):
+    plan = steering_isometry(*steered_pair(11))
+    bent = plan.isometry.copy()
+    bent[entry] += 1e-8
+    with pytest.raises(ContractViolation, match="isometry rows deviate from orthonormality"):
+        SteeringPlan(plan.coeffs, bent)
+
+
+def test_a_tampered_plan_file_is_refused_on_read(tmp_path):
+    path = tmp_path / "plan.plan"
+    fileio.write_plan(path, steering_isometry(*steered_pair(12)))
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    doc["isometry"][1][2][0] += 1e-8
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    with pytest.raises(ContractViolation, match="isometry rows deviate from orthonormality"):
+        fileio.read_plan(path)
+
+
+def test_prepare_ensemble_builds_no_outcome_record_until_one_is_read(monkeypatch):
+    spec, target = steered_pair(13)
+    built = Counter()
+
+    def counted(*fields):
+        built["record"] += 1
+        return MeasurementOutcome(*fields)
+
+    monkeypatch.setattr(purification, "MeasurementOutcome", counted)
+    _, outcomes, report = prepare_ensemble(spec, target)
+    assert report.passed() and len(outcomes) == target.size
+    assert built["record"] == 0
+    np.testing.assert_array_equal(outcomes.indices, np.arange(target.size))
+    assert [o.index for o in outcomes] == list(range(target.size))
+    assert built["record"] == target.size
+    for outcome, probability, post in zip(outcomes, outcomes.probabilities, outcomes.post_states):
+        assert outcome.probability == probability
+        assert np.array_equal(outcome.post_state, post) and np.shares_memory(outcome.post_state, post)
+    assert outcomes[2].index == 2 and built["record"] == target.size
 
 
 def test_measure_accepts_probability_just_above_one():
