@@ -9,21 +9,16 @@ Complex numbers are stored as [re, im] pairs.
 
 A document is read as strict RFC 8259 JSON by ``orjson``: ``NaN`` and
 ``Infinity`` literals are refused, an integer wider than 64 bits reads as
-the nearest double, a standalone ``-0`` reads as -0.0, and a document
-nested deeper than ``MAX_DEPTH`` is refused before it is parsed. Files
-written by earlier versions, with 17 significant digits and negative zero
-as ``-0``, read to the same doubles.
-
-A read does only the work its bytes need (see ``_Document``): the depth
-is scanned, and the ``-0`` of older files rewritten, only when the bytes
-can need it, and each array field is converted by one ``np.array``.
+the nearest double, a standalone ``-0`` is the integer 0 and so reads as
+positive zero, and a document nested deeper than ``MAX_DEPTH`` is refused
+before it is parsed. Each document is parsed once, and each array field is
+converted by one ``np.array`` (see ``_Document``).
 """
 
 from __future__ import annotations
 
 import itertools
 import os
-import re
 
 import numpy as np
 import orjson
@@ -121,11 +116,6 @@ def _parse_numbers(raw, ndim: int, what: str) -> np.ndarray:
 # purifykit documents nest at most 4 deep; orjson sets no limit of its own
 # and overflows the C stack somewhere past 100,000 levels
 MAX_DEPTH = 1000
-# Files written with "%.17g" by earlier versions hold -0.0 as -0, which
-# orjson reads as the integer 0. The minus of an exponent such as 1e-0
-# is skipped; the pattern starts with the literal "-" so that the regex
-# engine can jump from one minus to the next
-_NEGATIVE_ZERO = re.compile(rb"-(?<![eE]-)0(?=[\s,\]}])")
 _BRACKET_STEPS = bytes.maketrans(b"[{]}", b"\x01\x01\xff\xff")
 _NOT_BRACKETS = bytes(sorted(set(range(256)) - set(b"[{]}")))
 
@@ -144,61 +134,36 @@ def _opening_brackets(data: bytes) -> int:
 
 
 class _Document:
-    """A document's fields, parsed as read and read in a fixed order.
+    """A document's fields, parsed once as read and read in a fixed order.
 
     The running depth is scanned only when the count of opening brackets,
-    which bounds it, exceeds ``MAX_DEPTH``. A standalone ``-0`` of an older
-    file parses as the integer 0, so the first field holding an exact zero
-    (an integer 0, or an array with a zero real or imaginary part) runs the
-    rewrite to -0.0, once. When that changes the bytes, the field and every
-    later one are read from a second parse; the earlier fields held no zero.
+    which bounds it, exceeds ``MAX_DEPTH``. The bytes are dropped after the
+    parse, so a large file is held once, as its parsed fields.
     """
 
     def __init__(self, path, expected_fields: tuple[str, ...]):
         self.path = path
         with open(path, "rb") as handle:
-            self.data = handle.read()
-        if _opening_brackets(self.data) > MAX_DEPTH and _nesting_depth(self.data) > MAX_DEPTH:
+            data = handle.read()
+        if _opening_brackets(data) > MAX_DEPTH and _nesting_depth(data) > MAX_DEPTH:
             raise ParseError(
                 f"{path}: not a valid document (nested deeper than {MAX_DEPTH} levels)"
             )
-        self.fields = self._parse(self.data)
+        try:
+            self.fields = orjson.loads(data)
+        except ValueError as exc:  # bad JSON or UTF-8, a number past the double range
+            raise ParseError(f"{path}: not a valid document ({exc})") from exc
         if not isinstance(self.fields, dict):
             raise ParseError(f"{path}: top level must be an object")
         missing = [f for f in expected_fields if f not in self.fields]
         if missing:
             raise ParseError(f"{path}: missing fields {missing}")
-        self.rewrite_pending = True
-
-    def _parse(self, data: bytes):
-        try:
-            return orjson.loads(data)
-        except ValueError as exc:  # bad JSON or UTF-8, a number past the double range
-            raise ParseError(f"{self.path}: not a valid document ({exc})") from exc
-
-    def _rewrite_legacy_zeros(self) -> bool:
-        """Rewrite each standalone -0 to -0.0, once. True when that changed
-        the bytes, which are then parsed again; the rewrite changes no key."""
-        self.rewrite_pending = False
-        data = _NEGATIVE_ZERO.sub(b"-0.0", self.data)
-        if data == self.data:
-            return False
-        self.fields = self._parse(data)
-        return True
 
     def dimension(self, name: str) -> int:
-        raw = self.fields[name]
-        if self.rewrite_pending and type(raw) is int and raw == 0:
-            self._rewrite_legacy_zeros()
         return numerics.as_dimension(self.fields[name], ParseError, f"{self.path}: {name}")
 
     def numbers(self, name: str, ndim: int) -> np.ndarray:
-        what = f"{self.path}: {name}"
-        values = _parse_numbers(self.fields[name], ndim, what)
-        zero = not values.view(float).all()  # a zero entry, or a zero part of a complex one
-        if self.rewrite_pending and zero and self._rewrite_legacy_zeros():
-            values = _parse_numbers(self.fields[name], ndim, what)
-        return values
+        return _parse_numbers(self.fields[name], ndim, f"{self.path}: {name}")
 
 
 def write_ensemble(path, ensemble: Ensemble) -> None:

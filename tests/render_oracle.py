@@ -4,7 +4,8 @@ It converts each array to nested Python lists and renders every leaf with
 ``format(x, ".17g")``, as files written by earlier versions were. The
 writers now print the shortest digits that read back to the same double;
 with every number masked to ``#`` the two layouts must be the same bytes,
-and files in this form must still read to the same doubles.
+and files in this form must still read to the same doubles, but for a
+standalone ``-0``, which JSON reads as the integer 0.
 """
 
 import json

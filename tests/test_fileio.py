@@ -172,6 +172,10 @@ OLDER_FILES = {
 }
 
 
+# a standalone -0 of the "%.17g" writer, not the minus of a number or exponent
+STANDALONE_MINUS_ZERO = re.compile(r"-0(?=[,\]])")
+
+
 @pytest.mark.parametrize("kind", OLDER_FILES)
 def test_files_of_earlier_versions_read_as_the_new_files_of_the_same_data(tmp_path, kind):
     older, read, write, dims = OLDER_FILES[kind]
@@ -179,8 +183,10 @@ def test_files_of_earlier_versions_read_as_the_new_files_of_the_same_data(tmp_pa
     old_path.write_text(older)
     from_old = read(old_path)
     fields = [name for name in json.loads(older) if name not in dims]
-    # the fixture is what the earlier writer made of the data it holds
-    assert render_oracle.document({**dims, **{f: getattr(from_old, f) for f in fields}}) == older
+    # the fixture is what the earlier writer made of the data it holds, but
+    # for the sign of zero: a standalone -0 is JSON's integer 0, so +0.0
+    rendered = render_oracle.document({**dims, **{f: getattr(from_old, f) for f in fields}})
+    assert rendered == STANDALONE_MINUS_ZERO.sub("0", older)
     write(new_path, from_old)
     assert new_path.read_text() != older
     from_new = read(new_path)
@@ -188,13 +194,24 @@ def test_files_of_earlier_versions_read_as_the_new_files_of_the_same_data(tmp_pa
         np.testing.assert_array_equal(bits(getattr(from_old, name)), bits(getattr(from_new, name)))
 
 
-def test_a_standalone_minus_zero_of_an_older_file_keeps_its_sign(tmp_path):
-    path = tmp_path / "older.ens"
-    path.write_text(OLDER_SIGNED_ZERO_ENSEMBLE)
-    states = fileio.read_ensemble(path).states
-    assert np.signbit(np.stack((states.real, states.imag), axis=-1)).tolist() == [
+def test_a_standalone_minus_zero_of_an_older_file_reads_as_positive_zero(tmp_path):
+    older, newer = tmp_path / "older.ens", tmp_path / "newer.ens"
+    older.write_text(OLDER_SIGNED_ZERO_ENSEMBLE)
+    # the same data with each -0 spelled -0.0, as the current writer spells it
+    newer.write_text(STANDALONE_MINUS_ZERO.sub("-0.0", OLDER_SIGNED_ZERO_ENSEMBLE))
+    old_parts, new_parts = (
+        np.stack((states.real, states.imag), axis=-1)
+        for states in (fileio.read_ensemble(older).states, fileio.read_ensemble(newer).states)
+    )
+    np.testing.assert_array_equal(bits(np.abs(old_parts)), bits(np.abs(new_parts)))
+    assert np.signbit(new_parts).tolist() == [
         [[False, True], [True, False]],
         [[True, False], [False, True]],
+    ]
+    # only the minus of -0.81649658092772603 is left
+    assert np.signbit(old_parts).tolist() == [
+        [[False, False], [True, False]],
+        [[False, False], [False, False]],
     ]
 
 
@@ -530,7 +547,7 @@ def test_an_exponent_of_minus_zero_is_read_as_written(tmp_path):
     path.write_text('{"dim": 1, "weights": [1e-0], "states": [[[1E-0, -0]]]}')
     ensemble = fileio.read_ensemble(path)
     assert ensemble.weights.tolist() == [1.0]
-    assert np.signbit(ensemble.states.imag[0, 0])
+    assert ensemble.states.real.tolist() == [[1.0]]
 
 
 @pytest.mark.parametrize("inside", ["states", "key", "objects"])
@@ -885,11 +902,17 @@ def with_negative_zeros(values: np.ndarray) -> np.ndarray:
     return values
 
 
+def with_positive_zeros(values: np.ndarray) -> np.ndarray:
+    """A copy of ``values`` with every zero part +0.0."""
+    values = np.array(values)
+    parts = values.view(np.float64)
+    parts[parts == 0] = 0.0
+    return values
+
+
 def signed_zero_documents():
     """(reader, writer, object, its array fields), each with -0.0 parts only in
-    its last array field. The plan's earlier fields hold 0.0 parts, so its
-    rewrite runs at the first field and the unitary is read from the second
-    parse."""
+    its last array field. The plan's earlier fields hold 0.0 parts."""
     weights = np.array([0.25, 0.75])
     states = with_negative_zeros(np.array([[0.6, 0.8], [0.8, -0.6]]) + 0.0j)
     plan = hadamard_plan()  # every imaginary part 0.0
@@ -915,7 +938,7 @@ def signed_zero_documents():
 
 
 @pytest.mark.parametrize("kind", ["ensemble", "density matrix", "bipartite state", "plan"])
-def test_a_legacy_minus_zero_reads_as_negative_zero_in_every_reader(tmp_path, kind):
+def test_a_legacy_minus_zero_reads_as_positive_zero_in_every_reader(tmp_path, kind):
     read, write, value, fields = signed_zero_documents()[kind]
     newer, older = tmp_path / "newer", tmp_path / "older"
     write(newer, value)
@@ -925,8 +948,15 @@ def test_a_legacy_minus_zero_reads_as_negative_zero_in_every_reader(tmp_path, ki
     assert "-0.0" not in older.read_text()
     from_new, from_old = read(newer), read(older)
     for name in fields:
-        np.testing.assert_array_equal(bits(getattr(from_old, name)), bits(getattr(value, name)))
-        np.testing.assert_array_equal(bits(getattr(from_new, name)), bits(getattr(value, name)))
+        expected = getattr(value, name)
+        # JSON's -0 is the integer 0: only the sign of zero is lost
+        np.testing.assert_array_equal(
+            bits(getattr(from_old, name)), bits(with_positive_zeros(expected))
+        )
+        np.testing.assert_array_equal(bits(getattr(from_new, name)), bits(expected))
+    new_last, old_last = (getattr(doc, fields[-1]).imag for doc in (from_new, from_old))
+    assert np.signbit(new_last[new_last == 0]).any()
+    assert not np.signbit(old_last[old_last == 0]).any()
 
 
 @pytest.mark.parametrize(
@@ -946,26 +976,45 @@ def test_a_legacy_minus_zero_reads_as_negative_zero_in_every_reader(tmp_path, ki
         ),
     ],
 )
-def test_a_legacy_minus_zero_dimension_reads_as_negative_zero(tmp_path, reader, text, name):
+def test_a_legacy_minus_zero_dimension_is_refused_as_zero(tmp_path, reader, text, name):
+    # JSON's -0 is the integer 0, so it is refused as 0 is
     path = tmp_path / "zero.doc"
-    path.write_text(text)
-    with pytest.raises(ParseError, match=f"{name} must be a positive integer, got -0.0$"):
-        reader(path)
-    path.write_text(text.replace("-0", "0", 1))
-    with pytest.raises(ParseError, match=f"{name} must be a positive integer, got 0$"):
-        reader(path)
+    for spelling in (text, text.replace("-0", "0", 1)):
+        path.write_text(spelling)
+        with pytest.raises(ParseError, match=f"{name} must be a positive integer, got 0$"):
+            reader(path)
 
 
-def counted_reads(monkeypatch):
-    """Count the legacy rewrites, the parses and the array conversions of the readers."""
-    calls = {"rewrite": 0, "parse": 0, "convert": 0}
-    pattern, loads, convert = fileio._NEGATIVE_ZERO, fileio.orjson.loads, fileio._parse_numbers
+def zero_holding_documents():
+    """(reader, writer, object, its array fields), each array holding exact
+    zeros: zero imaginary parts throughout, as in a real density matrix."""
+    return {
+        "ensemble": (
+            fileio.read_ensemble, fileio.write_ensemble,
+            Ensemble(2, [0.5, 0.5], [[1, 0], [0, 1]]), ("weights", "states"),
+        ),
+        "density matrix": (
+            fileio.read_density_matrix, fileio.write_density_matrix,
+            DensityMatrix(2, np.diag([0.3, 0.7])), ("matrix",),
+        ),
+        "bipartite state": (
+            fileio.read_bipartite_state, fileio.write_bipartite_state,
+            BipartiteState(1, 2, [0.6, 0.8]), ("amplitudes",),
+        ),
+        "plan": (
+            fileio.read_plan, fileio.write_plan, hadamard_plan(),
+            ("coeffs", "isometry", "unitary"),
+        ),
+    }
 
-    class Counted:
-        @staticmethod
-        def sub(*args):
-            calls["rewrite"] += 1
-            return pattern.sub(*args)
+
+@pytest.mark.parametrize("kind", ["ensemble", "density matrix", "bipartite state", "plan"])
+def test_every_reader_parses_once_and_converts_each_array_field_once(tmp_path, monkeypatch, kind):
+    read, write, value, fields = zero_holding_documents()[kind]
+    path = tmp_path / "zeros.doc"
+    write(path, value)
+    calls = {"parse": 0, "convert": 0}
+    loads, convert = fileio.orjson.loads, fileio._parse_numbers
 
     def counted_loads(data):
         calls["parse"] += 1
@@ -975,45 +1024,19 @@ def counted_reads(monkeypatch):
         calls["convert"] += 1
         return convert(*args)
 
-    monkeypatch.setattr(fileio, "_NEGATIVE_ZERO", Counted)
     monkeypatch.setattr(fileio.orjson, "loads", counted_loads)
     monkeypatch.setattr(fileio, "_parse_numbers", counted_convert)
-    return calls
-
-
-def test_a_document_with_no_zero_is_parsed_once_and_never_rewritten(tmp_path, monkeypatch):
-    ensemble = random_ensemble(5, 4, np.random.default_rng(3))
-    path = tmp_path / "random.ens"
-    fileio.write_ensemble(path, ensemble)
-    calls = counted_reads(monkeypatch)
-    read = fileio.read_ensemble(path)
-    assert calls == {"rewrite": 0, "parse": 1, "convert": 2}
-    np.testing.assert_array_equal(bits(read.states), bits(ensemble.states))
-
-
-def test_a_zero_runs_the_rewrite_once_and_a_change_parses_again(tmp_path, monkeypatch):
-    path = tmp_path / "zeros.ens"
-    # zeros in two fields, none of them a legacy -0: one rewrite, nothing parsed again
-    path.write_text(
-        '{"dim": 2, "weights": [0.5, 0.5], "states": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]}'
-    )
-    calls = counted_reads(monkeypatch)
-    fileio.read_ensemble(path)
-    assert calls == {"rewrite": 1, "parse": 1, "convert": 2}
-    # a legacy -0 changes the bytes, so the field and the later ones are parsed again
-    signed = path.read_text().replace("[[1, 0], [0, 0]]", "[[1, 0], [-0.0, 0]]")
-    path.write_text(legacy_form(signed))
-    calls.update(rewrite=0, parse=0, convert=0)
-    states = fileio.read_ensemble(path).states
-    assert calls == {"rewrite": 1, "parse": 2, "convert": 3}
-    assert np.signbit(states.real[0, 1])
+    loaded = read(path)
+    assert calls == {"parse": 1, "convert": len(fields)}
+    for name in fields:
+        np.testing.assert_array_equal(bits(getattr(loaded, name)), bits(getattr(value, name)))
 
 
 def test_a_malformed_legacy_file_is_refused_with_a_position_in_its_own_bytes(tmp_path):
     path = tmp_path / "broken.ens"
     text = '{"dim": 1, "weights": [1.0], "states": [[[1, -0]]] oops}'
     path.write_text(text)
-    # the column of "oops" as written, not as the rewrite to -0.0 would move it
+    # the column of "oops" in the file as written
     with pytest.raises(ParseError, match=rf"column {text.index('oops') + 1} "):
         fileio.read_ensemble(path)
 

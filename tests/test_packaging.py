@@ -1,4 +1,5 @@
-"""The package's declared dependencies cover what its modules import."""
+"""The package's declared dependencies cover what its modules import, and
+with the test extra what the tests and scripts import."""
 
 import ast
 import pathlib
@@ -12,10 +13,10 @@ tomllib = pytest.importorskip("tomllib")  # standard library from Python 3.11
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
-def imported_top_level_names(package: pathlib.Path) -> set[str]:
-    """The first component of every absolute import in the package's modules."""
+def imported_top_level_names(directory: pathlib.Path) -> set[str]:
+    """The first component of every absolute import in the directory's modules."""
     names = set()
-    for source in package.glob("*.py"):
+    for source in directory.glob("*.py"):
         for node in ast.walk(ast.parse(source.read_text(), str(source))):
             if isinstance(node, ast.Import):
                 names.update(alias.name.split(".")[0] for alias in node.names)
@@ -30,4 +31,17 @@ def test_every_third_party_import_is_a_declared_dependency():
     imported = imported_top_level_names(ROOT / "src" / "purifykit")
     third_party = imported - set(sys.stdlib_module_names) - {"purifykit"}
     assert "numpy" in third_party  # the walk sees the package's imports
+    assert third_party <= declared, sorted(third_party - declared)
+
+
+def test_every_third_party_import_of_the_tests_and_scripts_is_declared_for_testing():
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
+    specs = project["dependencies"] + project["optional-dependencies"]["test"]
+    declared = {re.split(r"[\s<>=!~;\[]", spec, maxsplit=1)[0] for spec in specs}
+    directories = (ROOT / "tests", ROOT / "scripts")
+    # the oracles beside the tests and the scripts themselves are imported by name
+    local = {source.stem for directory in directories for source in directory.glob("*.py")}
+    imported = set().union(*map(imported_top_level_names, directories))
+    third_party = imported - set(sys.stdlib_module_names) - {"purifykit"} - local
+    assert {"numpy", "pytest", "hypothesis"} <= third_party  # the walk sees the imports
     assert third_party <= declared, sorted(third_party - declared)
