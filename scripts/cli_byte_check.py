@@ -32,8 +32,11 @@ run.
 
 ``--compare OLD NEW`` runs nothing: it reads two manifests (or two golden
 files) and prints, for each run whose stdout, stderr or files differ, the
-run's name and the outputs that moved. It exits 1 when an exit code
-differs or a run is in only one of them, else 0.
+run's name and the outputs that moved. When every moved output of a run
+is golden text that matches and only its numbers moved, the line also
+gives the largest absolute change among them, so a move at rounding level
+shows as one. It exits 1 when an exit code differs or a run is in only
+one of them, else 0.
 """
 
 from __future__ import annotations
@@ -304,9 +307,24 @@ def splice(lines: list[str], records: list[dict], order: list[str]) -> list[str]
     return spliced
 
 
+def number_change(was, now) -> float | None:
+    """The largest absolute change between the numbers of two golden outputs
+    whose texts match, else None."""
+    if not all(isinstance(doc, dict) and "numbers" in doc for doc in (was, now)):
+        return None
+    if was["text"] != now["text"]:
+        return None
+    return max((abs(a - b) for a, b in zip(was["numbers"], now["numbers"])), default=0.0)
+
+
+def _outputs(record: dict) -> dict:
+    return {"stdout": record["stdout"], "stderr": record["stderr"], **record["files"]}
+
+
 def compare(old: list[dict], new: list[dict]) -> tuple[list[str], bool]:
     """One line per run whose outputs differ between the two record lists,
-    naming the outputs that moved, and whether every run and exit code agree."""
+    naming the outputs that moved (and the largest number change, when only
+    numbers moved), and whether every run and exit code agree."""
     before = {record["run"]: record for record in old}
     after = {record["run"]: record for record in new}
     lines, agree = [], before.keys() == after.keys()
@@ -320,7 +338,12 @@ def compare(old: list[dict], new: list[dict]) -> tuple[list[str], bool]:
             if was["files"].get(path) != now["files"].get(path)
         )
         if moved:
-            lines.append(f"{name} {' '.join(was['argv'])}: {', '.join(moved)}")
+            line = f"{name} {' '.join(was['argv'])}: {', '.join(moved)}"
+            changes = [number_change(_outputs(was).get(key), _outputs(now).get(key))
+                       for key in moved]
+            if None not in changes:
+                line += f" (numbers only, largest change {max(changes):.3g})"
+            lines.append(line)
         agree = agree and was["exit"] == now["exit"]
     return lines, agree
 

@@ -75,9 +75,7 @@ def _cmd_equiv(config: RunConfig) -> int:
     deviation = density_deviation(first, second)
     equivalent = deviation <= config.tol
     verdict = "equivalent" if equivalent else "not equivalent"
-    print(
-        f"max density-matrix deviation: {deviation:.17g} (tol {config.tol:.1e}): {verdict}"
-    )
+    print(f"max density-matrix deviation: {deviation:.17g} (tol {config.tol:.1e}): {verdict}")
     return 0 if equivalent else 3
 
 

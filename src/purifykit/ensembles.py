@@ -60,9 +60,7 @@ class Ensemble:
             raise InvalidEnsemble("weights must be strictly positive")
         total = float(self.weights.sum())
         if abs(total - 1.0) > TOL.weight_sum:
-            raise InvalidEnsemble(
-                f"weights sum to {total}, must equal 1 within {TOL.weight_sum}"
-            )
+            raise InvalidEnsemble(f"weights sum to {total}, must equal 1 within {TOL.weight_sum}")
         norms = np.linalg.norm(self.states, axis=1)
         worst = float(np.abs(norms - 1.0).max())
         if worst > TOL.norm:
@@ -117,9 +115,7 @@ class DensityMatrix:
             raise NotADensityMatrix(
                 f"smallest eigenvalue {smallest} is below {TOL.eigenvalue_floor}"
             )
-        values, vectors = values[::-1], vectors[:, ::-1]
-        keep = values > TOL.spectral_cutoff
-        self.spectral = SpectralEnsemble(self.dim, values[keep], vectors[:, keep].T)
+        self.spectral = _above_cutoff(self.dim, values[::-1], vectors[:, ::-1])
 
 
 @dataclass
@@ -179,9 +175,21 @@ def spectral_ensemble(source: Ensemble | DensityMatrix) -> SpectralEnsemble:
     if not isinstance(source, Ensemble):
         raise NotADensityMatrix("expected a DensityMatrix or an Ensemble")
     vectors, singular, _ = np.linalg.svd(source.weighted_states, full_matrices=False)
-    weights = singular**2
-    keep = weights > TOL.spectral_cutoff
-    return SpectralEnsemble(source.dim, weights[keep], vectors[:, keep].T)
+    return _above_cutoff(source.dim, singular**2, vectors)
+
+
+def _above_cutoff(dim: int, values: np.ndarray, vectors: np.ndarray) -> SpectralEnsemble:
+    """The spectral ensemble of the descending ``values`` above ``TOL.spectral_cutoff`` and
+    their ``vectors`` (columns); a kept sum off 1 by ``TOL.weight_sum`` names the discard."""
+    keep = values > TOL.spectral_cutoff
+    total = float(values[keep].sum())
+    if abs(total - 1.0) > TOL.weight_sum:
+        raise InvalidEnsemble(
+            f"the spectral cutoff {TOL.spectral_cutoff} discards weight "
+            f"{float(values[~keep].sum())}: the kept weights sum to {total}, "
+            f"must equal 1 within {TOL.weight_sum}"
+        )
+    return SpectralEnsemble(dim, values[keep], vectors[:, keep].T)
 
 
 def density_deviation(e1: Ensemble | DensityMatrix, e2: Ensemble | DensityMatrix) -> float:
@@ -217,9 +225,7 @@ def random_equivalent_ensemble(rho: DensityMatrix, count: int, seed: int) -> Ens
     spectral = spectral_ensemble(rho)
     count = numerics.as_dimension(count, InvalidEnsemble, "count")
     if count < spectral.rank:
-        raise CountTooSmall(
-            f"count {count} is below the density-matrix rank {spectral.rank}"
-        )
+        raise CountTooSmall(f"count {count} is below the density-matrix rank {spectral.rank}")
     _require_floor_fits(count, DRAWN_WEIGHT_FLOOR)
     rng = np.random.default_rng(seed)
     roots = np.sqrt(spectral.weights)

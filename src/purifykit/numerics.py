@@ -11,13 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatch,
-    NotFinite,
-    NotHermitian,
-    NotNormalized,
-    NotSquare,
-)
+from .errors import DimensionMismatch, NotFinite, NotHermitian, NotNormalized, NotSquare
 
 
 @dataclass(frozen=True)
@@ -68,14 +62,16 @@ def max_abs(values) -> float:
     return float(np.abs(arr).max()) if arr.size else 0.0
 
 
-def row_gram_deviation(rows: np.ndarray) -> np.ndarray:
-    """rows @ rows^H - I, the deviation of the rows' Gram matrix from the identity."""
-    return rows @ dag(rows) - np.eye(len(rows))
+def row_gram_deviation(rows: np.ndarray, adjoint: np.ndarray) -> np.ndarray:
+    """rows @ adjoint - I for ``adjoint`` = rows^H, with I taken off the diagonal in place."""
+    gram = rows @ adjoint
+    gram.reshape(-1)[:: len(gram) + 1] -= 1.0
+    return gram
 
 
 def row_orthonormality_residual(rows: np.ndarray) -> float:
     """Largest entry of rows @ rows^H - I: how far the rows are from orthonormal."""
-    return max_abs(row_gram_deviation(rows))
+    return max_abs(row_gram_deviation(rows, dag(rows)))
 
 
 def require_addressable(rows: int, dim_k: int, what: str) -> None:

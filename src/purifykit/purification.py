@@ -10,9 +10,10 @@ the rank, so outcome j depends only on column j of the isometry
 (Hughston, Jozsa and Wootters, Phys. Lett. A 183, 1993); completing the
 isometry to a unitary fixes the other measurement directions, which only
 a plan file needs. Steering forms the isometry's row Gram once, to prove
-equivalence and to admit the plan, and a measurement returns one
-:class:`Outcomes` record of arrays, whose per-outcome records are built
-only when they are read.
+equivalence and to admit the plan, and the measured outcomes once, as
+rows, from which it reads the support residuals, the probabilities and
+the post-states. A measurement returns one :class:`Outcomes` record of
+arrays, whose per-outcome records are built only when they are read.
 
 Reference-space conventions: the correlated reference states are the
 standard basis vectors of K, with e_0 doubling as the ready state, and
@@ -156,9 +157,7 @@ class SteeringPlan:
         unitary = numerics.as_matrix(unitary)
         if unitary.shape != (self.dim_k, self.dim_k):
             side, width = unitary.shape
-            raise NotSquare(
-                f"plan unitary is {side}x{width}, must be square of side {self.dim_k}"
-            )
+            raise NotSquare(f"plan unitary is {side}x{width}, must be square of side {self.dim_k}")
         embedding = numerics.max_abs(unitary[: len(self.isometry)] - self._padded_isometry())
         if embedding > TOL.orthonormality:
             raise ContractViolation(
@@ -249,9 +248,7 @@ def purify(spectral: SpectralEnsemble, dim_k: int | None = None) -> BipartiteSta
         dim_k = spectral.rank
     dim_k = numerics.as_dimension(dim_k, DimensionMismatch, "dim_k")
     if dim_k < spectral.rank:
-        raise ReferenceTooSmall(
-            f"reference dimension {dim_k} is below the rank {spectral.rank}"
-        )
+        raise ReferenceTooSmall(f"reference dimension {dim_k} is below the rank {spectral.rank}")
     numerics.require_addressable(spectral.dim, dim_k, "amplitude grid")
     grid = np.zeros((spectral.dim, dim_k), dtype=complex)
     grid[:, : spectral.rank] = spectral.weighted_states
@@ -274,13 +271,17 @@ def steering_coefficients(
 
 def _steering_arrays(
     spectral: SpectralEnsemble, target: Ensemble, tol: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """C, the isometry A of :func:`steering_isometry` and its row Gram
-    deviation E = AA^H - I, after the checks of :func:`steering_coefficients`.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """C, the isometry A of :func:`steering_isometry`, its row Gram deviation
+    E = AA^H - I, its adjoint A^H and the outcome rows U = A^T X^T of the
+    weighted states X, after the checks of :func:`steering_coefficients`.
 
-    Equivalence is first proven in the rank space, from E and the
-    residuals r_j = ||tau_j - a_j|| of the projections a_j = sum_i C[j, i]
-    phi_i. With D = diag(d), M = D^1/2 (E + I) D^1/2 = (C^T p) @ conj(C) and
+    Row j of U is (I (x) <b_j|) psi, b_j being conjugated column j of A, and
+    equals sqrt(p_j) a_j for the projection a_j = sum_i C[j, i] phi_i of
+    tau_j: the residuals r_j = ||tau_j - a_j|| are read from U, which
+    :func:`prepare_ensemble` then measures. Equivalence is first proven in the
+    rank space, from E and r. With D = diag(d), M = D^1/2 (E + I) D^1/2 =
+    (C^T p) @ conj(C) and
 
         rho_s - rho_t = sum_ik (D - M)[i, k] |phi_i><phi_k|
                         - sum_j p_j (|a_j><r_j| + |r_j><a_j| + |r_j><r_j|).
@@ -296,10 +297,14 @@ def _steering_arrays(
     if spectral.dim != target.dim:
         raise DimensionMismatch(f"dimensions differ: {spectral.dim} vs {target.dim}")
     coeffs = target.states @ spectral.states.conj().T
-    residuals = np.linalg.norm(target.states - coeffs @ spectral.states, axis=1)
-    roots = np.sqrt(spectral.weights)
-    isometry = (np.sqrt(target.weights)[None, :] / roots[:, None]) * coeffs.T
-    gram = numerics.row_gram_deviation(isometry)
+    roots, scales = np.sqrt(spectral.weights), np.sqrt(target.weights)
+    isometry = (scales[None, :] / roots[:, None]) * coeffs.T
+    adjoint = isometry.conj().T
+    gram = numerics.row_gram_deviation(isometry, adjoint)
+    rows = isometry.T @ spectral.weighted_states.T
+    gaps = rows.view(float) * (1.0 / scales)[:, None]  # a_j, then tau_j - a_j
+    np.subtract(target.states, gaps.view(complex), out=gaps.view(complex))
+    residuals = np.sqrt(np.einsum("ij,ij->i", gaps, gaps))
     bound = _equivalence_bound(roots, gram, target.weights, residuals)
     if not bound <= tol / 2 and not are_equivalent(spectral, target, tol):
         raise NotEquivalent(
@@ -311,17 +316,18 @@ def _steering_arrays(
             f"target state {worst} sticks out of the support by {residuals[worst]} "
             f"(tol {tol})"
         )
-    return coeffs, isometry, gram
+    return coeffs, isometry, gram, adjoint, rows
 
 
 def _equivalence_bound(
     roots: np.ndarray, gram: np.ndarray, weights: np.ndarray, residuals: np.ndarray
 ) -> float:
     """||D^1/2 E D^1/2||_F + sum_j p_j r_j (2 + r_j), the rank-space bound on
-    ``density_deviation(spectral, target)`` of :func:`_steering_arrays`, from
-    the spectral ``roots`` sqrt(d) and the target ``weights`` p."""
-    gap = roots[:, None] * gram * roots[None, :]
-    return float(np.linalg.norm(gap) + (weights * residuals * (2.0 + residuals)).sum())
+    ``density_deviation(spectral, target)`` of :func:`_steering_arrays`, from the spectral
+    ``roots`` sqrt(d) and the target ``weights`` p; ||.||_F^2 = sum_ik d_i d_k |E[i, k]|^2."""
+    spectrum = roots * roots
+    gap = np.sqrt(spectrum @ gram.view(float) ** 2 @ np.repeat(spectrum, 2))
+    return float(gap + (weights * residuals * (2.0 + residuals)).sum())
 
 
 def steering_isometry(
@@ -341,7 +347,7 @@ def steering_isometry(
     the rank onward, so no outcome depends on how the completion fills
     the unitary's rows k >= rank.
     """
-    return SteeringPlan._steered(*_steering_arrays(spectral, target, tol), dim_k)
+    return SteeringPlan._steered(*_steering_arrays(spectral, target, tol)[:3], dim_k)
 
 
 def measure_reference(psi: BipartiteState, basis) -> Outcomes:
@@ -356,9 +362,7 @@ def measure_reference(psi: BipartiteState, basis) -> Outcomes:
     """
     rows = numerics.as_array(basis)
     if rows.ndim != 2 or rows.shape[1] != psi.dim_k:
-        raise BasisNotComplete(
-            f"basis must consist of vectors of length {psi.dim_k}"
-        )
+        raise BasisNotComplete(f"basis must consist of vectors of length {psi.dim_k}")
     if rows.shape[0] != psi.dim_k:
         raise BasisNotComplete(
             f"basis has {rows.shape[0]} vectors, the reference needs {psi.dim_k}"
@@ -368,25 +372,23 @@ def measure_reference(psi: BipartiteState, basis) -> Outcomes:
         raise BasisNotOrthonormal(
             f"basis vectors are not pairwise orthonormal within {TOL.orthonormality}"
         )
-    return _measure(psi.as_grid(), rows.conj().T)
+    return _measure(rows.conj() @ psi.as_grid().T)
 
 
-def _measure(grid: np.ndarray, columns: np.ndarray) -> Outcomes:
-    """Measure b_j on the reference of the amplitude grid, column j of ``columns`` being conj(b_j).
-
-    ``grid`` may leave out reference columns on which the state has no
-    amplitude, if ``columns`` leaves out the same rows. Keeps the outcomes
-    at or above ``TOL.outcome_floor``; when every outcome is kept, the
-    post-states are the rows of the transposed product, with no copy.
+def _measure(rows: np.ndarray) -> Outcomes:
+    """The kept outcomes of a reference measurement, given as ``rows``: row j is
+    (I (x) <b_j|) psi = directions[j] @ grid.T, the directions conj(b_j) being
+    ``basis.conj()`` in :func:`measure_reference` and the isometry's transpose
+    in :func:`prepare_ensemble`. Keeps the outcomes at or above
+    ``TOL.outcome_floor`` and scales their rows to unit norm in place, so when
+    every outcome is kept the post-states are ``rows`` itself, with no copy.
     """
-    unnormalized = grid @ columns  # column j = (I (x) <b_j|) psi
-    probs = (np.abs(unnormalized) ** 2).sum(axis=0)
+    probs = np.einsum("ij,ij->i", rows.view(float), rows.view(float))  # over real pairs
     kept = np.flatnonzero(probs >= TOL.outcome_floor)
-    posts = unnormalized.T
     if len(kept) < len(probs):
-        probs, posts = probs[kept], posts[kept]
-    posts *= (1.0 / np.sqrt(probs))[:, None]
-    return Outcomes(kept, probs, posts)
+        probs, rows = probs[kept], rows[kept]
+    np.multiply(rows.view(float), (1.0 / np.sqrt(probs))[:, None], out=rows.view(float))
+    return Outcomes(kept, probs, rows)
 
 
 def measured_ensemble(psi: BipartiteState, basis) -> Ensemble:
@@ -409,9 +411,8 @@ def prepare_ensemble(
     the isometry's n columns are measured: the outcomes from n to dim_k
     have zero amplitude.
     """
-    plan = steering_isometry(spectral, target, tol=tol, dim_k=dim_k)
-    grid = spectral.weighted_states  # the rank columns of purify(spectral)
-    outcomes = _measure(grid, plan.isometry)
+    *arrays, adjoint, rows = _steering_arrays(spectral, target, tol)
+    plan, outcomes = SteeringPlan._steered(*arrays, dim_k), _measure(rows)
 
     # a target weight below the outcome floor leaves its outcome unreached:
     # its probability counts as 0, and its state is not compared
@@ -423,12 +424,13 @@ def prepare_ensemble(
     weight_deviation = numerics.max_abs(probs - target.weights)
 
     # |<post_j|tau_j>| over the reached outcomes
-    overlaps = np.minimum(np.abs((outcomes.post_states.conj() * states).sum(axis=1)), 1.0)
+    overlaps = np.minimum(np.abs(np.einsum("ij,ij->i", outcomes.post_states.conj(), states)), 1.0)
     infidelity = (1.0 - overlaps).max(initial=0.0)
 
-    # sum_j sqrt(p_j) tau_j (x) B_j on the rank columns: B_j restricted to
-    # them is conjugated column j of the isometry
-    reconstruction = numerics.max_abs(grid - target.weighted_states @ numerics.dag(plan.isometry))
+    # sum_j sqrt(p_j) tau_j (x) B_j on the rank columns of purify(spectral),
+    # transposed: B_j restricted to them is conjugated column j of the isometry
+    rebuilt = adjoint.T @ target.weighted_states.T
+    reconstruction = numerics.max_abs(np.subtract(rebuilt, spectral.weighted_states.T, out=rebuilt))
 
     report = PreparationReport(
         weight_deviation=float(weight_deviation),

@@ -169,9 +169,7 @@ def qubit_demo(
     recovered = Ensemble(2, outcomes.probabilities, outcomes.post_states)
     expected_weights = (q, 1.0 - q)
     expected_states = (x_plus, x_minus)
-    weight_dev = max(
-        abs(o.probability - expected_weights[o.index]) for o in outcomes
-    )
+    weight_dev = max(abs(o.probability - expected_weights[o.index]) for o in outcomes)
     infidelity = max(
         1.0 - numerics.state_fidelity(o.post_state, expected_states[o.index])
         for o in outcomes

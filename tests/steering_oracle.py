@@ -2,16 +2,17 @@
 
 The library forms the weighted projector sum as one matrix product,
 proves equivalence in the rank space before it compares two d x d sums,
-measures the reference with array operations, and steers through the
-isometry's columns without completing a unitary; these are the forms it
-replaced, kept to compare the two.
+reads the support residuals from the measured outcome rows, measures the
+reference with array operations, and steers through the isometry's
+columns without completing a unitary; these are the forms it replaced,
+kept to compare the two. The equivalence and support decisions here are
+plain numpy.
 """
 
 import numpy as np
 
 from purifykit import numerics
-from purifykit.ensembles import density_deviation
-from purifykit.errors import NotEquivalent, TargetOutsideSupport
+from purifykit.errors import ContractViolation, NotEquivalent, TargetOutsideSupport
 from purifykit.numerics import TOL
 from purifykit.purification import purify, steering_isometry
 
@@ -21,26 +22,46 @@ def weighted_projector_sum(ensemble):
     return np.einsum("i,ij,ik->jk", ensemble.weights, ensemble.states, ensemble.states.conj())
 
 
+def support_residuals(spectral, target):
+    """||tau_j - C Phi|| per target state, from the projection C Phi onto the support."""
+    coeffs = target.states @ spectral.states.conj().T
+    return np.linalg.norm(target.states - coeffs @ spectral.states, axis=1)
+
+
 def coefficients_refusal(spectral, target, tol):
     """The error ``steering_coefficients`` raises, or None, decided as it was
     before the rank-space certificate: the d x d density deviation first,
     then the support residuals."""
-    if density_deviation(spectral, target) > tol:
+    deviation = np.abs(weighted_projector_sum(spectral) - weighted_projector_sum(target)).max()
+    if deviation > tol:
         return NotEquivalent
+    return TargetOutsideSupport if np.max(support_residuals(spectral, target)) > tol else None
+
+
+def isometry_refusal(spectral, target, tol):
+    """The error ``steering_isometry`` raises for its default ``dim_k``, or None:
+    that of :func:`coefficients_refusal`, then ``ContractViolation`` for
+    isometry rows further than ``TOL.isometry`` from orthonormal."""
+    refusal = coefficients_refusal(spectral, target, tol)
+    if refusal is not None:
+        return refusal
     coeffs = target.states @ spectral.states.conj().T
-    residuals = np.linalg.norm(target.states - coeffs @ spectral.states, axis=1)
-    return TargetOutsideSupport if np.max(residuals) > tol else None
+    isometry = np.sqrt(target.weights)[None, :] / np.sqrt(spectral.weights)[:, None] * coeffs.T
+    gram = isometry @ isometry.conj().T - np.eye(len(isometry))
+    return ContractViolation if np.abs(gram).max() > TOL.isometry else None
 
 
-def outcomes(psi, columns):
-    """(index, probability, post-state) per kept column, one column at a time."""
-    unnormalized = psi.as_grid() @ columns
-    probs = np.sum(np.abs(unnormalized) ** 2, axis=0)
+def outcomes(psi, directions):
+    """(index, probability, post-state) per kept outcome, one row of
+    directions @ grid.T at a time."""
+    unnormalized = directions @ psi.as_grid().T
     kept = []
-    for j, prob in enumerate(probs):
+    for j, row in enumerate(unnormalized):
+        pairs = row.view(float)
+        prob = np.einsum("i,i->", pairs, pairs)
         if prob < TOL.outcome_floor:
             continue
-        kept.append((j, float(prob), unnormalized[:, j] / np.sqrt(prob)))
+        kept.append((j, float(prob), row / np.sqrt(prob)))
     return kept
 
 
@@ -58,11 +79,11 @@ def unitary_path(spectral, target, dim_k):
     """Kept outcomes, weight deviation and state infidelity, measured through the unitary.
 
     Completes the plan's isometry to a dim_k x dim_k unitary and measures
-    every one of its columns, the form steering took before it measured
+    along every one of its columns, the form steering took before it measured
     through the isometry's columns alone.
     """
     plan = steering_isometry(spectral, target, dim_k=dim_k)
-    kept = outcomes(purify(spectral, plan.dim_k), plan.unitary)
+    kept = outcomes(purify(spectral, plan.dim_k), plan.unitary.T)
     probs = np.zeros(plan.dim_k)
     expected = np.zeros(plan.dim_k)
     expected[: target.size] = target.weights

@@ -90,6 +90,20 @@ def test_steering_outcomes_read_as_records_in_index_order():
     assert [o.index for o in outcomes[1:]] == list(range(1, 6))
 
 
+def test_steered_post_states_are_c_contiguous_rows_that_the_records_view():
+    # SteerWide.check stacks each record's post_state; they are the rows of
+    # one (n, d) C-contiguous array, read with no copy
+    rho = purifykit.random_density_matrix(5, 3, np.random.default_rng(7))
+    target = purifykit.random_equivalent_ensemble(rho, 6, seed=7)
+    _, outcomes, _ = purifykit.prepare_ensemble(purifykit.spectral_ensemble(rho), target, dim_k=8)
+    posts = outcomes.post_states
+    assert posts.shape == (6, 5) and posts.flags.c_contiguous
+    for row, outcome in zip(posts, outcomes):
+        assert outcome.post_state.base is posts
+        assert np.shares_memory(outcome.post_state, row)
+        assert np.array_equal(outcome.post_state, row)
+
+
 def test_measure_reference_results_have_a_length():
     # the tracer counts kept outcomes with len() of what measure_reference returns
     rho = purifykit.random_density_matrix(5, 3, np.random.default_rng(7))

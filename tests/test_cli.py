@@ -593,8 +593,34 @@ def test_a_density_matrix_whose_discarded_mass_exceeds_the_weight_slack_exits_1(
     path.write_text(json.dumps({"dim": 6, "entries": entries}))
     assert main(["random-equiv", str(path), "--count", "8"]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: weights sum to 0.99999999973")
+    assert err.startswith("error: the spectral cutoff 1e-10 discards weight 2.700000")
+    assert ": the kept weights sum to 0.99999999973" in err
     assert err.endswith(", must equal 1 within 1e-10\n")
+
+
+@pytest.mark.parametrize("command", ["purify", "steer", "dynamics"])
+def test_an_ensemble_whose_discarded_mass_exceeds_the_weight_slack_exits_1(
+    files, command, capsys
+):
+    # the file's five weights sum to 1, but three of them fall at the cutoff
+    states = numerics.haar_unitary(6, np.random.default_rng(0))[:5]
+    path = files / "discarded.ens"
+    fileio.write_ensemble(path, Ensemble(6, [0.6, 0.4 - 2.7e-10, 9e-11, 9e-11, 9e-11], states))
+    argv = [command, str(path)] + ([str(path)] if command == "steer" else [])
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: the spectral cutoff 1e-10 discards weight 2.69999")
+    assert err.endswith(": the kept weights sum to 0.9999999997300002, must equal 1 within 1e-10\n")
+
+
+def test_steering_to_a_sub_cutoff_state_exits_3_at_the_support_check(files, capsys):
+    # the third state weighs 5e-11: admitted, since the cutoff discards only
+    # that, but outside the support of the spectral ensemble it leaves
+    states = numerics.haar_unitary(6, np.random.default_rng(15))[:3]
+    path = files / "sub_cutoff.ens"
+    fileio.write_ensemble(path, Ensemble(6, [0.6, 0.4 - 5e-11, 5e-11], states))
+    assert main(["steer", str(path), str(path)]) == 3
+    assert "target state 2 sticks out of the support by" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("kdim", ["1000000000000000000", "99999999999999999999"])

@@ -176,3 +176,28 @@ def test_compare_names_each_moved_run_and_fails_on_a_changed_exit_code(tmp_path,
     assert capsys.readouterr().out == (
         "r4: only in OLD\nr2 steer r2: stdout, plan.json\nr3 steer r3: exit\n"
     )
+
+
+def test_compare_gives_the_largest_change_when_only_numbers_moved(tmp_path, capsys):
+    script = load_script()
+
+    def golden(run, numbers, text="residual # PASS", files=None):
+        doc = {"text": text, "numbers": numbers}
+        return {"run": run, "argv": ["steer", run], "exit": 0, "stdout": doc,
+                "stderr": {"text": "", "numbers": []}, "files": files or {}}
+
+    plan = {"text_sha256": "a", "count": 3}
+    old = [golden("r1", [1e-16, 2.0]), golden("r2", [1e-16]), golden("r3", [1e-16]),
+           golden("r4", [1e-16], files={"plan.json": plan})]
+    new = [golden("r1", [3e-16, 2.0 + 4e-16]), golden("r2", [1e-16], text="residual # FAIL"),
+           golden("r3", [1e-16]), golden("r4", [2e-16], files={"plan.json": {**plan, "count": 4}})]
+    old_path, new_path = tmp_path / "old.jsonl", tmp_path / "new.jsonl"
+    for path, records in ((old_path, old), (new_path, new)):
+        path.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+    assert script.main(["--compare", str(old_path), str(new_path)]) == 0
+    # r2's text moved and r4's file is kept as a hash, so neither gets a change
+    assert capsys.readouterr().out == (
+        "r1 steer r1: stdout (numbers only, largest change 4.44e-16)\n"
+        "r2 steer r2: stdout\n"
+        "r4 steer r4: stdout, plan.json\n"
+    )

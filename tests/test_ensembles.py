@@ -222,8 +222,22 @@ def test_density_matrix_refuses_a_spectrum_whose_discarded_mass_exceeds_the_weig
     # hold 2.7e-10 of the trace, more than an ensemble's weights may miss
     u = numerics.haar_unitary(6, np.random.default_rng(0))
     values = np.array([0.6, 0.4 - 2.7e-10, 9e-11, 9e-11, 9e-11, 0.0])
-    with pytest.raises(InvalidEnsemble, match=r"weights sum to 0\.99999999973"):
+    with pytest.raises(
+        InvalidEnsemble,
+        match=r"discards weight 2\.700000\d*e-10: the kept weights sum to 0\.99999999973",
+    ):
         DensityMatrix(6, (u * values) @ numerics.dag(u))
+
+
+def test_spectral_ensemble_refuses_an_ensemble_whose_discarded_mass_exceeds_the_weight_slack():
+    # the file's five weights sum to 1, but three of them fall at the cutoff
+    states = numerics.haar_unitary(6, np.random.default_rng(0))[:5]
+    ensemble = Ensemble(6, [0.6, 0.4 - 2.7e-10, 9e-11, 9e-11, 9e-11], states)
+    with pytest.raises(
+        InvalidEnsemble,
+        match=r"discards weight 2\.69999\d*e-10: the kept weights sum to 0\.99999999973",
+    ):
+        spectral_ensemble(ensemble)
 
 
 def test_spectral_ensemble_reuses_the_stored_decomposition(monkeypatch):

@@ -5,6 +5,7 @@ import functools
 import json
 import tracemalloc
 from collections import Counter
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -287,7 +288,7 @@ def certificate_bound(spec, target):
     residuals = np.linalg.norm(target.states - coeffs @ spec.states, axis=1)
     roots = np.sqrt(spec.weights)
     isometry = (np.sqrt(target.weights)[None, :] / roots[:, None]) * coeffs.T
-    gram = numerics.row_gram_deviation(isometry)
+    gram = numerics.row_gram_deviation(isometry, numerics.dag(isometry))
     return purification._equivalence_bound(roots, gram, target.weights, residuals)
 
 
@@ -322,6 +323,70 @@ def test_certificate_keeps_every_steering_decision(data, kind, factor, seed):
         assert type(exc) is expected
     else:
         assert expected is None
+
+
+def split_off(target, weight):
+    """``target`` with ``weight`` moved from its first state to a repeat of that state."""
+    weights = np.append(target.weights, weight)
+    weights[0] -= weight
+    return Ensemble(target.dim, weights, np.vstack([target.states, target.states[:1]]))
+
+
+def isometry_refusal(spec, target, tol):
+    """The support residuals ``steering_isometry`` reads from the outcome rows,
+    and the error it raises, or None."""
+    bound = mock.patch.object(
+        purification, "_equivalence_bound", wraps=purification._equivalence_bound
+    )
+    with bound as recorded:
+        try:
+            steering_isometry(spec, target, tol)
+        except (NotEquivalent, TargetOutsideSupport, ContractViolation) as exc:
+            refusal = type(exc)
+        else:
+            refusal = None
+    return recorded.call_args.args[3], refusal
+
+
+@given(
+    data=st.data(),
+    kind=st.sampled_from(PERTURBATIONS),
+    factor=st.sampled_from([0.0, 0.3, 0.9, 1.1, 3.0]),
+    tol=st.sampled_from([1e-9, 1e-6, 1e-3]),
+    split=st.sampled_from([None, 1e-13, 1e-300]),
+    seed=st.integers(0, 2**31 - 1),
+)
+@settings(max_examples=150, deadline=None)
+def test_row_residuals_keep_every_steering_decision(data, kind, factor, tol, split, seed):
+    # the split repeats a state at a weight below the outcome floor, or far below
+    spec, target, noise = perturbed_pair(data, kind, seed)
+    candidate = moved_to_deviation(spec, target, kind, noise, factor * tol)
+    if split is not None:
+        candidate = split_off(candidate, split)
+    residuals, refusal = isometry_refusal(spec, candidate, tol)
+    expected = steering_oracle.support_residuals(spec, candidate)
+    assert numerics.max_abs(residuals - expected) <= 1e-14
+    assert refusal is steering_oracle.isometry_refusal(spec, candidate, tol)
+
+
+def sub_cutoff_ensemble():
+    """Three orthonormal states on d=6; the third weighs 5e-11, below the spectral cutoff."""
+    states = numerics.haar_unitary(6, np.random.default_rng(15))[:3]
+    return Ensemble(6, [0.6, 0.4 - 5e-11, 5e-11], states)
+
+
+def test_a_sub_cutoff_target_state_is_refused_at_the_support_check():
+    target, tol = sub_cutoff_ensemble(), numerics.TOL.equivalence
+    spec = spectral_ensemble(target)
+    assert spec.rank == 2
+    residuals, refusal = isometry_refusal(spec, target, tol)
+    expected = steering_oracle.support_residuals(spec, target)
+    assert numerics.max_abs(residuals - expected) <= 1e-14
+    assert abs(residuals[2] - 1.0) <= 1e-14
+    assert refusal is TargetOutsideSupport
+    assert steering_oracle.isometry_refusal(spec, target, tol) is TargetOutsideSupport
+    with pytest.raises(TargetOutsideSupport, match="target state 2 sticks out of the support by"):
+        prepare_ensemble(spec, target)
 
 
 def counted_projector_sums(monkeypatch):
@@ -495,15 +560,15 @@ def test_ragged_or_non_numeric_input_raises_a_library_error(call):
     seed=st.integers(0, 2**32 - 1),
 )
 @settings(max_examples=60, deadline=None)
-def test_outcomes_match_the_per_column_loop_bit_for_bit(dim_s, rank, extra, haar, seed):
+def test_outcomes_match_the_per_row_loop_bit_for_bit(dim_s, rank, extra, haar, seed):
     rng = np.random.default_rng(seed)
     rho = random_density_matrix(dim_s, min(rank, dim_s), rng)
     spec = spectral_ensemble(rho)
     psi = purify(spec, spec.rank + extra)
     # the standard basis leaves every outcome from the rank onward at zero probability
-    columns = numerics.haar_unitary(psi.dim_k, rng) if haar else np.eye(psi.dim_k, dtype=complex)
-    got = purification._measure(psi.as_grid(), columns)
-    expected = steering_oracle.outcomes(psi, columns)
+    directions = numerics.haar_unitary(psi.dim_k, rng) if haar else np.eye(psi.dim_k, dtype=complex)
+    got = purification._measure(directions @ psi.as_grid().T)
+    expected = steering_oracle.outcomes(psi, directions)
     assert [o.index for o in got] == [j for j, _, _ in expected]
     assert [o.probability for o in got] == [p for _, p, _ in expected]
     for outcome, (_, _, post) in zip(got, expected):
@@ -759,9 +824,9 @@ def test_prepare_ensemble_forms_one_row_gram(monkeypatch):
     calls = Counter()
     original = numerics.row_gram_deviation
 
-    def counted(rows):
+    def counted(rows, adjoint):
         calls["gram"] += 1
-        return original(rows)
+        return original(rows, adjoint)
 
     monkeypatch.setattr(numerics, "row_gram_deviation", counted)
     plan, _, report = prepare_ensemble(spec, target)
