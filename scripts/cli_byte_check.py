@@ -35,8 +35,9 @@ files) and prints, for each run whose stdout, stderr or files differ, the
 run's name and the outputs that moved. When every moved output of a run
 is golden text that matches and only its numbers moved, the line also
 gives the largest absolute change among them, so a move at rounding level
-shows as one. It exits 1 when an exit code differs or a run is in only
-one of them, else 0.
+shows as one; when the text of every moved output moved but its numbers
+did not, the line ends in ``(numbers unchanged)``. It exits 1 when an
+exit code differs or a run is in only one of them, else 0.
 """
 
 from __future__ import annotations
@@ -317,6 +318,13 @@ def number_change(was, now) -> float | None:
     return max((abs(a - b) for a, b in zip(was["numbers"], now["numbers"])), default=0.0)
 
 
+def same_numbers(was, now) -> bool:
+    """Whether two golden outputs hold the same list of numbers."""
+    return all(isinstance(doc, dict) and "numbers" in doc for doc in (was, now)) and (
+        was["numbers"] == now["numbers"]
+    )
+
+
 def _outputs(record: dict) -> dict:
     return {"stdout": record["stdout"], "stderr": record["stderr"], **record["files"]}
 
@@ -324,7 +332,8 @@ def _outputs(record: dict) -> dict:
 def compare(old: list[dict], new: list[dict]) -> tuple[list[str], bool]:
     """One line per run whose outputs differ between the two record lists,
     naming the outputs that moved (and the largest number change, when only
-    numbers moved), and whether every run and exit code agree."""
+    numbers moved, or that no number moved), and whether every run and exit
+    code agree."""
     before = {record["run"]: record for record in old}
     after = {record["run"]: record for record in new}
     lines, agree = [], before.keys() == after.keys()
@@ -339,10 +348,12 @@ def compare(old: list[dict], new: list[dict]) -> tuple[list[str], bool]:
         )
         if moved:
             line = f"{name} {' '.join(was['argv'])}: {', '.join(moved)}"
-            changes = [number_change(_outputs(was).get(key), _outputs(now).get(key))
-                       for key in moved]
+            pairs = [(_outputs(was).get(key), _outputs(now).get(key)) for key in moved]
+            changes = [number_change(*pair) for pair in pairs]
             if None not in changes:
                 line += f" (numbers only, largest change {max(changes):.3g})"
+            elif all(same_numbers(*pair) for pair in pairs):
+                line += " (numbers unchanged)"
             lines.append(line)
         agree = agree and was["exit"] == now["exit"]
     return lines, agree

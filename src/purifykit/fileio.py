@@ -1,11 +1,11 @@
 """Structured text files for ensembles, density matrices, states, and plans.
 
-The documents are JSON with a fixed field order. Every real number is
-written by ``orjson`` with the shortest digits that read back to the same
-double (0.1 as ``0.1``, one as ``1.0``, negative zero as ``-0.0``), so
-doubles round-trip exactly and rewriting the same data yields
-byte-identical files; a NaN or an infinity is refused, not written.
-Complex numbers are stored as [re, im] pairs.
+Each document is one line of JSON with a fixed field order and a trailing
+newline, written by one ``orjson.dumps`` call. Every real number has the
+shortest digits that read back to the same double (0.1 as ``0.1``, one as
+``1.0``, negative zero as ``-0.0``), so doubles round-trip exactly and
+rewriting the same data yields byte-identical files; a NaN or an infinity
+is refused, not written. Complex numbers are stored as [re, im] pairs.
 
 A document is read as strict RFC 8259 JSON by ``orjson``: ``NaN`` and
 ``Infinity`` literals are refused, an integer wider than 64 bits reads as
@@ -29,12 +29,12 @@ from .errors import NotFinite, ParseError
 from .purification import BipartiteState, SteeringPlan
 
 
-def _render(value) -> bytes:
-    """An integer as itself; an array, as float64 or complex128, as nested
-    lists with complex entries as [re, im] pairs. Raises ``NotFinite`` on a
-    NaN or an infinity, which JSON cannot hold."""
+def _finite_floats(value):
+    """An integer as itself; an array as float64, a complex one as its
+    no-copy [re, im] float64 view. Raises ``NotFinite`` on a NaN or an
+    infinity, which JSON cannot hold."""
     if isinstance(value, int):
-        return b"%d" % value
+        return value
     values = np.asarray(value)
     if values.dtype.kind == "c":
         values = np.ascontiguousarray(values, dtype=complex)
@@ -43,36 +43,33 @@ def _render(value) -> bytes:
         values = np.ascontiguousarray(values, dtype=float)
     if not np.isfinite(values).all():
         raise NotFinite("a document holds only finite numbers")
-    return orjson.dumps(values, option=orjson.OPT_SERIALIZE_NUMPY).replace(b",", b", ")
+    return values
 
 
-def write_text(path, *pieces: str | bytes) -> None:
-    """Write ``pieces``, each bytes or a str as UTF-8, one after another to
-    ``path``, overwriting an existing file in place.
+def write_text(path, data: str | bytes) -> None:
+    """Write ``data``, bytes or a str as UTF-8, to ``path``, overwriting an
+    existing file in place.
 
-    The package's one file writer. The pieces are written as given, never
-    joined into one body. It opens the path without ``O_TRUNC``, since on
-    ext4 a truncating open, like a rename over the file, waits for
+    The package's one file writer. It opens the path without ``O_TRUNC``,
+    since on ext4 a truncating open, like a rename over the file, waits for
     writeback; it writes from the start and cuts the old tail only when the
     file was longer. The inode, links, mode and symlinks stay; a device or
     pipe has ``st_size`` 0, so ``truncate``, which raises there, is not called.
     """
-    data = [piece.encode("utf-8") if isinstance(piece, str) else piece for piece in pieces]
-    size = sum(map(len, data))
+    if isinstance(data, str):
+        data = data.encode("utf-8")
     with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as handle:
-        handle.writelines(data)
-        if os.fstat(handle.fileno()).st_size > size:
-            handle.truncate(size)
+        handle.write(data)
+        if os.fstat(handle.fileno()).st_size > len(data):
+            handle.truncate(len(data))
 
 
 def _write_document(path, fields: dict) -> None:
-    """Every field is rendered before the file is opened, so a field that
-    cannot be written leaves the file as it was."""
-    pieces = [b"{\n"]
-    for key, value in fields.items():
-        pieces += [b"  ", orjson.dumps(key), b": ", _render(value), b",\n"]
-    pieces[-1] = b"\n}\n"
-    write_text(path, *pieces)
+    """The whole document is serialized before the file is opened, so a
+    field that cannot be written leaves the file as it was."""
+    fields = {key: _finite_floats(value) for key, value in fields.items()}
+    option = orjson.OPT_SERIALIZE_NUMPY | orjson.OPT_APPEND_NEWLINE
+    write_text(path, orjson.dumps(fields, option=option))
 
 
 _FORMS = {

@@ -1,11 +1,11 @@
 """The recursive per-number renderer of earlier file writers, for the tests only.
 
 It converts each array to nested Python lists and renders every leaf with
-``format(x, ".17g")``, as files written by earlier versions were. The
-writers now print the shortest digits that read back to the same double;
-with every number masked to ``#`` the two layouts must be the same bytes,
-and files in this form must still read to the same doubles, but for a
-standalone ``-0``, which JSON reads as the integer 0.
+``format(x, ".17g")`` in the spaced multi-line layout of files written by
+earlier versions, which the readers must still take: such a file reads to
+the same doubles as a new one-line file of the same data, but for a
+standalone ``-0``, which JSON reads as the integer 0. ``nested`` also gives
+the lists a new document holds for an array.
 """
 
 import json
@@ -15,11 +15,6 @@ import numpy as np
 
 # a JSON number, or one of the "%.17g" forms such as -0 or 1e+16
 NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
-
-
-def masked(text: str) -> str:
-    """``text`` with every number replaced by ``#``."""
-    return NUMBER.sub("#", text)
 
 
 def significant_digits(token: str) -> int:

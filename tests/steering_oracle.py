@@ -5,16 +5,14 @@ proves equivalence in the rank space before it compares two d x d sums,
 reads the support residuals from the measured outcome rows, measures the
 reference with array operations, and steers through the isometry's
 columns without completing a unitary; these are the forms it replaced,
-kept to compare the two. The equivalence and support decisions here are
-plain numpy.
+kept to compare the two. Everything here is plain numpy: only the error
+classes and ``TOL`` come from the library.
 """
 
 import numpy as np
 
-from purifykit import numerics
 from purifykit.errors import ContractViolation, NotEquivalent, TargetOutsideSupport
 from purifykit.numerics import TOL
-from purifykit.purification import purify, steering_isometry
 
 
 def weighted_projector_sum(ensemble):
@@ -38,6 +36,12 @@ def coefficients_refusal(spectral, target, tol):
     return TargetOutsideSupport if np.max(support_residuals(spectral, target)) > tol else None
 
 
+def isometry(spectral, target):
+    """The steering isometry sqrt(p_j / d_i) C[j, i], rank x target size."""
+    coeffs = target.states @ spectral.states.conj().T
+    return np.sqrt(target.weights)[None, :] / np.sqrt(spectral.weights)[:, None] * coeffs.T
+
+
 def isometry_refusal(spectral, target, tol):
     """The error ``steering_isometry`` raises for its default ``dim_k``, or None:
     that of :func:`coefficients_refusal`, then ``ContractViolation`` for
@@ -45,16 +49,15 @@ def isometry_refusal(spectral, target, tol):
     refusal = coefficients_refusal(spectral, target, tol)
     if refusal is not None:
         return refusal
-    coeffs = target.states @ spectral.states.conj().T
-    isometry = np.sqrt(target.weights)[None, :] / np.sqrt(spectral.weights)[:, None] * coeffs.T
-    gram = isometry @ isometry.conj().T - np.eye(len(isometry))
+    rows = isometry(spectral, target)
+    gram = rows @ rows.conj().T - np.eye(len(rows))
     return ContractViolation if np.abs(gram).max() > TOL.isometry else None
 
 
-def outcomes(psi, directions):
+def outcomes(grid, directions):
     """(index, probability, post-state) per kept outcome, one row of
     directions @ grid.T at a time."""
-    unnormalized = directions @ psi.as_grid().T
+    unnormalized = directions @ grid.T
     kept = []
     for j, row in enumerate(unnormalized):
         pairs = row.view(float)
@@ -65,31 +68,43 @@ def outcomes(psi, directions):
     return kept
 
 
+def infidelity(post, state):
+    """1 - |<post|state>|, the overlap clamped at 1."""
+    return 1.0 - min(abs(np.vdot(post, state)), 1.0)
+
+
 def state_infidelity(outcome_records, target):
     """Largest 1 - |<post_j|tau_j>| over the reached target outcomes, at least 0."""
     posts = {o.index: o.post_state for o in outcome_records}
-    infidelity = 0.0
+    worst = 0.0
     for j in range(target.size):
         if j in posts:
-            infidelity = max(infidelity, 1.0 - numerics.state_fidelity(posts[j], target.states[j]))
-    return infidelity
+            worst = max(worst, infidelity(posts[j], target.states[j]))
+    return worst
 
 
 def unitary_path(spectral, target, dim_k):
-    """Kept outcomes, weight deviation and state infidelity, measured through the unitary.
+    """Kept outcomes, weight deviation and state infidelity, measured through a unitary.
 
-    Completes the plan's isometry to a dim_k x dim_k unitary and measures
-    along every one of its columns, the form steering took before it measured
-    through the isometry's columns alone.
+    Pads the isometry to dim_k columns, completes its rows to a dim_k x dim_k
+    unitary with the complement of a complete QR, and measures the padded
+    spectral grid along every one of its columns, the form steering took
+    before it measured through the isometry's columns alone.
     """
-    plan = steering_isometry(spectral, target, dim_k=dim_k)
-    kept = outcomes(purify(spectral, plan.dim_k), plan.unitary.T)
-    probs = np.zeros(plan.dim_k)
-    expected = np.zeros(plan.dim_k)
+    rank = spectral.weights.size
+    padded = np.zeros((rank, dim_k), dtype=complex)
+    padded[:, : target.size] = isometry(spectral, target)
+    q, _ = np.linalg.qr(padded.conj().T, mode="complete")
+    unitary = np.vstack((padded, q[:, rank:].conj().T))
+    grid = np.zeros((spectral.dim, dim_k), dtype=complex)
+    grid[:, :rank] = spectral.states.T * np.sqrt(spectral.weights)
+    kept = outcomes(grid, unitary.T)
+    probs = np.zeros(dim_k)
+    expected = np.zeros(dim_k)
     expected[: target.size] = target.weights
-    infidelity = 0.0
+    worst = 0.0
     for j, prob, post in kept:
         probs[j] = prob
         if j < target.size:
-            infidelity = max(infidelity, 1.0 - numerics.state_fidelity(post, target.states[j]))
-    return kept, numerics.max_abs(probs - expected), infidelity
+            worst = max(worst, infidelity(post, target.states[j]))
+    return kept, np.abs(probs - expected).max(), worst

@@ -198,6 +198,32 @@ def test_compare_gives_the_largest_change_when_only_numbers_moved(tmp_path, caps
     # r2's text moved and r4's file is kept as a hash, so neither gets a change
     assert capsys.readouterr().out == (
         "r1 steer r1: stdout (numbers only, largest change 4.44e-16)\n"
-        "r2 steer r2: stdout\n"
+        "r2 steer r2: stdout (numbers unchanged)\n"
         "r4 steer r4: stdout, plan.json\n"
+    )
+
+
+def test_compare_notes_a_run_whose_text_moved_and_whose_numbers_did_not(tmp_path, capsys):
+    script = load_script()
+
+    def golden(run, text, numbers, stdout_numbers=(1.0,)):
+        return {"run": run, "argv": ["steer", run], "exit": 0,
+                "stdout": {"text": "residual #", "numbers": list(stdout_numbers)},
+                "stderr": {"text": "", "numbers": []},
+                "files": {"plan.json": {"text": text, "numbers": numbers}}}
+
+    spaced, compact = '{\n  "coeffs": [#, #]\n}\n', '{"coeffs":[#,#]}\n'
+    old = [golden("r1", spaced, [0.5, -0.0]), golden("r2", spaced, [0.5, 1.0]),
+           golden("r3", spaced, [0.5, 1.0])]
+    new = [golden("r1", compact, [0.5, -0.0]), golden("r2", compact, [0.5, 2.0]),
+           golden("r3", compact, [0.5, 1.0], stdout_numbers=(2.0,))]
+    old_path, new_path = tmp_path / "old.jsonl", tmp_path / "new.jsonl"
+    for path, records in ((old_path, old), (new_path, new)):
+        path.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+    assert script.main(["--compare", str(old_path), str(new_path)]) == 0
+    # r2's file moved a number, r3's stdout moved one: neither keeps every number
+    assert capsys.readouterr().out == (
+        "r1 steer r1: plan.json (numbers unchanged)\n"
+        "r2 steer r2: plan.json\n"
+        "r3 steer r3: stdout, plan.json\n"
     )

@@ -96,16 +96,15 @@ def test_plan_round_trip(tmp_path):
     np.testing.assert_array_equal(loaded.coeffs, plan.coeffs)
 
 
-# the exact bytes of write_plan(hadamard_plan())
-GOLDEN_HADAMARD_PLAN = """{
-  "coeffs": [[[0.7071067811865475, 0.0], [0.7071067811865475, 0.0]], \
-[[0.7071067811865475, 0.0], [-0.7071067811865475, 0.0]]],
-  "isometry": [[[0.7071067811865475, 0.0], [0.7071067811865475, 0.0]], \
-[[0.7071067811865475, 0.0], [-0.7071067811865475, 0.0]]],
-  "unitary": [[[0.7071067811865475, 0.0], [0.7071067811865475, 0.0]], \
-[[0.7071067811865475, 0.0], [-0.7071067811865475, 0.0]]]
-}
-"""
+# the exact bytes of write_plan(hadamard_plan()), one line
+GOLDEN_HADAMARD_PLAN = (
+    '{"coeffs":[[[0.7071067811865475,0.0],[0.7071067811865475,0.0]],'
+    '[[0.7071067811865475,0.0],[-0.7071067811865475,0.0]]],'
+    '"isometry":[[[0.7071067811865475,0.0],[0.7071067811865475,0.0]],'
+    '[[0.7071067811865475,0.0],[-0.7071067811865475,0.0]]],'
+    '"unitary":[[[0.7071067811865475,0.0],[0.7071067811865475,0.0]],'
+    '[[0.7071067811865475,0.0],[-0.7071067811865475,0.0]]]}\n'
+)
 # the same plan as the "%.17g" writer of earlier versions wrote it
 OLDER_HADAMARD_PLAN = """{
   "coeffs": [[[0.70710678118654746, 0], [0.70710678118654746, 0]], \
@@ -145,15 +144,6 @@ def test_read_bipartite_state_rejects_norm_off_one(tmp_path):
     path.write_text('{"dim_s": 1, "dim_k": 2, "amplitudes": [[1.001, 0], [0, 0]]}')
     with pytest.raises(NotNormalized):
         fileio.read_bipartite_state(path)
-
-
-def test_documents_are_valid_json_with_shortest_round_trip_numbers(tmp_path):
-    path = tmp_path / "mix.ens"
-    fileio.write_ensemble(path, awkward_ensemble())
-    doc = json.loads(path.read_text())
-    assert set(doc) == {"dim", "weights", "states"}
-    # 1/3 in the 16 digits that read back to it, not the 17 of "%.17g"
-    assert render_oracle.NUMBER.findall(path.read_text())[1] == "0.3333333333333333"
 
 
 def bits(values) -> np.ndarray:
@@ -455,8 +445,8 @@ def test_parsed_entries_keep_the_sign_of_zero(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# the renderer keeps the layout of the per-number "%.17g" one it replaced and
-# prints the shortest digits that read back
+# a written array is the nested lists of its values, each number in the
+# shortest digits that read back
 
 # signed zero, the smallest subnormal, the largest decade, the first integer
 # past 16 digits, a value with no short binary form, integers stored as floats
@@ -468,7 +458,7 @@ entries = st.one_of(
 
 @given(data=st.data())
 @settings(max_examples=300, deadline=None)
-def test_render_matches_the_recursive_renderer(data):
+def test_a_written_array_is_its_nested_lists_in_the_shortest_digits(tmp_path_factory, data):
     shape = data.draw(hnp.array_shapes(min_dims=1, max_dims=3, min_side=0, max_side=4))
     values = data.draw(hnp.arrays(float, shape, elements=entries), label="real parts")
     if data.draw(st.booleans(), label="complex"):
@@ -477,11 +467,11 @@ def test_render_matches_the_recursive_renderer(data):
         values.imag = imag  # assigned, not added, so -0.0 parts survive
     if data.draw(st.booleans(), label="transposed"):
         values = values.T  # a strided view, not C-contiguous
-    rendered = fileio._render(values).decode("ascii")
-    oracle = render_oracle.render(render_oracle.nested(values))
-    # the layout of the "%.17g" renderer, byte for byte outside the numbers
-    assert render_oracle.masked(rendered) == render_oracle.masked(oracle)
-    tokens = render_oracle.NUMBER.findall(rendered)
+    path = tmp_path_factory.mktemp("nested") / "values.doc"
+    fileio._write_document(path, {"values": values})
+    written = path.read_text(encoding="ascii")
+    assert json.loads(written) == {"values": render_oracle.nested(values)}
+    tokens = render_oracle.NUMBER.findall(written)
     expected = bits(values).ravel()
     read = np.array([float(token) for token in tokens], dtype=float)
     np.testing.assert_array_equal(read.view(np.uint64), expected)
@@ -629,7 +619,7 @@ DOCUMENTS = {
     "density_matrix": (
         fileio.write_density_matrix,
         fileio.read_density_matrix,
-        # -0.0 is written as -0, which a JSON reader takes for the integer 0
+        # -0.0 is written as -0.0, so it reads back with its sign
         lambda: DensityMatrix(2, [[0.7, -0.0], [0.0, 0.3]]),
     ),
     "state": (
@@ -639,6 +629,37 @@ DOCUMENTS = {
     ),
     "plan": (fileio.write_plan, fileio.read_plan, plan_with_completed_unitary),
 }
+
+
+FIELD_ORDER = {
+    "ensemble": ["dim", "weights", "states"],
+    "density_matrix": ["dim", "entries"],
+    "state": ["dim_s", "dim_k", "amplitudes"],
+    "plan": ["coeffs", "isometry", "unitary"],
+}
+
+
+@pytest.mark.parametrize("kind", DOCUMENTS)
+def test_documents_are_valid_json_with_shortest_round_trip_numbers(tmp_path, kind):
+    write, _, make = DOCUMENTS[kind]
+    value, path = make(), tmp_path / kind
+    write(path, value)
+    text = path.read_text()
+    # one line, the fields in a fixed order
+    assert text.count("\n") == 1 and text.endswith("}\n")
+    doc = json.loads(text)
+    assert list(doc) == FIELD_ORDER[kind]
+    for name, field in doc.items():
+        written = value.matrix.ravel() if name == "entries" else getattr(value, name)
+        if isinstance(written, int):
+            assert type(field) is int and field == written
+        else:
+            # bit patterns, so -0.0 and 0.0 differ
+            read = np.array(field, dtype=float)
+            np.testing.assert_array_equal(read.view(np.uint64), bits(written))
+    if kind == "ensemble":
+        # 1/3 in the 16 digits that read back to it, not the 17 of "%.17g"
+        assert render_oracle.NUMBER.findall(text)[1] == "0.3333333333333333"
 
 
 @pytest.mark.parametrize("kind", DOCUMENTS)
@@ -1058,10 +1079,10 @@ def test_the_depth_scan_runs_only_past_the_limit_in_opening_brackets(tmp_path, m
     assert scans == [1]
 
 
-def test_write_plan_holds_the_rendered_fields_once_and_no_joined_copy(tmp_path):
-    # a dim_k of 256 makes the unitary most of a 0.85 MB file; the pieces are
-    # written as rendered, so the peak is the rendered document plus one
-    # array's unspaced orjson output, not two joined copies besides
+def test_write_plan_holds_one_serialized_document(tmp_path):
+    # a dim_k of 256 makes the unitary most of a 0.7 MB file; one orjson call
+    # serializes the whole document, so the peak is that document and the
+    # buffer it grows in, with no rendered copy of any field besides
     rho = random_density_matrix(8, 4, np.random.default_rng(3))
     plan = steering_isometry(
         spectral_ensemble(rho), random_equivalent_ensemble(rho, 6, seed=1), dim_k=256
@@ -1074,4 +1095,4 @@ def test_write_plan_holds_the_rendered_fields_once_and_no_joined_copy(tmp_path):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 2.5 * path.stat().st_size
+    assert peak <= 1.6 * path.stat().st_size

@@ -568,7 +568,7 @@ def test_outcomes_match_the_per_row_loop_bit_for_bit(dim_s, rank, extra, haar, s
     # the standard basis leaves every outcome from the rank onward at zero probability
     directions = numerics.haar_unitary(psi.dim_k, rng) if haar else np.eye(psi.dim_k, dtype=complex)
     got = purification._measure(directions @ psi.as_grid().T)
-    expected = steering_oracle.outcomes(psi, directions)
+    expected = steering_oracle.outcomes(psi.as_grid(), directions)
     assert [o.index for o in got] == [j for j, _, _ in expected]
     assert [o.probability for o in got] == [p for _, p, _ in expected]
     for outcome, (_, _, post) in zip(got, expected):
